@@ -9,10 +9,9 @@
 // test: batch 1024 / DOP 4 sustains >= 3x the rows/sec of batch 1 / DOP 1.
 //
 // A second phase runs a highly selective variant of the same pipeline
-// (~1% of atomic parts survive the scan filter) with the columnar engine
-// toggled off and on, batch 1024, at DOP 1 and DOP 4. The claim under
-// test: vectorized kernels sustain >= 3x the rows/sec of the row engine at
-// DOP 1 on selective filters, without losing the DOP-4 parallel speedup.
+// (~1% of atomic parts survive the scan filter), batch 1024, at DOP 1 and
+// DOP 4, and reports one rate per DOP; the regression gate holds each to
+// the committed baseline.
 //
 // A third phase exercises order as a physical property: a full ORDER BY
 // over the atomic parts (serial Sort vs. order-preserving merging Exchange
@@ -27,8 +26,8 @@
 //
 // Results are printed as a table and written to BENCH_exec.json in the
 // current directory ({"grid": [...], "speedup_batch1024_dop4": S,
-// "selective": [...], "speedup_vectorized_dop1": V, "ordered": [...],
-// "speedup_merge_costed_dop4": M, "speedup_topk_vs_sort_sim": T}).
+// "selective": [...], "ordered": [...], "speedup_merge_costed_dop4": M,
+// "speedup_topk_vs_sort_sim": T}).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -169,46 +168,6 @@ double MeasureRate(const PlanNode& plan, ObjectStore* store, QueryContext* ctx,
   return best;
 }
 
-/// Measures two configurations of the same plan in alternating short
-/// slices, so both see the same thermal/scheduler environment — the fair
-/// way to form a ratio on a busy host (back-to-back blocks bias whichever
-/// runs second on a heat-soaked core). Returns rows/sec per configuration.
-bool MeasurePair(const PlanNode& plan, ObjectStore* store, QueryContext* ctx,
-                 const ExecOptions& eo_a, const ExecOptions& eo_b,
-                 int64_t* rows_out, double* rate_a, double* rate_b) {
-  const ExecOptions* eos[2] = {&eo_a, &eo_b};
-  int reps[2] = {0, 0};
-  double elapsed[2] = {0.0, 0.0};
-  for (int m = 0; m < 2; ++m) {  // warm both
-    auto warm = ExecutePlan(plan, store, ctx, *eos[m]);
-    if (!warm.ok()) {
-      std::fprintf(stderr, "execute: %s\n", warm.status().ToString().c_str());
-      return false;
-    }
-    *rows_out = warm->rows;
-  }
-  for (int slice = 0; slice < 12; ++slice) {
-    int m = slice % 2;
-    double sliced = 0.0;
-    auto t0 = std::chrono::steady_clock::now();
-    do {
-      auto r = ExecutePlan(plan, store, ctx, *eos[m]);
-      if (!r.ok()) {
-        std::fprintf(stderr, "execute: %s\n", r.status().ToString().c_str());
-        return false;
-      }
-      ++reps[m];
-      sliced =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
-    } while (sliced < 0.1);
-    elapsed[m] += sliced;
-  }
-  *rate_a = static_cast<double>(*rows_out) * reps[0] / elapsed[0];
-  *rate_b = static_cast<double>(*rows_out) * reps[1] / elapsed[1];
-  return true;
-}
-
 }  // namespace
 
 int Main() {
@@ -249,7 +208,6 @@ int Main() {
       ExecOptions eo;
       eo.batch_size = batch;
       eo.sample_limit = 0;  // measure the pipeline, not result retention
-      eo.vectorize = 0;     // the row-engine baseline grid
 
       int64_t rows = 0;
       double rate = MeasureRate(*planned->plan, &store, &ctx, eo, &rows);
@@ -269,10 +227,9 @@ int Main() {
   double speedup = base > 0.0 ? best / base : 0.0;
   std::printf("\nspeedup batch1024/dop4 vs batch1/dop1: %.2fx\n\n", speedup);
 
-  // --- Selective phase: row engine vs columnar kernels, batch 1024. ---
+  // --- Selective phase: batch 1024, one rate per DOP. ---
   struct SelMeasured {
     int dop;
-    int vectorize;
     int64_t rows;
     double rows_per_sec;
   };
@@ -297,37 +254,17 @@ int Main() {
                    planned.status().ToString().c_str());
       return 1;
     }
-    ExecOptions eo_row;
-    eo_row.batch_size = 1024;
-    eo_row.sample_limit = 0;
-    eo_row.vectorize = 0;
-    ExecOptions eo_vec = eo_row;
-    eo_vec.vectorize = 1;
+    ExecOptions eo;
+    eo.batch_size = 1024;
+    eo.sample_limit = 0;
     int64_t rows = 0;
-    double rate_row = 0.0, rate_vec = 0.0;
-    if (!MeasurePair(*planned->plan, &store, &ctx, eo_row, eo_vec, &rows,
-                     &rate_row, &rate_vec)) {
-      return 1;
-    }
-    sel.push_back({dop, 0, rows, rate_row});
-    sel.push_back({dop, 1, rows, rate_vec});
-    std::printf("selective dop=%d row         rows=%-6lld  %12.0f rows/sec\n",
-                dop, static_cast<long long>(rows), rate_row);
-    std::printf("selective dop=%d vectorized  rows=%-6lld  %12.0f rows/sec\n",
-                dop, static_cast<long long>(rows), rate_vec);
+    double rate = MeasureRate(*planned->plan, &store, &ctx, eo, &rows);
+    if (rate < 0.0) return 1;
+    sel.push_back({dop, rows, rate});
+    std::printf("selective dop=%d  rows=%-6lld  %12.0f rows/sec\n", dop,
+                static_cast<long long>(rows), rate);
     std::fflush(stdout);
   }
-
-  auto sel_rate = [&sel](int dop, int vectorize) {
-    for (const auto& m : sel) {
-      if (m.dop == dop && m.vectorize == vectorize) return m.rows_per_sec;
-    }
-    return 0.0;
-  };
-  double vec1 = sel_rate(1, 0) > 0.0 ? sel_rate(1, 1) / sel_rate(1, 0) : 0.0;
-  double vec4 = sel_rate(4, 0) > 0.0 ? sel_rate(4, 1) / sel_rate(4, 0) : 0.0;
-  std::printf("\nspeedup vectorized vs row (selective, dop 1): %.2fx\n", vec1);
-  std::printf("speedup vectorized vs row (selective, dop 4): %.2fx\n", vec4);
 
   // --- Ordered phase: order as a physical property. Both claims are gated
   // on deterministic simulated seconds (see the file comment), so these
@@ -364,7 +301,6 @@ int Main() {
       ExecOptions eo;
       eo.batch_size = 1024;
       eo.sample_limit = 0;
-      eo.vectorize = 0;
       auto run = ExecutePlan(*op.plan, &store, &op.ctx, eo);
       if (!run.ok()) {
         std::fprintf(stderr, "execute: %s\n",
@@ -419,14 +355,11 @@ int Main() {
   for (size_t i = 0; i < sel.size(); ++i) {
     const SelMeasured& m = sel[i];
     std::fprintf(json,
-                 "    {\"dop\": %d, \"vectorize\": %d, \"rows\": %lld, "
-                 "\"rows_per_sec\": %.0f}%s\n",
-                 m.dop, m.vectorize, static_cast<long long>(m.rows),
-                 m.rows_per_sec, i + 1 < sel.size() ? "," : "");
+                 "    {\"dop\": %d, \"rows\": %lld, \"rows_per_sec\": %.0f}%s\n",
+                 m.dop, static_cast<long long>(m.rows), m.rows_per_sec,
+                 i + 1 < sel.size() ? "," : "");
   }
   std::fprintf(json, "  ],\n");
-  std::fprintf(json, "  \"speedup_vectorized_dop1\": %.2f,\n", vec1);
-  std::fprintf(json, "  \"speedup_vectorized_dop4\": %.2f,\n", vec4);
   std::fprintf(json, "  \"ordered\": [\n");
   for (size_t i = 0; i < ordered.size(); ++i) {
     const OrdMeasured& m = ordered[i];
@@ -442,7 +375,6 @@ int Main() {
   std::fclose(json);
   std::printf("wrote BENCH_exec.json\n");
   if (speedup < 3.0) return 2;
-  if (vec1 < 3.0) return 2;
   if (merge_costed < 2.0) return 2;
   if (topk_sim < 5.0) return 2;
   return 0;

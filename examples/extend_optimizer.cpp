@@ -85,10 +85,14 @@ int main() {
     }
   }
   {
+    // The search trace records rule firings and winner replacements; a
+    // small ring keeps only the newest events (the header counts them all).
+    OptTrace trace(/*capacity=*/24);
     OptimizerOptions opts;
-    opts.trace = false;  // set to true to stream rule firings to stderr
-    Plan(db, "Query 3 (property-driven search; try opts.trace = true)", 3,
+    opts.trace_sink = &trace;
+    Plan(db, "Query 3 (property-driven search, with its search trace)", 3,
          opts);
+    std::printf("%s", trace.ToText().c_str());
   }
   return 0;
 }

@@ -5,7 +5,7 @@ regression at any point.
 
 Usage: check_bench_regression.py BASELINE.json FRESH.json [--threshold 0.10]
 
-The batch/dop grid, the selective (vectorized-vs-row) phase, the ordered
+The batch/dop grid, the selective (one rate per dop) phase, the ordered
 (sort / top-k) phase, and the adaptive (static-vs-adaptive stale-stats)
 phase are checked point by point, keyed by their configuration. Grid and
 selective points are wall-clock rows/sec (higher is better); ordered and
@@ -37,8 +37,9 @@ def keyed_points(doc):
             entry["rows_per_sec"], "rows/sec", True
         )
     for entry in doc.get("selective", []):
-        key = f"dop={entry['dop']} vectorize={entry['vectorize']}"
-        points[("selective", key)] = (entry["rows_per_sec"], "rows/sec", True)
+        points[("selective", f"dop={entry['dop']}")] = (
+            entry["rows_per_sec"], "rows/sec", True
+        )
     for entry in doc.get("ordered", []):
         key = f"phase={entry['phase']} dop={entry['dop']}"
         points[("ordered", key)] = (entry["sim_s"], "sim sec", False)

@@ -128,9 +128,11 @@ class CAPABILITY("mutex") Mutex {
     lock_order::OnAcquire(rank_);
     mu_.lock();
   }
+  // The registry forgets the lock before it is freed: once mu_ is unlocked
+  // a waiter may destroy *this, so rank_ must not be read after.
   void Unlock() RELEASE() {
-    mu_.unlock();
     lock_order::OnRelease(rank_);
+    mu_.unlock();
   }
 
   const LockRank& rank() const { return rank_; }
@@ -157,16 +159,16 @@ class CAPABILITY("shared_mutex") SharedMutex {
     mu_.lock();
   }
   void Unlock() RELEASE() {
-    mu_.unlock();
     lock_order::OnRelease(rank_);
+    mu_.unlock();
   }
   void LockShared() ACQUIRE_SHARED() {
     lock_order::OnAcquire(rank_);
     mu_.lock_shared();
   }
   void UnlockShared() RELEASE_SHARED() {
-    mu_.unlock_shared();
     lock_order::OnRelease(rank_);
+    mu_.unlock_shared();
   }
 
   const LockRank& rank() const { return rank_; }
@@ -201,8 +203,8 @@ class SCOPED_CAPABILITY UniqueLock {
   }
   ~UniqueLock() RELEASE() {
     if (lock_.owns_lock()) {
-      lock_.unlock();
       lock_order::OnRelease(mu_->rank());
+      lock_.unlock();
     }
   }
   UniqueLock(const UniqueLock&) = delete;
@@ -213,8 +215,8 @@ class SCOPED_CAPABILITY UniqueLock {
     lock_.lock();
   }
   void Unlock() RELEASE() {
-    lock_.unlock();
     lock_order::OnRelease(mu_->rank());
+    lock_.unlock();
   }
 
  private:

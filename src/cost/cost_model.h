@@ -65,10 +65,6 @@ struct CostModelOptions {
   double exchange_startup_s = 2.0e-3;
   /// Moving one tuple through an Exchange cross-thread batch queue.
   double exchange_flow_tuple_s = 1.0e-5;
-  /// Columnar execution: smallest batch (live rows) worth extracting typed
-  /// column views for; smaller batches take the per-row filter path.
-  /// Wall-clock tuning only — simulated charges don't depend on it.
-  int vector_extract_min_rows = 16;
 };
 
 /// A query-plan cost: I/O seconds + CPU seconds. Compared by total.

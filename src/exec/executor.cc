@@ -41,16 +41,6 @@ bool ForceAnalyze() {
   return forced;
 }
 
-/// Process default for columnar execution (OODB_VECTORIZE=1). Read once;
-/// ExecOptions::vectorize overrides per run.
-bool EnvVectorize() {
-  static const bool on = [] {
-    const char* v = std::getenv("OODB_VECTORIZE");
-    return v != nullptr && v[0] != '\0' && v[0] != '0';
-  }();
-  return on;
-}
-
 /// Process-wide exec-fault default (OODB_EXEC_FAULTS spec; read once).
 /// Used only when the per-run policy is left inert. A malformed spec is
 /// reported once and ignored rather than failing every query.
@@ -82,8 +72,6 @@ Result<ExecStats> ExecutePlan(const PlanNode& plan, ObjectStore* store,
                        ? static_cast<size_t>(options.batch_size)
                        : static_cast<size_t>(std::max(
                              1, store->timing().exec_batch_size));
-  env.vectorize =
-      options.vectorize < 0 ? EnvVectorize() : options.vectorize != 0;
   env.topk = options.topk;
   env.no_exchange = options.no_exchange;
   env.fault_attempt = options.fault_attempt;

@@ -63,12 +63,6 @@ struct ExecOptions {
   /// (read once per process) forces this on for every run — the CI lever
   /// proving instrumentation never changes results.
   bool analyze = false;
-  /// Columnar vectorized execution: -1 inherits the OODB_VECTORIZE
-  /// environment default (off unless OODB_VECTORIZE=1; read once per
-  /// process), 0 forces the row-at-a-time batch engine, 1 forces columnar.
-  /// Results and simulated costs are identical either way; vectorization
-  /// changes wall-clock time only.
-  int vectorize = -1;
   /// Top-k fast paths (bounded heap / streaming first-k cutoff). false
   /// switches TopKExec to the buffer-all / stable-sort / truncate oracle
   /// the parity suite diffs the fast paths against. Identical results;

@@ -53,8 +53,9 @@ class FileScanExec : public ExecNode {
     // compare instead of a per-object pointer chase through EvalSteps.
     // I/O is untouched — the batch still reads every member through
     // ReadMany, charging the same page runs — and survivors append exactly
-    // as before, so vectorize on/off differ in wall clock only.
-    if (env_.vectorize && filter_.specialized()) {
+    // as EvalSteps would keep them. A step without a homogeneous
+    // projection keeps the whole filter on EvalSteps.
+    if (filter_.specialized()) {
       projs_ = filter_.StepProjections(env_.store, *env_.ctx);
       vectorized_ = filter_.Vectorizable(projs_);
     }
@@ -121,7 +122,7 @@ class FileScanExec : public ExecNode {
   size_t pos_ = 0;
   size_t end_ = 0;
   std::vector<const ObjectData*> scratch_objs_;
-  // Columnar fused-filter state (vectorize on, every step projectable).
+  // Columnar fused-filter state (every step projectable).
   bool vectorized_ = false;
   std::vector<const ColumnProjection*> projs_;
   std::vector<uint16_t> scratch_sel_;
@@ -202,7 +203,8 @@ class IndexScanExec : public ExecNode {
 };
 
 // ---------------------------------------------------------------------------
-// Filter: pulls child batches into `out` and compacts passing rows in place.
+// Filter: pulls child batches into `out` and marks passing rows in the
+// batch's selection vector.
 // ---------------------------------------------------------------------------
 class FilterExec : public ExecNode {
  public:
@@ -213,6 +215,14 @@ class FilterExec : public ExecNode {
 
   Status Open() override { return child_->Open(); }
 
+  /// Survivors are *marked* in the batch's selection vector instead of
+  /// being moved — each conjunct is one branchless kernel pass over an
+  /// extracted typed column, and physical compaction is deferred to
+  /// whoever actually needs contiguous rows (pipeline breakers, Exchange).
+  /// Falls back to per-row evaluation — still selection-marking, so
+  /// downstream sees one shape — when the batch is too small to amortize
+  /// extraction (FilterProgram::kMinExtractRows), when a column can't be
+  /// typed, or when the predicate didn't specialize.
   Result<size_t> Next(TupleBatch* out) override {
     OODB_RETURN_IF_ERROR(env_.Tick());
     // Kernel path: batches big enough to amortize predicate analysis run
@@ -221,53 +231,16 @@ class FilterExec : public ExecNode {
     bool kernel = out->capacity() >= FilterProgram::kMinKernelRows;
     if (kernel && !analyzed_) {
       program_ = FilterProgram::Analyze(op_.pred);
+      projs_ = program_.StepProjections(env_.store, *env_.ctx);
       analyzed_ = true;
     }
     kernel = kernel && program_.specialized();
-    if (env_.vectorize) return NextVectorized(out, kernel);
     while (true) {
       OODB_ASSIGN_OR_RETURN(size_t n, child_->Next(out));
       if (n == 0) return 0;
       env_.clock().cpu_s +=
           conjuncts_ * env_.timing().cpu_pred_s * static_cast<double>(n);
-      size_t kept = 0;
-      if (kernel) {
-        OODB_ASSIGN_OR_RETURN(kept, program_.EvalBatch(out, n, *env_.ctx));
-      } else {
-        for (size_t i = 0; i < n; ++i) {
-          OODB_ASSIGN_OR_RETURN(
-              bool pass, EvalPredicate(op_.pred, out->ref(i), *env_.ctx));
-          if (!pass) continue;
-          if (i != kept) out->CopyRow(kept, i);
-          ++kept;
-        }
-        out->Truncate(kept);
-      }
-      if (kept > 0) return kept;  // never a pre-EOS empty batch
-    }
-  }
-
-  /// Columnar mode: survivors are *marked* in the batch's selection vector
-  /// instead of being moved — each conjunct is one branchless kernel pass
-  /// over an extracted typed column, and physical compaction is deferred to
-  /// whoever actually needs contiguous rows (pipeline breakers, Exchange).
-  /// Falls back to per-row evaluation — still selection-marking, so
-  /// downstream sees one shape — when the batch is too small to amortize
-  /// extraction (vector_extract_min_rows), when a column can't be typed, or
-  /// when the predicate didn't specialize.
-  Result<size_t> NextVectorized(TupleBatch* out, bool kernel) {
-    if (kernel && !projs_ready_) {
-      projs_ = program_.StepProjections(env_.store, *env_.ctx);
-      projs_ready_ = true;
-    }
-    const size_t min_rows = static_cast<size_t>(
-        std::max(1, env_.timing().vector_extract_min_rows));
-    while (true) {
-      OODB_ASSIGN_OR_RETURN(size_t n, child_->Next(out));
-      if (n == 0) return 0;
-      env_.clock().cpu_s +=
-          conjuncts_ * env_.timing().cpu_pred_s * static_cast<double>(n);
-      if (kernel && n >= min_rows) {
+      if (kernel && n >= FilterProgram::kMinExtractRows) {
         OODB_ASSIGN_OR_RETURN(
             bool ran, program_.EvalBatchColumnar(out, projs_, *env_.ctx));
         if (ran) {
@@ -292,7 +265,7 @@ class FilterExec : public ExecNode {
         if (pass) sel[kept++] = static_cast<uint16_t>(i);
       }
       out->SetSelection(kept);
-      if (kept > 0) return kept;
+      if (kept > 0) return kept;  // never a pre-EOS empty batch
     }
   }
 
@@ -305,9 +278,8 @@ class FilterExec : public ExecNode {
   double conjuncts_;
   FilterProgram program_;
   bool analyzed_ = false;
-  // Columnar mode: per-step store projections, resolved once (lazily, so
-  // non-vectorized runs never touch the projection cache).
-  bool projs_ready_ = false;
+  // Per-step store projections, resolved with the program (null entries
+  // where a field isn't projectable).
   std::vector<const ColumnProjection*> projs_;
 };
 
@@ -419,11 +391,12 @@ class HashJoinExec : public ExecNode {
         }
       }
     }
-    // Vectorized probe: per refilled batch, gather the key column, hash
-    // every live probe row, and resolve its bucket up front — the march
-    // loop then walks a precomputed pointer array. Direct-extractor shapes
-    // only; the generic evaluator stays per-row.
-    if (env_.vectorize && int_mode_ && probe_kind_ != ProbeKind::kGeneric) {
+    // Batch probe: per refilled batch, gather the key column, hash every
+    // live probe row, and resolve its bucket up front — the march loop then
+    // walks a precomputed pointer array. Int tables with a direct-extractor
+    // probe shape only; the generic evaluator and the string-key table stay
+    // per-row.
+    if (int_mode_ && probe_kind_ != ProbeKind::kGeneric) {
       vectorized_probe_ = true;
       if (probe_kind_ == ProbeKind::kAttrField) {
         probe_proj_ = env_.store->Projection(
@@ -469,7 +442,7 @@ class HashJoinExec : public ExecNode {
         ++probe_pos_;
       }
       // probe_pos_ walks the batch's *live* rows (the right child may hand
-      // over a selection-marked batch in columnar mode).
+      // over a selection-marked batch).
       if (probe_pos_ >= probe_batch_.active()) {
         if (probe_eos_) break;
         OODB_ASSIGN_OR_RETURN(size_t n, right_->Next(&probe_batch_));
@@ -690,7 +663,7 @@ class HashJoinExec : public ExecNode {
   const std::vector<Tuple>* bucket_ = nullptr;  // generic-path drain state
   size_t bucket_pos_ = 0;
   int32_t build_row_ = -1;  // int-mode drain cursor (arena chain)
-  // Vectorized probe (vectorize on + int table + direct key extractor):
+  // Batch probe (int table + direct key extractor):
   // probe_buckets_[k] is the resolved chain head of the k-th live row.
   bool vectorized_probe_ = false;
   bool have_buckets_ = false;
@@ -1329,8 +1302,8 @@ class SortExec : public ExecNode {
 //     only when strictly better. Ties keep the earlier row (insertion
 //     sequence numbers make the result the stable top-k, matching what
 //     stable_sort + truncate produces).
-// With vectorize on, batches whose key column extracts as a typed int/real
-// vector are pre-screened against the heap root's leading key so rows that
+// Batches whose key column extracts as a typed int/real vector are
+// pre-screened against the heap root's leading key so rows that
 // cannot qualify skip Value materialization; simulated charges are
 // identical either way.
 // ---------------------------------------------------------------------------
@@ -1439,7 +1412,7 @@ class TopKExec : public ExecNode {
     // Values. (Rows with an unloaded leading slot fall through to the row
     // path, which raises the proper error.)
     const ColumnView* lead = nullptr;
-    if (env_.vectorize && heap_.size() >= k && !heap_.empty() &&
+    if (heap_.size() >= k && !heap_.empty() &&
         heap_.front().keys[0].kind != Value::Kind::kString) {
       const SortKey& k0 = op_.sort.keys[0];
       lead = batch->ExtractFieldColumn(k0.binding, k0.field, nullptr);

@@ -56,15 +56,6 @@ struct ExecEnv {
   /// knob; capacity of internal child-facing batches).
   size_t batch_size = TupleBatch::kDefaultCapacity;
 
-  /// Columnar vectorized execution (the OODB_VECTORIZE knob): fused scans
-  /// filter through dense store projections (ScanSelect), non-fused filters
-  /// refine selection vectors over extracted typed columns instead of
-  /// compacting, and the hash-join probe batch-hashes its key column. Off,
-  /// every path is bit-identical to the row-at-a-time batch engine.
-  /// Simulated costs are identical either way — vectorization changes
-  /// wall-clock time only.
-  bool vectorize = false;
-
   /// Top-k fast paths (the exec.topk knob). Off, TopKExec abandons the
   /// bounded heap and the streaming first-k cutoff for the oracle
   /// strategy — buffer every row, stable-sort, truncate — which the parity

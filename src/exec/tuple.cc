@@ -284,34 +284,6 @@ Result<bool> FilterProgram::Eval(TupleRef row, const QueryContext& ctx) const {
   return true;
 }
 
-Result<size_t> FilterProgram::EvalBatch(TupleBatch* batch, size_t n,
-                                        const QueryContext& ctx) const {
-  const CmpStep* steps = steps_.data();
-  size_t num_steps = steps_.size();
-  size_t kept = 0;
-  for (size_t i = 0; i < n; ++i) {
-    TupleRef row = batch->ref(i);
-    bool pass = true;
-    for (size_t s = 0; s < num_steps; ++s) {
-      const Slot& slot = row.slot(steps[s].binding);
-      if (!slot.loaded()) {
-        return Status::Internal(
-            "attribute read on component not present in memory: " +
-            ctx.bindings.def(steps[s].binding).name);
-      }
-      if (!StepPass(steps[s], slot.obj->value(steps[s].field))) {
-        pass = false;
-        break;
-      }
-    }
-    if (!pass) continue;
-    if (i != kept) batch->CopyRow(kept, i);
-    ++kept;
-  }
-  batch->Truncate(kept);
-  return kept;
-}
-
 // ---------------------------------------------------------------------------
 // Columnar kernels
 // ---------------------------------------------------------------------------
@@ -331,11 +303,13 @@ struct StepKernel {
   CmpOp op = CmpOp::kEq;
   int64_t ci = 0;
   double cd = 0.0;
+  bool col_is_real = false;  ///< kF64 over an int column promotes each value
 };
 
 StepKernel MakeKernel(bool col_is_real, CmpOp op, const Value& c) {
   StepKernel k;
   k.op = op;
+  k.col_is_real = col_is_real;
   if (!col_is_real && c.kind == Value::Kind::kInt) {
     k.mode = StepKernel::Mode::kI64;
     k.ci = c.i;
@@ -403,7 +377,8 @@ size_t SelectCmp(CmpOp op, T c, size_t n, const uint16_t* sel_in,
 
 /// Runs one step kernel over `n` candidates. `geti`/`getr` fetch the value
 /// at a physical row index from the int/real column respectively (only the
-/// one matching the column's type is called).
+/// one matching the column's type is called; an int column compared in
+/// kF64 mode is promoted value by value).
 template <typename GetI, typename GetR>
 size_t RunKernel(const StepKernel& k, size_t n, const uint16_t* sel_in,
                  uint16_t* sel_out, const GetI& geti, const GetR& getr) {
@@ -418,7 +393,12 @@ size_t RunKernel(const StepKernel& k, size_t n, const uint16_t* sel_in,
     case StepKernel::Mode::kI64:
       return SelectCmp<int64_t>(k.op, k.ci, n, sel_in, sel_out, geti);
     case StepKernel::Mode::kF64:
-      return SelectCmp<double>(k.op, k.cd, n, sel_in, sel_out, getr);
+      if (k.col_is_real) {
+        return SelectCmp<double>(k.op, k.cd, n, sel_in, sel_out, getr);
+      }
+      return SelectCmp<double>(
+          k.op, k.cd, n, sel_in, sel_out,
+          [&geti](size_t i) { return static_cast<double>(geti(i)); });
   }
   return 0;
 }

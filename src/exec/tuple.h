@@ -319,6 +319,10 @@ Result<bool> EvalPredicate(const ScalarExprPtr& pred, TupleRef tuple,
 class FilterProgram {
  public:
   static constexpr size_t kMinKernelRows = 8;
+  /// Smallest batch (live rows) worth extracting typed column views for;
+  /// smaller batches take the per-row Eval path. Wall-clock tuning only —
+  /// simulated charges don't depend on it.
+  static constexpr size_t kMinExtractRows = 16;
 
   static FilterProgram Analyze(const ScalarExprPtr& pred);
 
@@ -352,13 +356,6 @@ class FilterProgram {
   /// Evaluates the compiled conjuncts against `row`. Mirrors EvalPredicate
   /// exactly, including the loud Internal error on an unloaded component.
   Result<bool> Eval(TupleRef row, const QueryContext& ctx) const;
-
-  /// Selection over rows [0, n) of `batch`, compacting passing rows in
-  /// place and truncating; returns the kept count. One Result for the
-  /// whole batch — the inner loop is pure comparisons, which is where the
-  /// kernel's speedup over row-at-a-time Eval() calls comes from.
-  Result<size_t> EvalBatch(TupleBatch* batch, size_t n,
-                           const QueryContext& ctx) const;
 
   /// Resolves each step's dense store projection (null entries where the
   /// field isn't projectable), aligned with the compiled steps — the input

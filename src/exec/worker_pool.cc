@@ -55,7 +55,10 @@ void WorkerPool::Submit(std::function<void()> fn) {
   {
     MutexLock lock(mu_);
     tasks_.push_back(std::move(fn));
-    if (idle_ == 0) {
+    // Idle workers each take one queued task; a task beyond them needs a
+    // new thread, or a merging Exchange's last producer could wait for a
+    // worker its blocked siblings hold while the consumer waits on it.
+    if (tasks_.size() > idle_) {
       threads_.emplace_back(&WorkerPool::Loop, this);
       PoolMetrics::Get().threads->Set(static_cast<double>(threads_.size()));
     }

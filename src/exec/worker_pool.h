@@ -7,9 +7,9 @@
 // partition and waits on its own completion count instead of joining
 // threads.
 //
-// The pool grows lazily — a new thread is spawned only when a task is
-// submitted and no worker is idle — so it converges on the peak concurrent
-// demand (the largest DOP in flight) and never holds more. Pool threads may
+// The pool grows lazily — a new thread is spawned only when a submitted
+// task finds no idle worker left to take it — so it converges on the peak
+// concurrent demand (the largest DOP in flight) and never holds more. Pool threads may
 // block inside tasks (producers blocking on a full batch queue is normal);
 // that is safe because the blocked producer's consumer is never a pool task.
 #ifndef OODB_EXEC_WORKER_POOL_H_
@@ -34,7 +34,8 @@ class WorkerPool {
   ~WorkerPool();
 
   /// Enqueues `fn` for execution on a pool thread. Never blocks beyond the
-  /// queue lock; spawns a new thread if no worker is idle.
+  /// queue lock; spawns a new thread when the queued tasks outnumber the
+  /// idle workers, so every task starts without waiting for another.
   void Submit(std::function<void()> fn);
 
  private:

@@ -205,7 +205,6 @@ uint64_t HashOptimizerOptions(const OptimizerOptions& opts) {
   h.Mix(static_cast<uint64_t>(c.assembly_window));
   h.Mix(static_cast<uint64_t>(c.yao_page_faults));
   h.Mix(static_cast<uint64_t>(c.exec_batch_size));
-  h.Mix(static_cast<uint64_t>(c.vector_extract_min_rows));
   h.Mix(static_cast<uint64_t>(opts.max_dop));
   h.Mix(opts.disabled_rules.size());
   for (const std::string& r : opts.disabled_rules) h.MixStr(r);

@@ -24,7 +24,6 @@ struct SessionMetrics {
   // Fault-tolerance observability: query-level execution retries and the
   // degradation-ladder steps actually executed.
   Counter* exec_retries;
-  Counter* ladder_row;
   Counter* ladder_serial;
   Counter* ladder_greedy;
   // Drift-adaptation observability: mid-query re-optimizations and
@@ -59,9 +58,6 @@ struct SessionMetrics {
                                  "Prepares answered from the plan cache.");
       m.exec_retries = r.counter("oodb_session_exec_retries_total",
                                  "Query-level execution re-attempts.");
-      m.ladder_row = r.counter(
-          "oodb_session_ladder_row_total",
-          "Degradation-ladder attempts executed on the row engine.");
       m.ladder_serial = r.counter(
           "oodb_session_ladder_serial_total",
           "Degradation-ladder attempts executed serially (no Exchange).");
@@ -311,7 +307,7 @@ Result<ExecStats> Session::ExecuteWithRetry(SessionResult* r,
   // keeps separate books: `attempt` indexes ladder rungs (fault retries
   // only), `attempt_no` numbers the rendered trail, and a re-plan consumes
   // a replan-budget slot instead of a ladder rung — a drift abort on
-  // attempt 0 re-executes at step 0, still vectorized.
+  // attempt 0 re-executes at step 0, still as planned.
   bool replan_armed = options_.adaptive.replan_enabled();
   bool next_replanned = false;
   int attempt_no = 0;
@@ -326,30 +322,23 @@ Result<ExecStats> Session::ExecuteWithRetry(SessionResult* r,
       // completion, so the breaker checks are disarmed.
       opts.replan_drift_threshold = 0.0;
     }
-    // Ladder step for this attempt. Step 0 is the configured engine; each
-    // retry steps down one rung (row -> serial -> greedy), never back up.
-    const int step = retry.degrade ? std::min(attempt, 3) : 0;
+    // Ladder step for this attempt. Step 0 runs the plan as optimized;
+    // each retry steps down one rung (serial -> greedy), never back up.
+    const int step = retry.degrade ? std::min(attempt, 2) : 0;
     ExecAttempt rec;
     rec.attempt = attempt_no;
     rec.replanned = next_replanned;
     const PlanNode* plan = r->optimized.plan.get();
     switch (step) {
       case 0:
-        rec.step = opts.vectorize != 0 ? "vectorized" : "row";
+        rec.step = "planned";
         break;
       case 1:
-        opts.vectorize = 0;
-        rec.step = "row";
-        SessionMetrics::Get().ladder_row->Increment();
-        break;
-      case 2:
-        opts.vectorize = 0;
         opts.no_exchange = true;
         rec.step = "serial";
         SessionMetrics::Get().ladder_serial->Increment();
         break;
       default: {
-        opts.vectorize = 0;
         opts.no_exchange = true;
         // Last rung: abandon the cost-based plan entirely and run the
         // greedy baseline's plan — a structurally different tree, in case

@@ -24,10 +24,9 @@ namespace oodb {
 /// IsRetryableExecFault) triggers re-execution with exponential backoff in
 /// *simulated* time (cold_start resets the clock per attempt, so backoff is
 /// tracked as a separate accumulated quantity) down a degradation ladder:
-///   attempt 0: as configured (vectorized)
-///   attempt 1: row engine (vectorize off)
-///   attempt 2: serial (every Exchange skipped; no worker threads)
-///   attempt 3+: greedy-baseline re-plan, executed serially
+///   attempt 0: planned (the optimized plan, as configured)
+///   attempt 1: serial (every Exchange skipped; no worker threads)
+///   attempt 2+: greedy-baseline re-plan, executed serially
 /// Each retry is charged to the governor's retry budget; a tripped budget
 /// or a non-retryable failure ends the ladder with that typed Status.
 struct RetryPolicy {
@@ -101,7 +100,7 @@ struct AdaptiveOptions {
 /// recovered query's history is visible on the final profile.
 struct ExecAttempt {
   int attempt = 0;
-  std::string step;  ///< "vectorized" | "row" | "serial" | "greedy"
+  std::string step;  ///< "planned" | "serial" | "greedy"
   Status status = Status::OK();
   int64_t faults_injected = 0;
   int64_t partitions_retried = 0;

@@ -31,6 +31,12 @@ Result<PaperDataset> GeneratePaperData(const PaperDb& db, ObjectStore* store,
   Rng rng(options.seed);
   PaperDataset data;
   const Schema& schema = db.catalog.schema();
+  store->Reserve(store->num_objects() + ExtentCard(db, db.person) +
+                 ExtentCard(db, db.country) + SetCard(db, "Cities") +
+                 SetCard(db, "Capitals") + options.num_plants +
+                 ExtentCard(db, db.department) + ExtentCard(db, db.job) +
+                 ExtentCard(db, db.employee) +
+                 ExtentCard(db, db.information) + ExtentCard(db, db.task));
 
   // --- Persons. Name class 0 is "Joe". ---
   int64_t num_persons = ExtentCard(db, db.person);

@@ -64,6 +64,11 @@ const ColumnProjection* ObjectStore::Projection(TypeId type, FieldId field) {
   return out;
 }
 
+void ObjectStore::Reserve(int64_t objects) {
+  objects_.reserve(static_cast<size_t>(objects));
+  object_page_.reserve(static_cast<size_t>(objects));
+}
+
 Oid ObjectStore::Create(TypeId type) {
   assert(catalog_->schema().has_type(type));
   const TypeDef& td = catalog_->schema().type(type);

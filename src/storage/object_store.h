@@ -61,6 +61,11 @@ class ObjectStore {
 
   // --- population (no I/O charged) ---
 
+  /// Sizes the object table for `objects` objects in all. A population
+  /// generator that knows its size calls this first, so the table is not
+  /// grown by doubling: at scale 1.0 those transient copies are the
+  /// largest allocations of a build.
+  void Reserve(int64_t objects);
   /// Creates an object of `type`, placing it on the type's current page.
   Oid Create(TypeId type);
   void SetValue(Oid oid, FieldId field, Value v);

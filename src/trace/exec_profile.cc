@@ -87,7 +87,7 @@ void RenderRec(const PlanNode& node, const QueryContext& ctx,
     os << " -> act " << p->rows << " rows (drift " << FormatDouble(drift, 2)
        << "x " << dir << ")";
     // Selection density: live rows over physical batch rows. Only shown
-    // when a selection vector actually thinned the stream (columnar mode).
+    // when a selection vector actually thinned the stream.
     if (p->phys_rows > p->rows) {
       os << ", sel "
          << FormatDouble(100.0 * static_cast<double>(p->rows) /

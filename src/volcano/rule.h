@@ -92,13 +92,11 @@ struct OptimizerOptions {
   /// default) skips the pass entirely, preserving the seed's serial plans
   /// bit for bit; the pass picks the cheapest dop in [1, max_dop] per plan.
   int max_dop = 1;
-  /// Emit rule-firing trace to stderr.
-  bool trace = false;
   /// Structured search-trace sink (src/trace/opt_trace.h): rule firings,
   /// group exploration, winner replacements, pruned branches, enforcer
   /// insertions, and the verifier outcome, ring-buffered with text/JSON
   /// dumps. Non-owning; null (the default) records nothing and keeps the
-  /// search bit-identical. Like `trace`, `governor`, and `verify_plans`,
+  /// search bit-identical. Like `governor` and `verify_plans`,
   /// deliberately excluded from HashOptimizerOptions: observability never
   /// changes which plan wins.
   OptTrace* trace_sink = nullptr;

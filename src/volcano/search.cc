@@ -1,7 +1,6 @@
 #include "src/volcano/search.h"
 
 #include <chrono>
-#include <iostream>
 #include <limits>
 #include <utility>
 
@@ -75,16 +74,10 @@ Status SearchEngine::Explore() {
                                 memo_.InsertRuleExpr(e, target));
           if (inserted != kInvalidMExpr) {
             changed = true;
-            if (opts_->trace) {
-              std::cerr << "[explore] " << rule.name() << ": +#" << inserted
-                        << " " << memo_.mexpr(inserted).op.ToString(*qctx_)
-                        << "\n";
-            }
             if (opts_->trace_sink != nullptr) {
               // Rule firings dominate the event stream; the (group, mexpr)
               // ids identify the produced expression in the memo without
-              // paying for expression rendering on the hot path (the
-              // stderr `trace` flag prints the rendered form).
+              // paying for expression rendering on the hot path.
               OptEvent ev;
               ev.kind = OptEventKind::kRuleFired;
               ev.rule = rule.name();
@@ -289,12 +282,6 @@ Result<PlanNodePtr> SearchEngine::OptimizeGroup(GroupId g, PhysProps required,
   }
   if (!best) {
     return Status::PlanError("no plan found for group " + std::to_string(g));
-  }
-  if (opts_->trace) {
-    std::cerr << "[optimize] group " << g << " under "
-              << required.ToString(*qctx_) << " -> "
-              << best->op.ToString(*qctx_) << " cost "
-              << best->total_cost.ToString() << "\n";
   }
   return best;
 }

@@ -157,6 +157,13 @@ std::unique_ptr<Oo7Db> MakeOo7Catalog(const Oo7Options& o) {
 
 Status PopulateOo7(Oo7Db* db, ObjectStore* store, const Oo7Options& o) {
   Rng rng(o.seed);
+  store->Reserve(
+      store->num_objects() +
+      static_cast<int64_t>(o.num_composite_parts) *
+          (2 + o.atomic_per_composite) +
+      static_cast<int64_t>(o.num_modules) *
+          (1 + static_cast<int64_t>(o.complex_per_module) *
+                   (1 + o.base_per_complex)));
 
   // Documents + composite parts + their atomic parts.
   for (int c = 0; c < o.num_composite_parts; ++c) {

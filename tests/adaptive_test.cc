@@ -7,7 +7,9 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "src/exec/reference.h"
 #include "src/trace/card_feedback.h"
 #include "tests/test_util.h"
 
@@ -141,10 +143,11 @@ TEST_F(AdaptiveTest, DisarmedByDefault) {
   ASSERT_TRUE(db_.catalog.SetCardinality(employees_, truth_card).ok());
 }
 
-// Result parity across engines and parallelism: for every (vectorize, dop)
-// configuration, the adaptive path must deliver exactly the rows the static
-// path delivers — the re-plan may change the plan, never the answer.
-TEST_F(AdaptiveTest, ReplanParityAcrossEnginesAndDop) {
+// Result parity across batch sizes and parallelism: at dop 1 and dop 4 the
+// adaptive path must deliver the reference rows — the re-plan may change
+// the plan, never the answer — and a batch-1 run (per-row filter fallback)
+// must account exactly like the batch-1024 run (columnar kernels).
+TEST_F(AdaptiveTest, ReplanParityAcrossBatchAndDop) {
   const int64_t truth_card = [&] {
     Session plain(&db_.catalog);
     Populate(&plain);
@@ -153,10 +156,14 @@ TEST_F(AdaptiveTest, ReplanParityAcrossEnginesAndDop) {
     return truth.ok() ? truth->exec.rows : -1;
   }();
   ASSERT_GT(truth_card, 0);
-  for (int vectorize : {0, 1}) {
-    for (int max_dop : {1, 4}) {
+  for (int max_dop : {1, 4}) {
+    SCOPED_TRACE("dop=" + std::to_string(max_dop));
+    std::vector<ExecStats> runs;
+    std::vector<std::vector<Value>> reference;
+    for (int batch : {1024, 1}) {
       Session::Options opts;
-      opts.exec.vectorize = vectorize;
+      opts.exec.batch_size = batch;
+      opts.exec.sample_limit = 1 << 22;
       opts.optimizer.max_dop = max_dop;
       opts.adaptive.replan_drift_threshold = 4.0;
       // Populate under truthful statistics (datagen sizes collections from
@@ -166,11 +173,17 @@ TEST_F(AdaptiveTest, ReplanParityAcrossEnginesAndDop) {
       Populate(&s);
       ASSERT_TRUE(db_.catalog.SetCardinality(employees_, 1).ok());
       auto r = s.Query(kSortQuery);
-      ASSERT_TRUE(r.ok()) << r.status() << " vectorize=" << vectorize
-                          << " dop=" << max_dop;
-      EXPECT_EQ(r->exec.rows, truth_card)
-          << "vectorize=" << vectorize << " dop=" << max_dop;
+      ASSERT_TRUE(r.ok()) << r.status() << " batch=" << batch;
+      EXPECT_EQ(r->exec.rows, truth_card) << "batch=" << batch;
+      if (reference.empty()) {
+        auto ref = EvaluateReference(*r->logical, &s.store(), r->ctx);
+        ASSERT_TRUE(ref.ok()) << ref.status();
+        reference = ref->rows;
+      }
+      runs.push_back(r->exec);
     }
+    testing::ExpectBatchAccountingMatches(runs[0], runs[1], reference,
+                                          /*exact_io=*/max_dop == 1);
   }
   ASSERT_TRUE(db_.catalog.SetCardinality(employees_, truth_card).ok());
 }

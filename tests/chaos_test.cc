@@ -1,11 +1,10 @@
 // Chaos suite (`ctest -L chaos`; CI repeats it under ASan and TSan with
-// pinned seeds): randomized exec-layer fault injection across vectorize
-// on/off, DOP 1/4, fault kind (deterministic kill, probabilistic kill,
-// straggler, queue stall), and seeds. The invariant under chaos is the
-// tentpole's: every execution either returns the fault-free reference
-// result multiset bit for bit, or a clean *typed* Status — never a crash,
-// a hang, a torn batch, a duplicated or missing row, or a leaked pooled
-// arena.
+// pinned seeds): randomized exec-layer fault injection across DOP 1/4,
+// fault kind (deterministic kill, probabilistic kill, straggler, queue
+// stall), and seeds. The invariant under chaos: every execution either
+// returns the fault-free reference result multiset bit for bit, or a clean
+// *typed* Status — never a crash, a hang, a torn batch, a duplicated or
+// missing row, or a leaked pooled arena.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -308,14 +307,12 @@ TEST_P(ChaosTest, SweepFaultKindsAcrossEnginesAndDop) {
   std::string text = RandomOo7Query(rng);
   SCOPED_TRACE(text);
   int max_dop = rng.Uniform(2) == 0 ? 1 : 4;
-  int vectorize = static_cast<int>(rng.Uniform(2));
   bool transient = rng.Uniform(2) == 0;
   Planned p = Plan(text, max_dop);
   std::vector<std::string> expect = Reference(p);
 
   ExecOptions eo;
   eo.sample_limit = 1 << 22;
-  eo.vectorize = vectorize;
   eo.exec_faults = RandomFaultPolicy(rng, max_dop, transient);
   eo.recovery.enabled = true;
   eo.recovery.max_partition_attempts = 3;
@@ -365,7 +362,6 @@ TEST_P(ChaosTest, OrderedFaultSweepPreservesSequence) {
   bool transient = rng.Uniform(2) == 0;
   ExecOptions eo;
   eo.sample_limit = 1 << 22;
-  eo.vectorize = static_cast<int>(rng.Uniform(2));
   eo.exec_faults = RandomFaultPolicy(rng, /*dop=*/4, transient);
   eo.recovery.enabled = true;
   eo.recovery.max_partition_attempts = 3;
@@ -428,7 +424,6 @@ TEST_P(SessionChaosTest, RetryLadderConvergesOrFailsTyped) {
   Session::Options opts;
   opts.optimizer.max_dop = rng.Uniform(2) == 0 ? 1 : 4;
   opts.exec.sample_limit = 1 << 22;
-  opts.exec.vectorize = static_cast<int>(rng.Uniform(2));
   opts.exec.exec_faults =
       RandomFaultPolicy(rng, opts.optimizer.max_dop, transient);
   opts.exec.recovery.enabled = true;
@@ -473,8 +468,8 @@ TEST_P(SessionChaosTest, RetryLadderConvergesOrFailsTyped) {
 TEST_F(SessionChaosTest, LadderWalksToSerialUnderPersistentExchangeFault) {
   // A fault policy that kills Exchange workers on every attempt but never
   // fires on the serial path's root (fail_worker 1 only exists under an
-  // Exchange): the ladder must walk vectorized -> row -> serial and
-  // converge there with full parity.
+  // Exchange): the ladder must walk planned -> serial and converge there
+  // with full parity.
   Session::Options opts;
   opts.optimizer.max_dop = 4;
   opts.exec.sample_limit = 1 << 22;

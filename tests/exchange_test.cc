@@ -8,11 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
+#include <atomic>
+#include <chrono>
 #include <thread>
 
 #include "src/common/rng.h"
 #include "src/exec/reference.h"
+#include "src/exec/worker_pool.h"
 #include "src/physical/parallel.h"
 #include "src/workloads/oo7.h"
 #include "tests/test_util.h"
@@ -114,14 +116,26 @@ class ExchangeTest : public ::testing::TestWithParam<int> {
   }
 
   static Result<ExecStats> Exec(Planned& p, int batch_size,
-                                QueryGovernor* governor = nullptr,
-                                int vectorize = -1) {
+                                QueryGovernor* governor = nullptr) {
     ExecOptions eo;
     eo.sample_limit = 1 << 22;
     eo.batch_size = batch_size;
     eo.governor = governor;
-    eo.vectorize = vectorize;
     return ExecutePlan(*p.plan, &store(), &p.ctx, eo);
+  }
+
+  /// Runs `p` at batch 1024 and at batch 1 and holds the two runs to
+  /// `expect` and to each other's accounting (ExpectBatchAccountingMatches).
+  static void ExpectBatchAccounting(
+      Planned& p, const std::vector<std::vector<Value>>& expect,
+      bool exact_io) {
+    auto batched = Exec(p, 1024);
+    auto single = Exec(p, 1);
+    ASSERT_TRUE(batched.ok()) << batched.status();
+    ASSERT_TRUE(single.ok()) << single.status();
+    SCOPED_TRACE("plan:\n" + PrintPlan(*p.plan, p.ctx));
+    testing::ExpectBatchAccountingMatches(*batched, *single, expect,
+                                          exact_io);
   }
 
   static std::vector<std::string> SortedRows(
@@ -233,60 +247,22 @@ TEST_P(ExchangeTest, BatchAndDopConfigurationsMatchReference) {
   ASSERT_TRUE(reference.ok()) << reference.status();
   std::vector<std::string> expect = SortedRows(reference->rows);
 
-  struct Config {
-    Planned* planned;
-    int batch;
-    int vectorize;
-    const char* label;
-  } configs[] = {
-      {&serial, 1, -1, "serial batch=1 (tuple-at-a-time era)"},
-      {&serial, 1024, 0, "serial batch=1024 row engine"},
-      {&serial, 1024, 1, "serial batch=1024 vectorized"},
-      {&par, 64, 0, "dop=4 batch=64 row engine"},
-      {&par, 64, 1, "dop=4 batch=64 vectorized"},
-      {&par, 1024, 0, "dop=4 batch=1024 row engine"},
-      {&par, 1024, 1, "dop=4 batch=1024 vectorized"},
-  };
-  // Vectorization is a wall-clock-only change: for a fixed plan and batch
-  // size, the columnar engine must deliver the row engine's exact result
-  // multiset AND its exact simulated accounting. Remember the row-engine
-  // stats per (plan, batch) and hold the vectorized run to them.
-  //
-  // One carve-out: simulated I/O *seconds* are only exact for serial
-  // plans. The disk model has a single shared arm, and concurrent workers
-  // contend for it exactly as real spindles do — which page read counts as
-  // sequential vs a seek depends on how the OS interleaves the worker
-  // threads, so two dop>1 runs of the same plan legitimately charge
-  // slightly different io_s under load. CPU (private per-worker clocks
-  // over fixed slices) and pages read (each page faults once in the cold
-  // shared pool) stay deterministic at any dop and are held exact.
-  struct Baseline {
-    bool set = false;
-    ExecStats stats;
-  };
-  std::map<std::pair<Planned*, int>, Baseline> row_runs;
-  for (Config& c : configs) {
-    SCOPED_TRACE(c.label);
-    auto stats = Exec(*c.planned, c.batch, nullptr, c.vectorize);
-    ASSERT_TRUE(stats.ok()) << stats.status() << "\nplan:\n"
-                            << PrintPlan(*c.planned->plan, c.planned->ctx);
-    EXPECT_EQ(stats->rows, static_cast<int64_t>(reference->rows.size()));
-    EXPECT_EQ(SortedRows(stats->sample_rows), expect)
-        << "plan:\n" << PrintPlan(*c.planned->plan, c.planned->ctx);
-    Baseline& base = row_runs[{c.planned, c.batch}];
-    if (c.vectorize == 0) {
-      base.set = true;
-      base.stats = *stats;
-    } else if (c.vectorize == 1 && base.set) {
-      EXPECT_DOUBLE_EQ(stats->sim_cpu_s, base.stats.sim_cpu_s)
-          << "vectorization changed simulated CPU accounting";
-      if (c.planned == &serial) {
-        EXPECT_DOUBLE_EQ(stats->sim_io_s, base.stats.sim_io_s)
-            << "vectorization changed simulated I/O accounting";
-      }
-      EXPECT_EQ(stats->pages_read, base.stats.pages_read);
-    }
+  // Batch size is a wall-clock-only change: batch 1 (the tuple-at-a-time
+  // degeneration, per-row filter fallback) and batch 1024 (columnar
+  // kernels) must deliver the reference multiset and the same simulated
+  // accounting, serially and at dop 4.
+  {
+    SCOPED_TRACE("serial");
+    ExpectBatchAccounting(serial, reference->rows, /*exact_io=*/true);
   }
+  {
+    SCOPED_TRACE("dop=4");
+    ExpectBatchAccounting(par, reference->rows, /*exact_io=*/false);
+  }
+  auto mid = Exec(par, 64);
+  ASSERT_TRUE(mid.ok()) << mid.status();
+  EXPECT_EQ(SortedRows(mid->sample_rows), expect)
+      << "dop=4 batch=64, plan:\n" << PrintPlan(*par.plan, par.ctx);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExchangeTest, ::testing::Range(0, 40));
@@ -303,20 +279,17 @@ TEST_F(ExchangeTest, MergeExchangeReproducesStableSortExactly) {
   ASSERT_NE(FindMergeExchange(*par.plan), nullptr)
       << PrintPlan(*par.plan, par.ctx);
 
-  auto base = Exec(serial, /*batch_size=*/1024, nullptr, /*vectorize=*/0);
+  auto base = Exec(serial, /*batch_size=*/1024);
   ASSERT_TRUE(base.ok()) << base.status();
   std::vector<std::string> expect = RowSeq(base->sample_rows);
   ASSERT_GT(expect.size(), 4u);
 
-  for (int vectorize : {0, 1}) {
-    for (int batch : {16, 1024}) {
-      SCOPED_TRACE(std::string("vectorize=") + std::to_string(vectorize) +
-                   " batch=" + std::to_string(batch));
-      auto stats = Exec(par, batch, nullptr, vectorize);
-      ASSERT_TRUE(stats.ok()) << stats.status();
-      EXPECT_EQ(RowSeq(stats->sample_rows), expect)
-          << "plan:\n" << PrintPlan(*par.plan, par.ctx);
-    }
+  for (int batch : {16, 1024}) {
+    SCOPED_TRACE(std::string("batch=") + std::to_string(batch));
+    auto stats = Exec(par, batch);
+    ASSERT_TRUE(stats.ok()) << stats.status();
+    EXPECT_EQ(RowSeq(stats->sample_rows), expect)
+        << "plan:\n" << PrintPlan(*par.plan, par.ctx);
   }
 }
 
@@ -332,20 +305,17 @@ TEST_F(ExchangeTest, TopKUnderDopMatchesSerialPrefix) {
   ASSERT_EQ(CountOps(*serial.plan, PhysOpKind::kTopK), 1)
       << PrintPlan(*serial.plan, serial.ctx);
 
-  auto base = Exec(serial, /*batch_size=*/1024, nullptr, /*vectorize=*/0);
+  auto base = Exec(serial, /*batch_size=*/1024);
   ASSERT_TRUE(base.ok()) << base.status();
   std::vector<std::string> expect = RowSeq(base->sample_rows);
   ASSERT_EQ(expect.size(), 10u);
 
-  for (int vectorize : {0, 1}) {
-    for (int batch : {16, 1024}) {
-      SCOPED_TRACE(std::string("vectorize=") + std::to_string(vectorize) +
-                   " batch=" + std::to_string(batch));
-      auto stats = Exec(par, batch, nullptr, vectorize);
-      ASSERT_TRUE(stats.ok()) << stats.status();
-      EXPECT_EQ(RowSeq(stats->sample_rows), expect)
-          << "plan:\n" << PrintPlan(*par.plan, par.ctx);
-    }
+  for (int batch : {16, 1024}) {
+    SCOPED_TRACE(std::string("batch=") + std::to_string(batch));
+    auto stats = Exec(par, batch);
+    ASSERT_TRUE(stats.ok()) << stats.status();
+    EXPECT_EQ(RowSeq(stats->sample_rows), expect)
+        << "plan:\n" << PrintPlan(*par.plan, par.ctx);
   }
 }
 
@@ -363,7 +333,6 @@ TEST_F(ExchangeTest, TopKFastPathsMatchOracle) {
   ExecOptions fast;
   fast.sample_limit = 1 << 22;
   fast.batch_size = 1024;
-  fast.vectorize = 0;
   ExecOptions oracle = fast;
   oracle.topk = false;
   auto rf = ExecutePlan(*p.plan, &store(), &p.ctx, fast);
@@ -373,12 +342,15 @@ TEST_F(ExchangeTest, TopKFastPathsMatchOracle) {
   ASSERT_EQ(rf->rows, 25);
   EXPECT_EQ(RowSeq(rf->sample_rows), RowSeq(ro->sample_rows));
 
-  // Columnar pre-screen variant of the heap path against the same oracle.
-  ExecOptions vec = fast;
-  vec.vectorize = 1;
-  auto rv = ExecutePlan(*p.plan, &store(), &p.ctx, vec);
-  ASSERT_TRUE(rv.ok()) << rv.status();
-  EXPECT_EQ(RowSeq(rv->sample_rows), RowSeq(ro->sample_rows));
+  // The columnar pre-screen of the heap path screens whole batches; at
+  // batch 1 it sees one row at a time. Same sequence, same accounting.
+  ExecOptions single = fast;
+  single.batch_size = 1;
+  auto rs = ExecutePlan(*p.plan, &store(), &p.ctx, single);
+  ASSERT_TRUE(rs.ok()) << rs.status();
+  EXPECT_EQ(RowSeq(rs->sample_rows), RowSeq(ro->sample_rows));
+  testing::ExpectBatchAccountingMatches(*rf, *rs, ro->sample_rows,
+                                        /*exact_io=*/true);
 }
 
 /// A randomized ordered (optionally limited) single-scan query whose ORDER
@@ -462,19 +434,15 @@ TEST_P(ExchangeTest, OrderedLimitSweepMatchesReferenceSequence) {
   struct Config {
     Planned* planned;
     int batch;
-    int vectorize;
     const char* label;
   } configs[] = {
-      {&serial, 1024, 0, "serial row engine"},
-      {&serial, 1024, 1, "serial vectorized"},
-      {&par, 64, 0, "dop=4 batch=64 row engine"},
-      {&par, 64, 1, "dop=4 batch=64 vectorized"},
-      {&par, 1024, 0, "dop=4 batch=1024 row engine"},
-      {&par, 1024, 1, "dop=4 batch=1024 vectorized"},
+      {&serial, 1024, "serial"},
+      {&par, 64, "dop=4 batch=64"},
+      {&par, 1024, "dop=4 batch=1024"},
   };
   for (Config& c : configs) {
     SCOPED_TRACE(c.label);
-    auto stats = Exec(*c.planned, c.batch, nullptr, c.vectorize);
+    auto stats = Exec(*c.planned, c.batch);
     ASSERT_TRUE(stats.ok()) << stats.status() << "\nplan:\n"
                             << PrintPlan(*c.planned->plan, c.planned->ctx);
     EXPECT_EQ(RowSeq(stats->sample_rows), expect)
@@ -484,12 +452,13 @@ TEST_P(ExchangeTest, OrderedLimitSweepMatchesReferenceSequence) {
 
 TEST_F(ExchangeTest, SelectionCrossingExchangePartitionsStaysExact) {
   // The filter reads an Assembly-loaded binding, so it cannot fuse into the
-  // scan: under vectorization FilterExec marks survivors with a selection
-  // vector, and each worker's batch is physically compacted only at the
-  // Exchange push. Three selectivities stress that boundary — dense
-  // survivors, sparse survivors, and an all-rows-dead batch stream — at a
-  // batch size small enough that selections straddle many pushes and at the
-  // default size.
+  // scan: FilterExec marks survivors with a selection vector, and each
+  // worker's batch is physically compacted only at the Exchange push. Three
+  // selectivities stress that boundary — dense survivors, sparse survivors,
+  // and an all-rows-dead batch stream — at a batch size small enough that
+  // selections straddle many pushes, and at batch 1 vs the default size
+  // for the accounting oracle. The serial plan of the same query keeps
+  // exact I/O seconds covered; at dop 4 they depend on scheduling.
   const char* queries[] = {
       "SELECT a.id FROM AtomicPart a IN AtomicParts "
       "WHERE a.partOf.buildDate >= 2;",
@@ -500,24 +469,60 @@ TEST_F(ExchangeTest, SelectionCrossingExchangePartitionsStaysExact) {
   };
   for (const char* text : queries) {
     SCOPED_TRACE(text);
+    Planned serial = Plan(text, /*max_dop=*/1);
     Planned par = Plan(text, /*max_dop=*/4);
+    ASSERT_EQ(CountExchanges(*serial.plan), 0)
+        << PrintPlan(*serial.plan, serial.ctx);
     ASSERT_GE(CountExchanges(*par.plan), 1) << PrintPlan(*par.plan, par.ctx);
     auto reference = EvaluateReference(*par.logical, &store(), par.ctx);
     ASSERT_TRUE(reference.ok()) << reference.status();
-    for (int batch : {16, 1024}) {
-      SCOPED_TRACE(batch);
-      auto row = Exec(par, batch, nullptr, /*vectorize=*/0);
-      auto vec = Exec(par, batch, nullptr, /*vectorize=*/1);
-      ASSERT_TRUE(row.ok()) << row.status();
-      ASSERT_TRUE(vec.ok()) << vec.status();
-      EXPECT_EQ(vec->rows, static_cast<int64_t>(reference->rows.size()));
-      EXPECT_EQ(SortedRows(vec->sample_rows), SortedRows(reference->rows))
-          << "plan:\n" << PrintPlan(*par.plan, par.ctx);
-      EXPECT_EQ(row->rows, vec->rows);
-      EXPECT_DOUBLE_EQ(row->sim_cpu_s, vec->sim_cpu_s);
-      EXPECT_DOUBLE_EQ(row->sim_io_s, vec->sim_io_s);
-      EXPECT_EQ(row->pages_read, vec->pages_read);
+    auto straddling = Exec(par, 16);
+    ASSERT_TRUE(straddling.ok()) << straddling.status();
+    EXPECT_EQ(SortedRows(straddling->sample_rows),
+              SortedRows(reference->rows))
+        << "batch=16, plan:\n" << PrintPlan(*par.plan, par.ctx);
+    {
+      SCOPED_TRACE("serial");
+      ExpectBatchAccounting(serial, reference->rows, /*exact_io=*/true);
     }
+    {
+      SCOPED_TRACE("dop=4");
+      ExpectBatchAccounting(par, reference->rows, /*exact_io=*/false);
+    }
+  }
+}
+
+TEST(WorkerPoolTest, EverySubmittedTaskGetsAThread) {
+  // A merging Exchange needs all of its producers running at once: the
+  // consumer reads the head of every stream, so a producer still waiting
+  // for a pool thread while the others block on full queues deadlocks.
+  // Each task here holds its thread until every task of its burst has
+  // started. The second burst is larger than the pool the first one left
+  // idle, so the pool must grow by the tasks its idle workers cannot take.
+  for (int tasks : {4, 32}) {
+    SCOPED_TRACE(tasks);
+    std::atomic<int> started{0};
+    std::atomic<int> saw_all{0};
+    std::atomic<int> done{0};
+    for (int t = 0; t < tasks; ++t) {
+      WorkerPool::Instance().Submit([&] {
+        ++started;
+        auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(2);
+        while (started.load() < tasks &&
+               std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        if (started.load() == tasks) ++saw_all;
+        ++done;
+      });
+    }
+    while (done.load() < tasks) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_EQ(saw_all.load(), tasks);
+    // Let every worker go back to waiting before the next burst.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
 }
 

@@ -9,6 +9,7 @@
 
 #include "src/common/metrics.h"
 #include "src/exec/batch_pool.h"
+#include "src/exec/reference.h"
 #include "src/exec/tuple.h"
 #include "tests/test_util.h"
 
@@ -44,8 +45,10 @@ class ExecTest : public ::testing::Test {
     return *std::move(stats);
   }
 
-  /// Run() with explicit execution options (vectorize, batch size, ...).
-  ExecStats RunExec(const std::string& text, const ExecOptions& eo) {
+  /// Runs one serial plan of `text` at batch 1024 and at batch 1 and holds
+  /// both runs to the reference evaluator and to each other's accounting
+  /// (ExpectBatchAccountingMatches). Returns the batch-1024 run.
+  ExecStats RunBatchAccounting(const std::string& text, bool exact_io = true) {
     QueryContext ctx;
     ctx.catalog = &db_.catalog;
     auto logical = ParseAndSimplify(text, &ctx);
@@ -53,9 +56,20 @@ class ExecTest : public ::testing::Test {
     Optimizer opt(&db_.catalog);
     auto planned = opt.Optimize(**logical, &ctx);
     EXPECT_TRUE(planned.ok()) << planned.status();
-    auto stats = ExecutePlan(*planned->plan, &store_, &ctx, eo);
-    EXPECT_TRUE(stats.ok()) << stats.status();
-    return *std::move(stats);
+    ExecOptions eo;
+    eo.sample_limit = 1 << 22;
+    eo.batch_size = 1024;
+    auto batched = ExecutePlan(*planned->plan, &store_, &ctx, eo);
+    eo.batch_size = 1;
+    auto single = ExecutePlan(*planned->plan, &store_, &ctx, eo);
+    auto reference = EvaluateReference(**logical, &store_, ctx);
+    EXPECT_TRUE(batched.ok()) << batched.status();
+    EXPECT_TRUE(single.ok()) << single.status();
+    EXPECT_TRUE(reference.ok()) << reference.status();
+    if (!batched.ok() || !single.ok() || !reference.ok()) return {};
+    testing::ExpectBatchAccountingMatches(*batched, *single, reference->rows,
+                                          exact_io);
+    return *std::move(batched);
   }
 
   const ObjectData& Obj(Oid o) {
@@ -303,27 +317,17 @@ TEST_F(ExecTest, SelectionVectorEdgeCases) {
   EXPECT_EQ(batch.ref(0).slot(0).ref, Oid(203));
 }
 
-TEST_F(ExecTest, VectorizedAllRowsFilteredMatchesRowEngine) {
+TEST_F(ExecTest, AllRowsFilteredMatchesPerRowFallback) {
   // No employee is that old: every scan chunk's select kernel produces zero
-  // survivors. Results and simulated accounting must match the row engine
-  // exactly — vectorization is a wall-clock-only change.
-  const char* text =
-      "SELECT e.name FROM Employee e IN Employees WHERE e.age > 100000;";
-  ExecOptions row_eo;
-  row_eo.vectorize = 0;
-  ExecOptions vec_eo;
-  vec_eo.vectorize = 1;
-  ExecStats row = RunExec(text, row_eo);
-  ExecStats vec = RunExec(text, vec_eo);
-  EXPECT_EQ(row.rows, 0);
-  EXPECT_EQ(vec.rows, 0);
-  EXPECT_TRUE(vec.sample_rows.empty());
-  EXPECT_DOUBLE_EQ(row.sim_cpu_s, vec.sim_cpu_s);
-  EXPECT_DOUBLE_EQ(row.sim_io_s, vec.sim_io_s);
-  EXPECT_EQ(row.pages_read, vec.pages_read);
+  // survivors. Results and simulated accounting must match the batch-1
+  // per-row fallback — the kernels are a wall-clock-only change.
+  ExecStats stats = RunBatchAccounting(
+      "SELECT e.name FROM Employee e IN Employees WHERE e.age > 100000;");
+  EXPECT_EQ(stats.rows, 0);
+  EXPECT_TRUE(stats.sample_rows.empty());
 }
 
-TEST_F(ExecTest, VectorizedSingleSurvivorMatchesRowEngine) {
+TEST_F(ExecTest, SingleSurvivorMatchesPerRowFallback) {
   // Pin the predicate to a population value exactly one city has, so the
   // whole two-step kernel chain leaves a single survivor across every batch
   // of the scan.
@@ -340,19 +344,40 @@ TEST_F(ExecTest, VectorizedSingleSurvivorMatchesRowEngine) {
   std::string text = "SELECT c.name FROM City c IN Cities WHERE c.population >= " +
                      std::to_string(unique_pop) + " && c.population <= " +
                      std::to_string(unique_pop) + ";";
-  ExecOptions row_eo;
-  row_eo.vectorize = 0;
-  ExecOptions vec_eo;
-  vec_eo.vectorize = 1;
-  ExecStats row = RunExec(text, row_eo);
-  ExecStats vec = RunExec(text, vec_eo);
-  EXPECT_EQ(row.rows, 1);
-  EXPECT_EQ(vec.rows, 1);
-  ASSERT_EQ(vec.sample_rows.size(), 1u);
-  ASSERT_EQ(row.sample_rows.size(), 1u);
-  EXPECT_EQ(row.sample_rows[0][0].s, vec.sample_rows[0][0].s);
-  EXPECT_DOUBLE_EQ(row.sim_cpu_s, vec.sim_cpu_s);
-  EXPECT_DOUBLE_EQ(row.sim_io_s, vec.sim_io_s);
+  ExecStats stats = RunBatchAccounting(text);
+  EXPECT_EQ(stats.rows, 1);
+  EXPECT_EQ(stats.sample_rows.size(), 1u);
+}
+
+TEST_F(ExecTest, AssembledFilterMatchesPerRowFallback) {
+  // `e.age >= 60` cannot fuse into the Tasks scan: e is loaded by an
+  // Assembly above the team-members unnest, so the filter runs in
+  // FilterExec — the column kernel at batch 1024, the per-row fallback at
+  // batch 1. The assembly's reads interleave with the scan's batch by
+  // batch, so I/O seconds are not compared.
+  ExecStats stats = RunBatchAccounting(
+      "SELECT t.name FROM Task t IN Tasks, Employee e IN t.team_members "
+      "WHERE e.age >= 60 && t.time == 5;",
+      /*exact_io=*/false);
+  EXPECT_GT(stats.rows, 0);
+}
+
+TEST_F(ExecTest, IntFieldAgainstRealConstantMatchesPerRowFallback) {
+  // An int column compared with a real constant runs the kernels' double
+  // mode, which must promote the column's values: once through the fused
+  // scan kernel, once through FilterExec's column kernel above an
+  // Assembly (whose reads interleave with the scan's, so I/O seconds are
+  // not compared there).
+  EXPECT_GT(RunBatchAccounting(
+                "SELECT e.name FROM Employee e IN Employees WHERE e.age > 30.5;")
+                .rows,
+            0);
+  EXPECT_GT(RunBatchAccounting(
+                "SELECT t.name FROM Task t IN Tasks, Employee e IN "
+                "t.team_members WHERE e.age >= 59.5 && t.time == 5;",
+                /*exact_io=*/false)
+                .rows,
+            0);
 }
 
 TEST_F(ExecTest, BatchPoolSteadyStateAllocatesNothing) {

@@ -1,5 +1,8 @@
 #include "tests/test_util.h"
 
+#include <algorithm>
+#include <cmath>
+
 namespace oodb {
 namespace testing {
 
@@ -38,6 +41,40 @@ OptimizedQuery MustOptimize(int n, const PaperDb& db, QueryContext* ctx,
       << "paper query " << n << " failed verification:\n"
       << r->stats.verify_error;
   return *std::move(r);
+}
+
+namespace {
+
+std::vector<std::string> SortedRowStrings(
+    const std::vector<std::vector<Value>>& rows) {
+  std::vector<std::string> out;
+  for (const std::vector<Value>& row : rows) {
+    std::string s;
+    for (const Value& v : row) s += v.ToString() + "|";
+    out.push_back(std::move(s));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+}  // namespace
+
+void ExpectBatchAccountingMatches(const ExecStats& batched,
+                                  const ExecStats& single,
+                                  const std::vector<std::vector<Value>>& expect,
+                                  bool exact_io) {
+  const std::vector<std::string> want = SortedRowStrings(expect);
+  EXPECT_EQ(batched.rows, static_cast<int64_t>(expect.size()));
+  EXPECT_EQ(single.rows, static_cast<int64_t>(expect.size()));
+  EXPECT_EQ(SortedRowStrings(batched.sample_rows), want) << "batch 1024";
+  EXPECT_EQ(SortedRowStrings(single.sample_rows), want) << "batch 1";
+  EXPECT_EQ(batched.pages_read, single.pages_read);
+  EXPECT_NEAR(batched.sim_cpu_s, single.sim_cpu_s,
+              1e-12 * std::max(std::abs(batched.sim_cpu_s),
+                               std::abs(single.sim_cpu_s)));
+  if (exact_io) {
+    EXPECT_EQ(batched.sim_io_s, single.sim_io_s);
+  }
 }
 
 }  // namespace testing

@@ -44,6 +44,24 @@ std::vector<PhysOpKind> PlanKinds(const PlanNode& plan);
 OptimizedQuery MustOptimize(int n, const PaperDb& db, QueryContext* ctx,
                             OptimizerOptions opts = {});
 
+/// The batch-size accounting oracle. `batched` and `single` are runs of one
+/// plan at batch 1024 and at batch 1. Batch 1 is below
+/// FilterProgram::kMinKernelRows, so its filters take the per-row fallback
+/// instead of the columnar kernels. Both runs must return the `expect` rows
+/// (the reference evaluator's, or an oracle run's; compared as multisets,
+/// so the runs need a sample_limit that keeps them all) and read the same
+/// pages. Simulated CPU is compared within 1e-12 relative: batch size
+/// changes the summation order in the last bits. Simulated I/O seconds are
+/// compared exactly only when `exact_io`. Whether a read counts as
+/// sequential or as a seek depends on the order of reads on the one disk
+/// arm, and two things change that order: at dop > 1, thread scheduling;
+/// on a serial plan whose operators read pages in turn (a scan feeding an
+/// assembly), the batch size.
+void ExpectBatchAccountingMatches(const ExecStats& batched,
+                                  const ExecStats& single,
+                                  const std::vector<std::vector<Value>>& expect,
+                                  bool exact_io);
+
 }  // namespace testing
 
 /// Parses ZQL text, returning null (with a test failure) on error.

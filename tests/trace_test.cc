@@ -608,7 +608,7 @@ TEST_F(SessionTraceTest, FaultedAnalyzeRendersPartialProfile) {
 TEST_F(SessionTraceTest, AnalyzeRendersRetryTrailGolden) {
   // Deterministic transient fault: attempt 0's pipeline root dies at its
   // first batch boundary; attempt 1 runs with attempt number 1 >=
-  // fail_attempts and succeeds on the ladder's "row" rung. The rendered
+  // fail_attempts and succeeds on the ladder's "serial" rung. The rendered
   // trail is fully deterministic, so match it exactly.
   Session::Options opts;
   opts.exec.exec_faults.fail_worker = 0;
@@ -621,12 +621,12 @@ TEST_F(SessionTraceTest, AnalyzeRendersRetryTrailGolden) {
   auto out = session.ExplainAnalyze(
       "SELECT e.name FROM Employee e IN Employees WHERE e.age >= 40;");
   ASSERT_TRUE(out.ok()) << out.status();
-  EXPECT_NE(out->find("retry: attempt 0 step=vectorized "
+  EXPECT_NE(out->find("retry: attempt 0 step=planned "
                       "status=WorkerFault: injected worker fault "
                       "(worker 0, batch #1, attempt 0) backoff=0.25s"),
             std::string::npos)
       << *out;
-  EXPECT_NE(out->find("retry: attempt 1 step=row status=OK"),
+  EXPECT_NE(out->find("retry: attempt 1 step=serial status=OK"),
             std::string::npos)
       << *out;
   EXPECT_NE(out->find("retry_backoff=0.25s"), std::string::npos) << *out;
