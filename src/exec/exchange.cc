@@ -1,9 +1,7 @@
 #include "src/exec/exchange.h"
 
-#include <atomic>
 #include <chrono>
 #include <deque>
-#include <limits>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -19,6 +17,12 @@
 namespace oodb {
 
 namespace {
+
+/// How long the consumer waits on an empty queue before it ticks the
+/// governor (a hung worker must never hang the consumer past its deadline)
+/// and checks for stragglers. End of stream never waits on this: the
+/// delivery that ends a stream closes its queue.
+constexpr double kCheckIntervalMs = 10.0;
 
 /// Process-wide recovery counters (per-execution counts travel on
 /// ExecFaultStats). Resolved once; never freed.
@@ -47,15 +51,15 @@ struct RecoveryMetrics {
 };
 
 /// Bounded MPSC queue of TupleBatches. Producers block when full, the
-/// consumer blocks when empty; Abort() wakes everyone and makes every
-/// subsequent Push/Pop fail, so a dying consumer never strands a producer
-/// (and vice versa). Batches stranded in the queue by an abort are parked
-/// back in the BatchPool, never leaked — the pooled-arena invariant holds
-/// across cancelled and faulted queries.
+/// consumer waits (boundedly) when empty; Close() ends the stream once the
+/// queued batches drain. Abort() wakes everyone and makes every subsequent
+/// Push/PopFor fail, so a dying consumer never strands a producer (and vice
+/// versa). Batches stranded in the queue by an abort are parked back in the
+/// BatchPool, never leaked — the pooled-arena invariant holds across
+/// cancelled and faulted queries.
 class BatchQueue {
  public:
-  BatchQueue(size_t capacity, int producers)
-      : capacity_(capacity), producers_(producers) {}
+  explicit BatchQueue(size_t capacity) : capacity_(capacity) {}
 
   ~BatchQueue() {
     MutexLock lock(mu_);
@@ -66,13 +70,13 @@ class BatchQueue {
   /// the caller's hands (so the caller can pool it).
   ///
   /// Wakeups are lazy: the consumer is only notified once the queue is at
-  /// least half full (or by ProducerDone/Abort/Kick). Notifying on every
-  /// push ping-pongs producer and consumer through the scheduler — on a
-  /// machine with fewer cores than workers each notify wake-preempts the
-  /// producer, costing a context-switch round trip per batch. Batching the
-  /// wakeups keeps everyone correct (a non-empty queue whose producers all
-  /// exit is flushed by ProducerDone; a full queue necessarily crossed the
-  /// threshold) while letting each side run for several batches per slice.
+  /// least half full (or by Close/Kick/Abort). Notifying on every push
+  /// ping-pongs producer and consumer through the scheduler — on a machine
+  /// with fewer cores than workers each notify wake-preempts the producer,
+  /// costing a context-switch round trip per batch. Batching the wakeups
+  /// keeps everyone correct (a partition's delivery kicks or closes the
+  /// queue; a full queue necessarily crossed the threshold) while letting
+  /// each side run for several batches per slice.
   bool Push(TupleBatch&& batch) {
     UniqueLock lock(mu_);
     while (queue_.size() >= capacity_ && !abort_) not_full_.Wait(lock);
@@ -82,22 +86,11 @@ class BatchQueue {
     return true;
   }
 
-  /// False when every producer finished and the queue is drained, or on
-  /// abort. Producers are re-woken once the queue has drained to half —
-  /// the consumer never blocks while batches remain, so the threshold is
-  /// always reached (see Push on why not per-pop).
-  bool Pop(TupleBatch* out) {
-    UniqueLock lock(mu_);
-    while (queue_.empty() && producers_ != 0 && !abort_) not_empty_.Wait(lock);
-    return PopLocked(out);
-  }
-
   enum class PopResult { kBatch, kTimeout, kClosed };
 
-  /// Pop with a bounded wait — the recovery-mode consumer loop, which must
-  /// wake periodically to run straggler checks and governor ticks even
-  /// when no producer has delivered anything (a hung worker must never
-  /// hang the consumer past its deadline).
+  /// Pops with a bounded wait: kClosed once the queue is closed and
+  /// drained, or aborted. Producers are re-woken once the queue has drained
+  /// to half (see Push on why not per-pop).
   PopResult PopFor(TupleBatch* out, double timeout_ms) {
     UniqueLock lock(mu_);
     // A fixed deadline (not a per-wait timeout) so spurious wakeups re-check
@@ -106,32 +99,28 @@ class BatchQueue {
         std::chrono::steady_clock::now() +
         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
             std::chrono::duration<double, std::milli>(timeout_ms));
-    while (queue_.empty() && producers_ != 0 && !abort_) {
+    while (queue_.empty() && !closed_ && !abort_) {
       if (!not_empty_.WaitUntil(lock, deadline) && queue_.empty() &&
-          producers_ != 0 && !abort_) {
+          !closed_ && !abort_) {
         return PopResult::kTimeout;
       }
     }
-    return PopLocked(out) ? PopResult::kBatch : PopResult::kClosed;
+    if (queue_.empty()) return PopResult::kClosed;
+    *out = std::move(queue_.front());
+    queue_.pop_front();
+    if (queue_.size() * 2 <= capacity_) not_full_.NotifyAll();
+    return PopResult::kBatch;
   }
 
-  void ProducerDone() {
+  /// End of stream: nothing more will be pushed. Queued batches still pop.
+  void Close() {
     MutexLock lock(mu_);
-    --producers_;
-    not_empty_.NotifyAll();
-  }
-
-  /// Recovery-mode end of stream: every partition delivered. Any batches
-  /// still queued are drained by subsequent Pop calls, then Pop reports
-  /// closed.
-  void AllProducersDone() {
-    MutexLock lock(mu_);
-    producers_ = 0;
+    closed_ = true;
     not_empty_.NotifyAll();
   }
 
   /// Wakes the consumer regardless of the lazy-notify threshold (a small
-  /// partition-atomic delivery may never half-fill the queue).
+  /// partition's delivery may never half-fill the queue).
   void Kick() {
     MutexLock lock(mu_);
     not_empty_.NotifyAll();
@@ -146,14 +135,6 @@ class BatchQueue {
   }
 
  private:
-  bool PopLocked(TupleBatch* out) REQUIRES(mu_) {
-    if (queue_.empty()) return false;
-    *out = std::move(queue_.front());
-    queue_.pop_front();
-    if (queue_.size() * 2 <= capacity_) not_full_.NotifyAll();
-    return true;
-  }
-
   /// Returns every queued batch to the BatchPool. In-flight arenas must
   /// survive a mid-pipeline abort as pooled arenas, or every
   /// cancelled/faulted query leaks its queue depth in allocations. Takes the
@@ -169,7 +150,7 @@ class BatchQueue {
   CondVar not_full_, not_empty_;
   std::deque<TupleBatch> queue_ GUARDED_BY(mu_);
   size_t capacity_;
-  int producers_ GUARDED_BY(mu_);
+  bool closed_ GUARDED_BY(mu_) = false;
   bool abort_ GUARDED_BY(mu_) = false;
 };
 
@@ -185,45 +166,32 @@ class ExchangeExec : public ExecNode {
     dop_ = driver_ != nullptr ? std::max(1, plan_->op.dop) : 1;
     env_.clock().cpu_s +=
         env_.timing().exchange_startup_s * static_cast<double>(dop_);
-    recover_ = env_.recovery != nullptr && env_.recovery->enabled;
+    max_attempts_ = std::max(1, env_.recovery.max_partition_attempts);
     merge_ = plan_->op.merge;
-    if (merge_) return OpenMerge();
-    // Deep (but still bounded) buffering: 16 batches per worker. Producers
-    // that never hit the bound run their whole partition without a blocking
-    // wait — on a machine with fewer cores than workers that turns the
-    // stream into long uninterrupted runs per thread instead of a
-    // block/wake ping-pong per batch, and on larger machines the extra
-    // depth only relaxes backpressure.
-    //
-    // In recovery mode the producer count is not the end-of-stream signal
-    // (attempts are dynamic: retries and speculative re-dispatches); the
-    // consumer closes the queue itself once every partition has delivered.
-    queue_ = std::make_unique<BatchQueue>(
-        16 * static_cast<size_t>(dop_),
-        recover_ ? std::numeric_limits<int>::max() : dop_);
-    if (recover_) {
-      OpenRecovery();
-      return Status::OK();
-    }
-    worker_clocks_.assign(dop_, SimClock{});
-    if (env_.profile != nullptr) {
-      // One private profile per worker, merged at join like the clocks.
-      // Workers never attribute I/O per node (store-shared counters race
-      // while siblings run); their CPU deltas come off the private clock.
-      worker_profiles_.clear();
-      for (int w = 0; w < dop_; ++w) {
-        worker_profiles_.push_back(std::make_unique<ExecProfile>());
-        worker_profiles_.back()->set_io_timed(false);
+    if (merge_) {
+      for (const SortKey& k : plan_->op.sort.keys) {
+        key_exprs_.push_back(ScalarExpr::Attr(k.binding, k.field));
       }
+      for (int p = 0; p < dop_; ++p) {
+        queues_.push_back(std::make_unique<BatchQueue>(16));
+      }
+      cursors_ = std::vector<MergeCursor>(static_cast<size_t>(dop_));
+      if (env_.profile != nullptr) {
+        env_.profile->Register(plan_)->merge_streams = dop_;
+      }
+    } else {
+      // Deep (but still bounded) buffering: 16 batches per partition.
+      // Producers that never hit the bound run their whole partition
+      // without a blocking wait — on a machine with fewer cores than
+      // workers that turns the stream into long uninterrupted runs per
+      // thread instead of a block/wake ping-pong per batch, and on larger
+      // machines the extra depth only relaxes backpressure.
+      queues_.push_back(
+          std::make_unique<BatchQueue>(16 * static_cast<size_t>(dop_)));
     }
-    pending_ = dop_;
-    for (int w = 0; w < dop_; ++w) {
-      WorkerPool::Instance().Submit([this, w] {
-        WorkerMain(w);
-        MutexLock lock(pending_mu_);
-        if (--pending_ == 0) pending_cv_.NotifyAll();
-      });
-    }
+    MutexLock lock(part_mu_);
+    parts_.assign(static_cast<size_t>(dop_), PartitionState{});
+    for (int p = 0; p < dop_; ++p) DispatchLocked(p, /*speculative=*/false);
     return Status::OK();
   }
 
@@ -232,9 +200,9 @@ class ExchangeExec : public ExecNode {
     out->Clear();
     if (done_) return Finish();
     if (merge_) return NextMerge(out);
-    if (recover_) return NextRecovery(out);
     TupleBatch batch;
-    if (!queue_->Pop(&batch)) {
+    OODB_ASSIGN_OR_RETURN(bool popped, PopBatch(0, &batch));
+    if (!popped) {
       done_ = true;
       return Finish();
     }
@@ -254,6 +222,39 @@ class ExchangeExec : public ExecNode {
     BatchPool::Instance().Return(std::move(*out));
     *out = std::move(batch);
     return out->size();
+  }
+
+  /// Pops the next batch of queue `q` for the consumer. While the queue
+  /// stays empty it wakes every kCheckIntervalMs to tick the governor and
+  /// speculate stragglers. False at end of stream: the queue was closed and
+  /// drained, or aborted.
+  Result<bool> PopBatch(size_t q, TupleBatch* out) {
+    while (true) {
+      switch (queues_[q]->PopFor(out, kCheckIntervalMs)) {
+        case BatchQueue::PopResult::kBatch:
+          return true;
+        case BatchQueue::PopResult::kClosed:
+          return false;
+        case BatchQueue::PopResult::kTimeout:
+          break;
+      }
+      if (env_.governor != nullptr) {
+        OODB_RETURN_IF_ERROR(
+            env_.governor->CheckExec(env_.store->disk().reads()));
+      }
+      MutexLock lock(part_mu_);
+      CheckStragglersLocked();
+    }
+  }
+
+  /// Partition `p`'s destination: the shared queue of a plain Exchange,
+  /// the partition's own FIFO of a merging one.
+  BatchQueue& Destination(int p) {
+    return *queues_[merge_ ? static_cast<size_t>(p) : 0];
+  }
+
+  void AbortQueues() {
+    for (std::unique_ptr<BatchQueue>& q : queues_) q->Abort();
   }
 
   ExecEnv MakeWorkerEnv(SimClock* clock, ExecProfile* profile, int partition,
@@ -284,90 +285,22 @@ class ExchangeExec : public ExecNode {
     return act.status;
   }
 
-  // ----------------------- streaming fast path -----------------------
-
-  void WorkerMain(int w) {
-    ExecEnv wenv = MakeWorkerEnv(
-        &worker_clocks_[w],
-        worker_profiles_.empty() ? nullptr : worker_profiles_[w].get(), w,
-        /*attempt=*/0);
-    Status status = RunWorker(wenv, w);
-    if (!status.ok()) {
-      {
-        MutexLock lock(error_mu_);
-        if (first_error_.ok()) first_error_ = status;
-      }
-      // Wake a consumer blocked on an emptying queue and stop siblings
-      // early: with a governor the sticky trip does this anyway; without
-      // one the abort is the only cross-worker stop signal.
-      queue_->Abort();
-    }
-    queue_->ProducerDone();
-  }
-
-  Status RunWorker(const ExecEnv& wenv, int w) {
-    OODB_ASSIGN_OR_RETURN(std::unique_ptr<ExecNode> node,
-                          BuildExecNode(wenv, *plan_->children[0]));
-    OODB_RETURN_IF_ERROR(node->Open());
-    Status status = Status::OK();
-    while (true) {
-      TupleBatch batch =
-          BatchPool::Instance().Take(wenv.num_bindings(), wenv.batch_size);
-      Result<size_t> n = node->Next(&batch);
-      if (!n.ok()) {
-        status = n.status();
-        BatchPool::Instance().Return(std::move(batch));
-        break;
-      }
-      if (*n == 0) {
-        BatchPool::Instance().Return(std::move(batch));
-        break;
-      }
-      // Serialization point: a selection-marked batch compacts here, once,
-      // before crossing the queue — consumers see contiguous rows and the
-      // flow-tuple charge below stays per *live* row.
-      batch.Compact();
-      if (wenv.exec_faults != nullptr) {
-        status = ApplyFault(
-            wenv.exec_faults->OnBatchBoundary(w, wenv.fault_attempt),
-            wenv.cpu_clock);
-        if (status.ok()) {
-          status = ApplyFault(
-              wenv.exec_faults->OnPush(w, wenv.fault_attempt), wenv.cpu_clock);
-        }
-        if (!status.ok()) {
-          BatchPool::Instance().Return(std::move(batch));
-          break;
-        }
-      }
-      if (!queue_->Push(std::move(batch))) {
-        // Consumer went away (abort): the push left the batch with us.
-        BatchPool::Instance().Return(std::move(batch));
-        break;
-      }
-    }
-    node->Close();
-    return status;
-  }
-
   // --------------------- order-preserving merge ----------------------
   //
-  // op.merge: each worker's partition is a contiguous chunk of the driver
-  // scan and the child plan sorts it (or top-k's it) locally, so every
-  // per-worker stream arrives in op.sort order. Instead of the shared
-  // interleaving queue, each worker pushes into its own FIFO and the
-  // consumer runs a k-way merge over the stream heads — ties go to the
-  // lower partition index, which together with contiguous partitioning and
-  // stable per-partition sorts reproduces the *global* stable sort order
-  // exactly. op.limit > 0 stops the merge after k rows (each producer was
-  // already limited to k by its local TopK; the merge re-truncates the
-  // union).
+  // op.merge: each partition is a contiguous chunk of the driver scan and
+  // the child plan sorts it (or top-k's it) locally, so every partition's
+  // stream arrives in op.sort order. Instead of the shared interleaving
+  // queue, each partition delivers into its own FIFO and the consumer runs
+  // a k-way merge over the stream heads — ties go to the lower partition
+  // index, which together with contiguous partitioning and stable
+  // per-partition sorts reproduces the *global* stable sort order exactly.
+  // op.limit > 0 stops the merge after k rows (each producer was already
+  // limited to k by its local TopK; the merge re-truncates the union).
   //
-  // Fault recovery composes differently here: staged partition-atomic
-  // delivery into a shared queue would lose stream identity, so a merge
-  // worker retries its own partition inline (fresh pipeline per attempt,
-  // staging batches until the attempt succeeds) and only then publishes to
-  // its queue. Straggler speculation is not applied to merge exchanges.
+  // Recovery needs nothing merge-specific: a partition's FIFO receives
+  // exactly one attempt's complete stream (the winner's), so retries and
+  // speculative rivals keep stream identity and the merged sequence is the
+  // fault-free one.
 
   struct MergeCursor {
     TupleBatch batch;
@@ -377,175 +310,21 @@ class ExchangeExec : public ExecNode {
     std::vector<Value> keys; ///< sort keys of the current row
   };
 
-  Status OpenMerge() {
-    for (const SortKey& k : plan_->op.sort.keys) {
-      key_exprs_.push_back(ScalarExpr::Attr(k.binding, k.field));
-    }
-    queues_.clear();
-    for (int w = 0; w < dop_; ++w) {
-      queues_.push_back(std::make_unique<BatchQueue>(16, /*producers=*/1));
-    }
-    cursors_ = std::vector<MergeCursor>(static_cast<size_t>(dop_));
-    worker_clocks_.assign(dop_, SimClock{});
-    if (env_.profile != nullptr) {
-      worker_profiles_.clear();
-      for (int w = 0; w < dop_; ++w) {
-        worker_profiles_.push_back(std::make_unique<ExecProfile>());
-        worker_profiles_.back()->set_io_timed(false);
-      }
-      env_.profile->Register(plan_)->merge_streams = dop_;
-    }
-    pending_ = dop_;
-    for (int w = 0; w < dop_; ++w) {
-      WorkerPool::Instance().Submit([this, w] {
-        MergeWorkerMain(w);
-        MutexLock lock(pending_mu_);
-        if (--pending_ == 0) pending_cv_.NotifyAll();
-      });
-    }
-    return Status::OK();
-  }
-
-  void MergeWorkerMain(int w) {
-    BatchQueue* queue = queues_[static_cast<size_t>(w)].get();
-    Status status;
-    int attempt = 0;
-    while (true) {
-      ExecEnv wenv = MakeWorkerEnv(
-          &worker_clocks_[w],
-          worker_profiles_.empty() ? nullptr : worker_profiles_[w].get(), w,
-          attempt);
-      if (!worker_profiles_.empty() && attempt > 0) {
-        // Fresh profile per attempt: only the successful attempt's counters
-        // survive, so ANALYZE reflects delivered rows, not failed tries.
-        worker_profiles_[w] = std::make_unique<ExecProfile>();
-        worker_profiles_[w]->set_io_timed(false);
-        wenv.profile = worker_profiles_[w].get();
-      }
-      status = recover_ ? RunMergeWorkerStaged(wenv, w, queue)
-                        : RunMergeWorkerStreaming(wenv, w, queue);
-      if (status.ok()) break;
-      if (recover_ && IsRetryableExecFault(status.code()) &&
-          attempt + 1 < env_.recovery->max_partition_attempts &&
-          ChargeRetryBudget().ok()) {
-        ++attempt;
-        if (env_.fault_stats != nullptr) {
-          env_.fault_stats->partitions_retried.fetch_add(
-              1, std::memory_order_relaxed);
-        }
-        RecoveryMetrics::Get().partitions_retried->Increment();
-        continue;
-      }
-      {
-        MutexLock lock(error_mu_);
-        if (first_error_.ok()) first_error_ = status;
-      }
-      AbortAllQueues();
-      break;
-    }
-    queue->ProducerDone();
-  }
-
-  /// One streaming pass over the worker's partition into its own queue
-  /// (recovery off: a fault surfaces to the consumer, as on the fast path).
-  Status RunMergeWorkerStreaming(const ExecEnv& wenv, int w,
-                                 BatchQueue* queue) {
-    OODB_ASSIGN_OR_RETURN(std::unique_ptr<ExecNode> node,
-                          BuildExecNode(wenv, *plan_->children[0]));
-    OODB_RETURN_IF_ERROR(node->Open());
-    Status status = Status::OK();
-    while (true) {
-      TupleBatch batch =
-          BatchPool::Instance().Take(wenv.num_bindings(), wenv.batch_size);
-      Result<size_t> n = node->Next(&batch);
-      if (!n.ok() || *n == 0) {
-        if (!n.ok()) status = n.status();
-        BatchPool::Instance().Return(std::move(batch));
-        break;
-      }
-      batch.Compact();
-      if (wenv.exec_faults != nullptr) {
-        status = ApplyFault(
-            wenv.exec_faults->OnBatchBoundary(w, wenv.fault_attempt),
-            wenv.cpu_clock);
-        if (status.ok()) {
-          status = ApplyFault(wenv.exec_faults->OnPush(w, wenv.fault_attempt),
-                              wenv.cpu_clock);
-        }
-        if (!status.ok()) {
-          BatchPool::Instance().Return(std::move(batch));
-          break;
-        }
-      }
-      if (!queue->Push(std::move(batch))) {
-        BatchPool::Instance().Return(std::move(batch));
-        break;
-      }
-    }
-    node->Close();
-    return status;
-  }
-
-  /// One attempt of the worker's partition, staged: batches publish to the
-  /// queue only after the whole partition succeeded, so an inline retry
-  /// after a mid-stream fault cannot duplicate rows in the stream.
-  Status RunMergeWorkerStaged(const ExecEnv& wenv, int w, BatchQueue* queue) {
-    OODB_ASSIGN_OR_RETURN(std::unique_ptr<ExecNode> node,
-                          BuildExecNode(wenv, *plan_->children[0]));
-    Status status = node->Open();
-    std::vector<TupleBatch> staged;
-    while (status.ok()) {
-      TupleBatch batch =
-          BatchPool::Instance().Take(wenv.num_bindings(), wenv.batch_size);
-      Result<size_t> n = node->Next(&batch);
-      if (!n.ok() || *n == 0) {
-        if (!n.ok()) status = n.status();
-        BatchPool::Instance().Return(std::move(batch));
-        break;
-      }
-      batch.Compact();
-      if (wenv.exec_faults != nullptr) {
-        status = ApplyFault(
-            wenv.exec_faults->OnBatchBoundary(w, wenv.fault_attempt),
-            wenv.cpu_clock);
-        if (status.ok()) {
-          status = ApplyFault(wenv.exec_faults->OnPush(w, wenv.fault_attempt),
-                              wenv.cpu_clock);
-        }
-        if (!status.ok()) {
-          BatchPool::Instance().Return(std::move(batch));
-          break;
-        }
-      }
-      staged.push_back(std::move(batch));
-    }
-    node->Close();
-    if (status.ok()) {
-      for (TupleBatch& b : staged) {
-        if (!queue->Push(std::move(b))) {
-          BatchPool::Instance().Return(std::move(b));
-        }
-      }
-    } else {
-      for (TupleBatch& b : staged) BatchPool::Instance().Return(std::move(b));
-    }
-    return status;
-  }
-
-  /// Advances cursor `w` to its next row, blocking on the worker's queue at
-  /// batch boundaries; refreshes the cached sort keys.
+  /// Advances cursor `w` to its next row, waiting on the partition's queue
+  /// at batch boundaries; refreshes the cached sort keys.
   Status AdvanceCursor(int w) {
     MergeCursor& c = cursors_[static_cast<size_t>(w)];
     if (c.open) ++c.pos;
     while (!c.exhausted && (!c.open || c.pos >= c.batch.size())) {
       TupleBatch next;
-      if (queues_[static_cast<size_t>(w)]->Pop(&next)) {
-        if (c.open) BatchPool::Instance().Return(std::move(c.batch));
+      OODB_ASSIGN_OR_RETURN(bool popped,
+                            PopBatch(static_cast<size_t>(w), &next));
+      if (c.open) BatchPool::Instance().Return(std::move(c.batch));
+      if (popped) {
         c.batch = std::move(next);
         c.pos = 0;
         c.open = c.batch.size() > 0;
       } else {
-        if (c.open) BatchPool::Instance().Return(std::move(c.batch));
         c.open = false;
         c.exhausted = true;
       }
@@ -601,9 +380,9 @@ class ExchangeExec : public ExecNode {
       OODB_RETURN_IF_ERROR(AdvanceCursor(best));
     }
     if (out->size() > 0) return out->size();
-    // End of stream: the limit was reached or every stream drained. Workers
-    // still producing past a reached limit are cut loose by the abort.
-    if (limit > 0 && merge_emitted_ >= limit) AbortAllQueues();
+    // End of stream: the limit was reached or every stream drained.
+    // Partitions still producing past a reached limit are cut loose.
+    if (limit > 0 && merge_emitted_ >= limit) StopWorkers();
     done_ = true;
     return Finish();
   }
@@ -614,27 +393,30 @@ class ExchangeExec : public ExecNode {
     return log;
   }
 
-  void AbortAllQueues() {
-    for (std::unique_ptr<BatchQueue>& q : queues_) q->Abort();
-  }
-
-  // ------------------------- recovery mode ---------------------------
+  // ------------------------ partition attempts -----------------------
   //
-  // Partition-atomic delivery: each attempt stages its whole chunk's
-  // batches locally and publishes them only after the chunk succeeded,
-  // under a per-partition winner claim. A failed attempt therefore
-  // contributed nothing downstream — re-executing its chunk (legal because
-  // scan partitions are side-effect-free over the read-only store) cannot
-  // duplicate or lose rows. Stragglers are speculatively re-dispatched
-  // (first result wins); the loser's staged output is discarded, and the
-  // winner-claim asserts exactly-once delivery per partition.
+  // Every Exchange, plain or merging, runs its partitions as attempts: one
+  // per partition at Open, another after a retryable fault (up to
+  // max_partition_attempts, each charged to the governor's retry budget),
+  // and a speculative rival for a straggler. The first successful attempt
+  // of a partition claims it and delivers into the partition's destination
+  // queue; every other attempt is suppressed, and the delivery check
+  // asserts exactly-once delivery per partition.
+  //
+  // Staging rule: an attempt stages its batches locally and publishes them
+  // only after its whole chunk succeeded iff the partition may run more
+  // than once (max_partition_attempts > 1). A failed or superseded attempt
+  // then contributed nothing downstream, so re-executing its chunk (legal
+  // because scan partitions are side-effect-free over the read-only store)
+  // cannot duplicate or lose rows. With one attempt no rival can exist —
+  // retries and speculation both respect the cap — so batches go straight
+  // to the queue and the consumer overlaps the producers.
 
   struct PartitionState {
     int attempts_started = 0;
     bool winner_claimed = false;
     bool delivered = false;
     bool speculated = false;
-    Status last_error;
     std::chrono::steady_clock::time_point dispatched_at;
   };
 
@@ -645,12 +427,6 @@ class ExchangeExec : public ExecNode {
     SimClock clock;
     std::unique_ptr<ExecProfile> profile;
   };
-
-  void OpenRecovery() {
-    MutexLock lock(part_mu_);
-    parts_.assign(static_cast<size_t>(dop_), PartitionState{});
-    for (int p = 0; p < dop_; ++p) DispatchLocked(p, /*speculative=*/false);
-  }
 
   /// Launches the next attempt of partition `p`.
   void DispatchLocked(int p, bool speculative) REQUIRES(part_mu_) {
@@ -667,6 +443,7 @@ class ExchangeExec : public ExecNode {
     }
     if (speculative) {
       ps.speculated = true;
+      ++speculated_;
       if (env_.fault_stats != nullptr) {
         env_.fault_stats->partitions_speculated.fetch_add(
             1, std::memory_order_relaxed);
@@ -684,82 +461,101 @@ class ExchangeExec : public ExecNode {
     });
   }
 
+  /// Runs one attempt of one partition on a fresh worker pipeline — the
+  /// only loop that pulls batches from a worker pipeline — then settles it.
   void RunAttempt(Attempt& at) {
-    ExecEnv wenv =
-        MakeWorkerEnv(&at.clock, at.profile.get(), at.partition, at.attempt);
+    const int p = at.partition;
+    ExecEnv wenv = MakeWorkerEnv(&at.clock, at.profile.get(), p, at.attempt);
     std::vector<TupleBatch> staged;
-    Status status = RunPartition(wenv, at, &staged);
+    Status status = Status::OK();
+    Result<std::unique_ptr<ExecNode>> node =
+        BuildExecNode(wenv, *plan_->children[0]);
+    if (!node.ok()) status = node.status();
+    if (status.ok()) status = (*node)->Open();
+    while (status.ok()) {
+      // A rival attempt already won this partition, or the exchange is
+      // shutting down: stop early and discard. Keeps a superseded
+      // straggler from burning a pool thread for the rest of its chunk.
+      {
+        MutexLock lock(part_mu_);
+        if (shutdown_ || parts_[static_cast<size_t>(p)].winner_claimed) {
+          status = Status::Cancelled("partition attempt superseded");
+          break;
+        }
+      }
+      TupleBatch batch =
+          BatchPool::Instance().Take(wenv.num_bindings(), wenv.batch_size);
+      Result<size_t> n = (*node)->Next(&batch);
+      if (!n.ok() || *n == 0) {
+        if (!n.ok()) status = n.status();
+        BatchPool::Instance().Return(std::move(batch));
+        break;
+      }
+      // Serialization point: a selection-marked batch compacts here, once,
+      // before crossing the queue — consumers see contiguous rows and the
+      // flow-tuple charge stays per *live* row.
+      batch.Compact();
+      if (wenv.exec_faults != nullptr) {
+        status = ApplyFault(
+            wenv.exec_faults->OnBatchBoundary(p, wenv.fault_attempt),
+            wenv.cpu_clock);
+        if (status.ok()) {
+          status = ApplyFault(wenv.exec_faults->OnPush(p, wenv.fault_attempt),
+                              wenv.cpu_clock);
+        }
+        if (!status.ok()) {
+          BatchPool::Instance().Return(std::move(batch));
+          break;
+        }
+      }
+      if (max_attempts_ > 1) {
+        staged.push_back(std::move(batch));
+      } else if (!Destination(p).Push(std::move(batch))) {
+        // The queue was aborted: the push left the batch with us.
+        BatchPool::Instance().Return(std::move(batch));
+        status = Status::Cancelled("exchange aborted");
+      }
+    }
+    if (node.ok()) (*node)->Close();
+    Settle(at, status, &staged);
+  }
 
-    bool deliver = false;
+  /// Settles a finished attempt. The first successful attempt of its
+  /// partition wins and publishes; a losing attempt's staged output is
+  /// suppressed; a failed attempt is retried while the fault is retryable
+  /// and attempts and retry budget remain, and otherwise ends the query
+  /// with its error.
+  void Settle(Attempt& at, const Status& status,
+              std::vector<TupleBatch>* staged) {
+    const size_t p = static_cast<size_t>(at.partition);
+    bool won = false;
     if (status.ok()) {
       MutexLock lock(part_mu_);
-      PartitionState& ps = parts_[static_cast<size_t>(at.partition)];
       // The winner claim is the exactly-once gate: the first successful
       // attempt of a partition delivers, every other one (a speculative
       // rival, a retry racing a slow original) is suppressed wholesale.
-      if (!ps.winner_claimed && !shutdown_) {
-        ps.winner_claimed = true;
-        at.won = true;
-        deliver = true;
+      if (!parts_[p].winner_claimed && !shutdown_) {
+        parts_[p].winner_claimed = true;
+        at.won = won = true;
       }
     }
-
-    if (deliver) {
-      bool pushed = true;
-      for (TupleBatch& b : staged) {
-        if (pushed && queue_->Push(std::move(b))) continue;
-        pushed = false;
-        BatchPool::Instance().Return(std::move(b));
-      }
-      staged.clear();
-      bool duplicate = false;
-      {
-        MutexLock lock(part_mu_);
-        PartitionState& ps = parts_[static_cast<size_t>(at.partition)];
-        // Delivery invariant (duplicate suppression): a partition is
-        // delivered at most once. A second delivery would mean duplicated
-        // rows downstream — surface it as a hard internal error rather than
-        // silently corrupt results.
-        if (ps.delivered) {
-          duplicate = true;
-        } else {
-          ps.delivered = true;
-          ++delivered_count_;
-        }
-      }
-      if (duplicate) {
-        // Record the error and abort with no lock held across the queue /
-        // pool acquisitions the abort makes.
-        {
-          MutexLock elock(error_mu_);
-          if (first_error_.ok()) {
-            first_error_ = Status::Internal(
-                "exchange recovery: partition " +
-                std::to_string(at.partition) + " delivered twice");
-          }
-        }
-        queue_->Abort();
-        return;
-      }
-      queue_->Kick();
+    if (won) {
+      Publish(at.partition, staged);
       return;
     }
-
-    // Losing or failed attempt: its staged output is suppressed entirely.
-    if (!staged.empty()) {
+    if (!staged->empty()) {
       RecoveryMetrics::Get().duplicate_suppressed->Increment();
     }
-    for (TupleBatch& b : staged) BatchPool::Instance().Return(std::move(b));
-    staged.clear();
+    for (TupleBatch& b : *staged) BatchPool::Instance().Return(std::move(b));
+    staged->clear();
     if (status.ok()) return;  // lost the race; the winner delivered
 
     MutexLock lock(part_mu_);
-    PartitionState& ps = parts_[static_cast<size_t>(at.partition)];
-    ps.last_error = status;
-    if (ps.winner_claimed || shutdown_) return;
+    if (parts_[p].winner_claimed || shutdown_) return;
     if (IsRetryableExecFault(status.code()) &&
-        ps.attempts_started < env_.recovery->max_partition_attempts &&
+        parts_[p].attempts_started < max_attempts_ &&
         ChargeRetryBudget().ok()) {
+      ++retried_;
       if (env_.fault_stats != nullptr) {
         env_.fault_stats->partitions_retried.fetch_add(
             1, std::memory_order_relaxed);
@@ -774,7 +570,56 @@ class ExchangeExec : public ExecNode {
       MutexLock elock(error_mu_);
       if (first_error_.ok()) first_error_ = status;
     }
-    queue_->Abort();
+    AbortQueues();
+  }
+
+  /// The winning attempt's delivery: publishes its staged batches (none
+  /// when it streamed), marks the partition delivered, and ends the
+  /// destination's stream once nothing more can arrive there — on the last
+  /// partition of a plain Exchange, on every partition of a merging one.
+  void Publish(int p, std::vector<TupleBatch>* staged) {
+    BatchQueue& dest = Destination(p);
+    bool pushed = true;
+    for (TupleBatch& b : *staged) {
+      if (pushed && dest.Push(std::move(b))) continue;
+      pushed = false;
+      BatchPool::Instance().Return(std::move(b));
+    }
+    staged->clear();
+    bool duplicate = false;
+    bool end_of_stream = false;
+    {
+      MutexLock lock(part_mu_);
+      PartitionState& ps = parts_[static_cast<size_t>(p)];
+      // Delivery invariant (duplicate suppression): a partition is
+      // delivered at most once. A second delivery would mean duplicated
+      // rows downstream — surface it as a hard internal error rather than
+      // silently corrupt results.
+      duplicate = ps.delivered;
+      if (!duplicate) {
+        ps.delivered = true;
+        end_of_stream = merge_ || ++delivered_count_ == dop_;
+      }
+    }
+    if (duplicate) {
+      // Record the error and abort with no lock held across the queue /
+      // pool acquisitions the abort makes.
+      {
+        MutexLock elock(error_mu_);
+        if (first_error_.ok()) {
+          first_error_ = Status::Internal("exchange recovery: partition " +
+                                          std::to_string(p) +
+                                          " delivered twice");
+        }
+      }
+      AbortQueues();
+      return;
+    }
+    if (end_of_stream) {
+      dest.Close();
+    } else {
+      dest.Kick();
+    }
   }
 
   Status ChargeRetryBudget() {
@@ -782,106 +627,22 @@ class ExchangeExec : public ExecNode {
     return env_.governor->ChargeRetry();
   }
 
-  Status RunPartition(const ExecEnv& wenv, const Attempt& at,
-                      std::vector<TupleBatch>* staged) {
-    OODB_ASSIGN_OR_RETURN(std::unique_ptr<ExecNode> node,
-                          BuildExecNode(wenv, *plan_->children[0]));
-    Status status = node->Open();
-    while (status.ok()) {
-      // A rival attempt already won this partition, or the exchange is
-      // shutting down: stop early and discard. Keeps a superseded
-      // straggler from burning a pool thread for the rest of its chunk.
-      {
-        MutexLock lock(part_mu_);
-        const PartitionState& ps = parts_[static_cast<size_t>(at.partition)];
-        if (shutdown_ || ps.winner_claimed) {
-          status = Status::Cancelled("partition attempt superseded");
-          break;
-        }
-      }
-      TupleBatch batch =
-          BatchPool::Instance().Take(wenv.num_bindings(), wenv.batch_size);
-      Result<size_t> n = node->Next(&batch);
-      if (!n.ok()) {
-        status = n.status();
-        BatchPool::Instance().Return(std::move(batch));
-        break;
-      }
-      if (*n == 0) {
-        BatchPool::Instance().Return(std::move(batch));
-        break;
-      }
-      batch.Compact();
-      if (wenv.exec_faults != nullptr) {
-        status = ApplyFault(wenv.exec_faults->OnBatchBoundary(
-                                at.partition, wenv.fault_attempt),
-                            wenv.cpu_clock);
-        if (status.ok()) {
-          status =
-              ApplyFault(wenv.exec_faults->OnPush(at.partition,
-                                                  wenv.fault_attempt),
-                         wenv.cpu_clock);
-        }
-        if (!status.ok()) {
-          BatchPool::Instance().Return(std::move(batch));
-          break;
-        }
-      }
-      staged->push_back(std::move(batch));
-    }
-    node->Close();
-    return status;
-  }
-
-  Result<size_t> NextRecovery(TupleBatch* out) {
-    const double interval =
-        env_.recovery->check_interval_ms > 0.0
-            ? env_.recovery->check_interval_ms
-            : 10.0;
-    while (true) {
-      TupleBatch batch;
-      BatchQueue::PopResult r = queue_->PopFor(&batch, interval);
-      if (r == BatchQueue::PopResult::kBatch) {
-        return Deliver(out, std::move(batch));
-      }
-      if (r == BatchQueue::PopResult::kClosed) {
-        done_ = true;
-        return Finish();
-      }
-      // Timeout tick: bound a hung pipeline by the governor deadline, then
-      // check for end of stream and stragglers.
-      OODB_RETURN_IF_ERROR(env_.Tick());
-      bool all_delivered = false;
-      {
-        MutexLock lock(part_mu_);
-        all_delivered = delivered_count_ == dop_;
-        if (!all_delivered) CheckStragglersLocked();
-      }
-      if (all_delivered) {
-        // Winners set `delivered` only after their last push, so once every
-        // partition reports delivered the queue holds the complete residue;
-        // closing it lets Pop drain then report end of stream.
-        queue_->AllProducersDone();
-      }
-    }
-  }
-
   /// Speculative re-dispatch of straggling partitions: a partition not
   /// delivered within straggler_threshold * governor-deadline of its last
   /// dispatch gets one rival attempt of the same chunk (first result wins).
   void CheckStragglersLocked() REQUIRES(part_mu_) {
-    if (env_.recovery->straggler_threshold <= 0.0 ||
+    if (env_.recovery.straggler_threshold <= 0.0 ||
         env_.governor == nullptr) {
       return;
     }
     double deadline_ms = env_.governor->options().deadline_ms;
     if (deadline_ms <= 0.0) return;
-    double threshold_ms = env_.recovery->straggler_threshold * deadline_ms;
+    double threshold_ms = env_.recovery.straggler_threshold * deadline_ms;
     auto now = std::chrono::steady_clock::now();
     for (int p = 0; p < dop_; ++p) {
       PartitionState& ps = parts_[static_cast<size_t>(p)];
       if (ps.winner_claimed || ps.speculated ||
-          ps.attempts_started >= env_.recovery->max_partition_attempts) {
+          ps.attempts_started >= max_attempts_) {
         continue;
       }
       double waited_ms =
@@ -895,8 +656,8 @@ class ExchangeExec : public ExecNode {
 
   // --------------------------- join/close ----------------------------
 
-  /// Waits for the workers (once), merges their private clocks, and reports
-  /// the first worker error — or a clean end of stream.
+  /// Waits for the attempts (once), merges their private clocks, and
+  /// reports the first worker error — or a clean end of stream.
   Result<size_t> Finish() {
     JoinWorkers();
     MutexLock lock(error_mu_);
@@ -911,44 +672,24 @@ class ExchangeExec : public ExecNode {
       UniqueLock lock(pending_mu_);
       while (pending_ != 0) pending_cv_.Wait(lock);
     }
-    if (recover_ && !merge_) {
-      JoinRecovery();
-      return;
-    }
-    for (const SimClock& c : worker_clocks_) {
-      env_.store->clock().MergeFrom(c);
-    }
-    if (env_.profile != nullptr) {
-      // Workers are joined: their profiles are quiescent and the wait above
-      // ordered their writes before these reads. Fold per-node counters
-      // into the consumer's profile and record per-worker utilization on
-      // this Exchange node.
-      const PlanNode* child = plan_->children[0].get();
-      for (size_t w = 0; w < worker_profiles_.size(); ++w) {
-        const OpProfile* root = worker_profiles_[w]->Find(child);
-        WorkerUtilization u;
-        u.worker = static_cast<int>(w);
-        u.rows = root != nullptr ? root->rows : 0;
-        u.cpu_s = worker_clocks_[w].cpu_s;
-        env_.profile->AddWorker(plan_, u);
-        env_.profile->MergeFrom(*worker_profiles_[w]);
-      }
-    }
-  }
-
-  void JoinRecovery() {
     // All attempts joined (pending_ == 0): attempts_ and parts_ are
     // quiescent. The lock is uncontended here and keeps the reads visible
     // to the analysis instead of relying on the quiescence argument alone.
     // Every attempt's clock merges — work done by losing speculative rivals
-    // and failed attempts was really done — while only winning attempts
-    // contribute profiles, so ANALYZE row counts reflect delivered results,
-    // not suppressed duplicates.
+    // and failed attempts was really done. Profiles merge once per
+    // partition, so ANALYZE row counts reflect delivered results, not
+    // suppressed duplicates: the winner's, or for a partition that never
+    // delivered its last attempt's (a failed query's partial profile still
+    // shows what its workers observed).
     MutexLock lock(part_mu_);
     const PlanNode* child = plan_->children[0].get();
     for (const Attempt& at : attempts_) {
       env_.store->clock().MergeFrom(at.clock);
-      if (!at.won || env_.profile == nullptr || at.profile == nullptr) {
+      const PartitionState& ps = parts_[static_cast<size_t>(at.partition)];
+      const bool counts = ps.winner_claimed
+                              ? at.won
+                              : at.attempt == ps.attempts_started - 1;
+      if (!counts || env_.profile == nullptr || at.profile == nullptr) {
         continue;
       }
       const OpProfile* root = at.profile->Find(child);
@@ -959,23 +700,23 @@ class ExchangeExec : public ExecNode {
       env_.profile->AddWorker(plan_, u);
       env_.profile->MergeFrom(*at.profile);
     }
-    if (env_.profile != nullptr && env_.fault_stats != nullptr) {
-      env_.profile->AddRecovery(
-          env_.fault_stats->partitions_retried.load(std::memory_order_relaxed),
-          env_.fault_stats->partitions_speculated.load(
-              std::memory_order_relaxed));
+    if (env_.profile != nullptr) {
+      env_.profile->AddRecovery(retried_, speculated_);
     }
   }
 
-  void Shutdown() {
-    if (recover_ && !merge_) {
+  /// Cuts every running attempt loose: each exits at its next batch
+  /// boundary or push and settles without delivering or reporting an error.
+  void StopWorkers() {
+    {
       MutexLock lock(part_mu_);
-      shutdown_ = true;  // running attempts exit at their next boundary
+      shutdown_ = true;
     }
-    if (!joined_) {
-      if (queue_ != nullptr) queue_->Abort();
-      AbortAllQueues();
-    }
+    AbortQueues();
+  }
+
+  void Shutdown() {
+    if (!joined_) StopWorkers();
     JoinWorkers();
   }
 
@@ -983,11 +724,12 @@ class ExchangeExec : public ExecNode {
   const PlanNode* plan_;
   const PlanNode* driver_ = nullptr;
   int dop_ = 1;
-  bool recover_ = false;
+  int max_attempts_ = 1;
   bool merge_ = false;
-  std::unique_ptr<BatchQueue> queue_;
-  // Merge-mode state (consumer thread only, except the queues):
-  std::vector<std::unique_ptr<BatchQueue>> queues_;  ///< one FIFO per worker
+  /// Destination queues, fixed after Open: one shared queue (plain) or one
+  /// FIFO per partition (merge).
+  std::vector<std::unique_ptr<BatchQueue>> queues_;
+  // Merge cursor state (consumer thread only):
   std::vector<MergeCursor> cursors_;
   std::vector<ScalarExprPtr> key_exprs_;
   bool merge_primed_ = false;
@@ -995,14 +737,14 @@ class ExchangeExec : public ExecNode {
   Mutex pending_mu_{lock_rank::kExchangePending};
   CondVar pending_cv_;
   int pending_ GUARDED_BY(pending_mu_) = 0;
-  std::vector<SimClock> worker_clocks_;
-  std::vector<std::unique_ptr<ExecProfile>> worker_profiles_;
   /// Acquired before error_mu_ / pending_mu_ / the queue's lock (rank
   /// kExchangePartition is the outermost of the exchange's three).
   Mutex part_mu_{lock_rank::kExchangePartition};
   std::vector<PartitionState> parts_ GUARDED_BY(part_mu_);
   std::deque<Attempt> attempts_ GUARDED_BY(part_mu_);
   int delivered_count_ GUARDED_BY(part_mu_) = 0;
+  int64_t retried_ GUARDED_BY(part_mu_) = 0;
+  int64_t speculated_ GUARDED_BY(part_mu_) = 0;
   bool shutdown_ GUARDED_BY(part_mu_) = false;
   Mutex error_mu_{lock_rank::kExchangeError};
   Status first_error_ GUARDED_BY(error_mu_);

@@ -2,22 +2,28 @@
 // behind the unchanged iterator facade (Graefe's "operator model" — the
 // paper's future-work item 5 transfers Volcano's execution concepts, and
 // exchange is the one operator Volcano adds to parallelize all the others
-// without changing them). Open() spawns `dop` worker threads, each running
-// a private copy of the child operator tree; the driver scan of each copy
-// reads a disjoint *contiguous* slice of its collection (see
-// ExecEnv::partition_node), while build sides of hash/nested-loops joins
-// are replicated per worker. Workers push full TupleBatches into a bounded
-// multi-producer single-consumer queue; Next() pops one batch at a time,
-// so the parent cannot tell an Exchange from any other operator.
+// without changing them). Open() submits one task per partition to the
+// process-wide WorkerPool; each runs a private copy of the child operator
+// tree whose driver scan reads a disjoint *contiguous* slice of its
+// collection (see ExecEnv::partition_node), while build sides of
+// hash/nested-loops joins are replicated per partition. Partitions deliver
+// full TupleBatches into a bounded multi-producer single-consumer queue;
+// Next() pops one batch at a time, so the parent cannot tell an Exchange
+// from any other operator.
 //
 // Order-preserving variant (op.merge): when the worker plan sorts (or
-// top-k's) its slice locally, each worker gets a private FIFO and the
-// consumer k-way-merges the sorted stream heads, ties broken toward the
-// lower partition index — which, over contiguous slices and stable local
-// sorts, reproduces the global stable sort order exactly.
+// top-k's) its slice locally, each partition delivers into a private FIFO
+// and the consumer k-way-merges the sorted stream heads, ties broken toward
+// the lower partition index — which, over contiguous slices and stable
+// local sorts, reproduces the global stable sort order exactly.
 //
-// Accounting: each worker charges CPU to a private SimClock merged into the
-// store's clock after the join (I/O is charged by the shared disk model
+// Delivery: both variants run partitions as attempts under one protocol
+// (per-partition winner claim, retry of retryable faults, straggler
+// speculation; see ExecRecoveryOptions). Attempts stage their batches until
+// they succeed only when a partition may run more than once.
+//
+// Accounting: each attempt charges CPU to a private SimClock merged into
+// the store's clock after the join (I/O is charged by the shared disk model
 // under its own mutex). A governor trip on any worker is sticky in the
 // shared QueryGovernor, so every other worker trips at its next checkpoint
 // and the whole pipeline drains; the first error is reported from Next().

@@ -1,6 +1,9 @@
 #include "src/exec/exec_fault.h"
 
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
+#include <limits>
+#include <system_error>
 
 #include "src/common/metrics.h"
 
@@ -17,9 +20,35 @@ Counter* InjectedCounter() {
   return c;
 }
 
+/// Parses all of `val` as a T (integers in decimal, so a uint64 seed stays
+/// exact) into `out`, rejecting text that is not a number of T's kind and
+/// values outside [lo, hi]. `kv` names the entry in the error.
+template <typename T>
+Status ParseNumber(const std::string& kv, const std::string& val, T lo, T hi,
+                   T* out) {
+  const char* last = val.data() + val.size();
+  T v{};
+  auto [end, ec] = std::from_chars(val.data(), last, v);
+  if (ec != std::errc() || end != last) {
+    return Status::InvalidArgument("exec fault spec value not a number: " +
+                                   kv);
+  }
+  // Written so NaN fails too.
+  if (!(v >= lo && v <= hi)) {
+    return Status::InvalidArgument("exec fault spec value out of range: " +
+                                   kv);
+  }
+  *out = v;
+  return Status::OK();
+}
+
 }  // namespace
 
 Result<ExecFaultPolicy> ParseExecFaultSpec(const std::string& spec) {
+  constexpr int kIntMax = std::numeric_limits<int>::max();
+  constexpr int64_t kInt64Max = std::numeric_limits<int64_t>::max();
+  // fail_probability lives in [0, 1): the largest double below 1 closes it.
+  const double kBelowOne = std::nextafter(1.0, 0.0);
   ExecFaultPolicy policy;
   size_t pos = 0;
   while (pos < spec.size()) {
@@ -35,37 +64,36 @@ Result<ExecFaultPolicy> ParseExecFaultSpec(const std::string& spec) {
     }
     std::string key = kv.substr(0, eq);
     std::string val = kv.substr(eq + 1);
-    char* parse_end = nullptr;
-    double num = std::strtod(val.c_str(), &parse_end);
-    if (parse_end == val.c_str() || *parse_end != '\0') {
-      return Status::InvalidArgument("exec fault spec value not numeric: " +
-                                     kv);
-    }
+    Status st;
     if (key == "seed") {
-      policy.seed = static_cast<uint64_t>(num);
+      st = ParseNumber(kv, val, uint64_t{0},
+                       std::numeric_limits<uint64_t>::max(), &policy.seed);
     } else if (key == "fail_worker") {
-      policy.fail_worker = static_cast<int>(num);
+      st = ParseNumber(kv, val, -1, kIntMax, &policy.fail_worker);
     } else if (key == "fail_after_batches") {
-      policy.fail_after_batches = static_cast<int64_t>(num);
+      st = ParseNumber(kv, val, int64_t{1}, kInt64Max,
+                       &policy.fail_after_batches);
     } else if (key == "fail_probability") {
-      policy.fail_probability = num;
+      st = ParseNumber(kv, val, 0.0, kBelowOne, &policy.fail_probability);
     } else if (key == "fail_attempts") {
-      policy.fail_attempts = static_cast<int>(num);
+      st = ParseNumber(kv, val, 0, kIntMax, &policy.fail_attempts);
     } else if (key == "slow_worker") {
-      policy.slow_worker = static_cast<int>(num);
+      st = ParseNumber(kv, val, -1, kIntMax, &policy.slow_worker);
     } else if (key == "slow_ms") {
-      policy.slow_ms = num;
+      st = ParseNumber(kv, val, 0.0, kMaxFaultSleepMs, &policy.slow_ms);
     } else if (key == "slow_sim_s") {
-      policy.slow_sim_s = num;
+      st = ParseNumber(kv, val, 0.0, std::numeric_limits<double>::max(),
+                       &policy.slow_sim_s);
     } else if (key == "slow_attempts") {
-      policy.slow_attempts = static_cast<int>(num);
+      st = ParseNumber(kv, val, 0, kIntMax, &policy.slow_attempts);
     } else if (key == "stall_pushes") {
-      policy.stall_pushes = static_cast<int64_t>(num);
+      st = ParseNumber(kv, val, int64_t{0}, kInt64Max, &policy.stall_pushes);
     } else if (key == "stall_ms") {
-      policy.stall_ms = num;
+      st = ParseNumber(kv, val, 0.0, kMaxFaultSleepMs, &policy.stall_ms);
     } else {
       return Status::InvalidArgument("unknown exec fault spec key: " + key);
     }
+    OODB_RETURN_IF_ERROR(st);
   }
   return policy;
 }

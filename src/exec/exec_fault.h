@@ -81,14 +81,27 @@ struct ExecFaultPolicy {
   }
 };
 
+/// Upper bound on the real-time sleeps a fault spec may ask for (slow_ms,
+/// stall_ms): one minute per batch or push.
+inline constexpr double kMaxFaultSleepMs = 60000.0;
+
 /// Parses a "key=value,key=value" spec (the OODB_EXEC_FAULTS format) into a
-/// policy. Keys: seed, fail_worker, fail_after_batches, fail_probability,
-/// fail_attempts, slow_worker, slow_ms, slow_sim_s, slow_attempts,
-/// stall_pushes, stall_ms. Unknown keys are rejected.
+/// policy. Keys and their accepted values:
+///   seed                          unsigned 64-bit integer
+///   fail_worker, slow_worker      integer >= -1 (-1 disables)
+///   fail_after_batches            integer >= 1
+///   fail_attempts, slow_attempts  integer >= 0
+///   stall_pushes                  integer >= 0
+///   fail_probability              real in [0, 1)
+///   slow_ms, stall_ms             real in [0, kMaxFaultSleepMs]
+///   slow_sim_s                    finite real >= 0
+/// Integer keys take decimal integers only ("0.7" is rejected, not
+/// truncated). Unknown keys and out-of-range values are InvalidArgument.
 Result<ExecFaultPolicy> ParseExecFaultSpec(const std::string& spec);
 
 /// Aggregated fault/recovery counters for one plan execution, owned by
-/// ExecutePlan and updated by the Exchange recovery path at worker join.
+/// ExecutePlan and updated by Exchange when a partition is retried or
+/// speculated.
 /// Atomic because losing speculative attempts may still be running when the
 /// consumer reads the totals.
 struct ExecFaultStats {
@@ -97,25 +110,22 @@ struct ExecFaultStats {
 };
 
 /// Recovery configuration for parallel execution (ExecOptions::recovery).
-/// Off by default: Exchange then runs the streaming fast path, bit-identical
-/// to the non-recoverable engine. On, Exchange switches to partition-atomic
-/// delivery: each worker attempt stages its partition's batches locally and
-/// publishes them only after the whole chunk succeeded, so a failed or
-/// superseded attempt contributes nothing — re-execution is trivially
-/// duplicate-free and exactly-once delivery is asserted per partition.
+/// Every Exchange runs its partitions as attempts under a first-result-wins
+/// winner claim. With the default single attempt a worker fault surfaces as
+/// its typed Status and batches stream straight to the consumer. With more,
+/// each attempt stages its partition's batches and publishes them only
+/// after the whole chunk succeeded, so a failed or superseded attempt
+/// contributes nothing: re-execution is duplicate-free and exactly-once
+/// delivery is asserted per partition.
 struct ExecRecoveryOptions {
-  bool enabled = false;
   /// Attempts per partition (including the first) before the fault goes
-  /// terminal. >= 1.
-  int max_partition_attempts = 2;
+  /// terminal. Values below 1 count as 1.
+  int max_partition_attempts = 1;
   /// Straggler threshold as a fraction of the governor deadline: a
   /// partition not delivered within threshold * deadline_ms of its dispatch
   /// is speculatively re-dispatched (first result wins, loser suppressed).
-  /// 0, or no governor deadline, disables speculation.
+  /// 0, no governor deadline, or a single attempt disables speculation.
   double straggler_threshold = 0.0;
-  /// Consumer poll interval while waiting on the queue (straggler checks
-  /// and hang-bounding governor ticks happen at this cadence).
-  double check_interval_ms = 10.0;
 };
 
 /// Per-execution injector. Thread-safe; all state is per-worker so the

@@ -83,10 +83,8 @@ Result<ExecStats> ExecutePlan(const PlanNode& plan, ObjectStore* store,
   ExecFaultInjector injector(fault_policy);
   if (fault_policy.enabled()) env.exec_faults = &injector;
   ExecFaultStats fault_stats;
-  if (options.recovery.enabled && !options.no_exchange) {
-    env.recovery = &options.recovery;
-    env.fault_stats = &fault_stats;
-  }
+  env.recovery = options.recovery;
+  env.fault_stats = &fault_stats;
   std::shared_ptr<ExecProfile> profile;
   if (options.profile != nullptr) {
     env.profile = options.profile;

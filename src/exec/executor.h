@@ -84,8 +84,8 @@ struct ExecOptions {
   /// faults transient across query-level retries too.
   int fault_attempt = 0;
   /// Parallel-execution recovery (partition re-execution, straggler
-  /// speculation). Disabled by default: Exchange then runs the streaming
-  /// fast path bit-identical to the non-recoverable engine.
+  /// speculation). One attempt per partition by default: a worker fault
+  /// surfaces as its typed Status and no batch is staged.
   ExecRecoveryOptions recovery;
   /// Degradation-ladder "serial" step: skip every Exchange in the plan and
   /// run its child unpartitioned on the calling thread.

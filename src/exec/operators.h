@@ -93,11 +93,11 @@ struct ExecEnv {
   int fault_worker = 0;
   int fault_attempt = 0;
 
-  /// Parallel-execution recovery knobs (null/disabled = the streaming
-  /// Exchange fast path, bit-identical to the non-recoverable engine).
-  const ExecRecoveryOptions* recovery = nullptr;
-  /// Per-execution recovery counters, owned by ExecutePlan; updated by the
-  /// Exchange recovery path. Null when recovery is off.
+  /// Parallel-execution recovery knobs: partition attempts and straggler
+  /// speculation in Exchange.
+  ExecRecoveryOptions recovery;
+  /// Per-execution recovery counters, owned by ExecutePlan; updated by
+  /// Exchange when a partition is retried or speculated.
   ExecFaultStats* fault_stats = nullptr;
 
   /// Degradation-ladder "serial" step: build the Exchange node's child

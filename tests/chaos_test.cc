@@ -22,17 +22,10 @@
 namespace oodb {
 namespace {
 
-Oo7Options ChaosConfig() {
-  Oo7Options o;
-  o.complex_per_module = 3;
-  o.base_per_complex = 5;
-  o.components_per_base = 3;
-  o.num_composite_parts = 25;
-  o.atomic_per_composite = 8;
-  o.num_build_dates = 10;
-  o.num_doc_titles = 5;
-  return o;
-}
+using testing::FindMergeExchange;
+using testing::RandomOo7Query;
+using testing::RowSeq;
+using testing::SortedRows;
 
 /// The typed Statuses a chaotic execution may legally end with. Anything
 /// else — in particular kInternal, which the Exchange recovery path uses to
@@ -43,30 +36,6 @@ bool IsCleanTypedFailure(StatusCode code) {
          code == StatusCode::kDeadlineExceeded ||
          code == StatusCode::kBudgetExhausted ||
          code == StatusCode::kCancelled;
-}
-
-std::string RandomOo7Query(Rng& rng) {
-  switch (rng.Uniform(5)) {
-    case 0:
-      return "SELECT a.id, a.x FROM AtomicPart a IN AtomicParts WHERE a.x > " +
-             std::to_string(rng.UniformRange(0, 999)) + ";";
-    case 1:
-      return "SELECT a.id FROM AtomicPart a IN AtomicParts "
-             "WHERE a.x > a.y && a.buildDate >= " +
-             std::to_string(rng.UniformRange(0, 9)) + ";";
-    case 2:
-      return "SELECT a.id, p.id FROM AtomicPart a IN AtomicParts, "
-             "CompositePart p IN CompositeParts "
-             "WHERE a.partOf == p && p.buildDate >= " +
-             std::to_string(rng.UniformRange(0, 9)) + ";";
-    case 3:
-      return kOo7QueryNewerComponents;
-    default:
-      return "SELECT b.id, b.buildDate FROM BaseAssembly b IN BaseAssemblies "
-             "WHERE b.buildDate >= " +
-             std::to_string(rng.UniformRange(0, 9)) +
-             " ORDER BY b.buildDate;";
-  }
 }
 
 /// A randomized fault policy: one of the four injectable fault kinds, with
@@ -100,88 +69,7 @@ ExecFaultPolicy RandomFaultPolicy(Rng& rng, int dop, bool transient) {
   return p;
 }
 
-class ChaosTest : public ::testing::TestWithParam<int> {
- protected:
-  static Oo7Instance* instance_;
-
-  static void SetUpTestSuite() {
-    auto r = MakeOo7(ChaosConfig());
-    ASSERT_TRUE(r.ok()) << r.status();
-    instance_ = new Oo7Instance(std::move(r).value());
-  }
-  static void TearDownTestSuite() {
-    delete instance_;
-    instance_ = nullptr;
-  }
-
-  static Catalog& catalog() { return instance_->db->catalog; }
-  static ObjectStore& store() { return *instance_->store; }
-
-  struct Planned {
-    QueryContext ctx;
-    LogicalExprPtr logical;
-    PlanNodePtr plan;
-  };
-
-  static Planned Plan(const std::string& text, int max_dop = 1) {
-    Planned out;
-    out.ctx.catalog = &catalog();
-    SortSpec order;
-    int64_t limit = 0;
-    auto logical = ParseAndSimplify(text, &out.ctx, &order, &limit);
-    EXPECT_TRUE(logical.ok()) << logical.status() << "\n" << text;
-    out.logical = *logical;
-    OptimizerOptions opts;
-    opts.max_dop = max_dop;
-    opts.verify_plans = true;
-    PhysProps required;
-    required.sort = order;
-    required.limit = limit;
-    Optimizer opt(&catalog(), std::move(opts));
-    auto planned = opt.Optimize(*out.logical, &out.ctx, required);
-    EXPECT_TRUE(planned.ok()) << planned.status() << "\n" << text;
-    out.plan = planned->plan;
-    return out;
-  }
-
-  static std::vector<std::string> SortedRows(
-      const std::vector<std::vector<Value>>& rows) {
-    std::vector<std::string> out;
-    for (const std::vector<Value>& row : rows) {
-      std::string s;
-      for (const Value& v : row) {
-        s += v.ToString();
-        s += '|';
-      }
-      out.push_back(std::move(s));
-    }
-    std::sort(out.begin(), out.end());
-    return out;
-  }
-
-  static std::vector<std::string> Reference(const Planned& p) {
-    auto reference = EvaluateReference(*p.logical, &store(), p.ctx);
-    EXPECT_TRUE(reference.ok()) << reference.status();
-    return SortedRows(reference->rows);
-  }
-
-  /// Rows rendered in delivery order — the oracle for ordered queries.
-  static std::vector<std::string> RowSeq(
-      const std::vector<std::vector<Value>>& rows) {
-    std::vector<std::string> out;
-    for (const std::vector<Value>& row : rows) {
-      std::string s;
-      for (const Value& v : row) {
-        s += v.ToString();
-        s += '|';
-      }
-      out.push_back(std::move(s));
-    }
-    return out;
-  }
-};
-
-Oo7Instance* ChaosTest::instance_ = nullptr;
+class ChaosTest : public testing::Oo7ParallelTest {};
 
 // The query every directed (non-sweep) case uses: large scan, reliably
 // parallelized at max_dop 4, several batches per partition.
@@ -197,7 +85,6 @@ TEST_F(ChaosTest, TransientWorkerKillRecoversWithParity) {
   eo.exec_faults.fail_worker = 1;
   eo.exec_faults.fail_after_batches = 1;
   eo.exec_faults.fail_attempts = 1;  // transient: the retry must run clean
-  eo.recovery.enabled = true;
   eo.recovery.max_partition_attempts = 3;
   auto stats = ExecutePlan(*p.plan, &store(), &p.ctx, eo);
   ASSERT_TRUE(stats.ok()) << stats.status();
@@ -216,7 +103,6 @@ TEST_F(ChaosTest, PermanentWorkerKillSurfacesTypedStatusThenEngineRecovers) {
   eo.exec_faults.fail_worker = 0;
   eo.exec_faults.fail_after_batches = 1;
   eo.exec_faults.fail_attempts = 1000;  // permanent: every attempt dies
-  eo.recovery.enabled = true;
   eo.recovery.max_partition_attempts = 2;
   auto stats = ExecutePlan(*p.plan, &store(), &p.ctx, eo);
   ASSERT_FALSE(stats.ok());
@@ -233,31 +119,52 @@ TEST_F(ChaosTest, PermanentWorkerKillSurfacesTypedStatusThenEngineRecovers) {
 }
 
 TEST_F(ChaosTest, StragglerSpeculationDeliversParity) {
-  Planned p = Plan(kParallelQuery, /*max_dop=*/4);
-  std::vector<std::string> expect = Reference(p);
-
-  // Worker 0's first attempt sleeps 25ms per batch; the consumer polls
-  // every 2ms and speculates any partition later than 1% of the 1s
-  // deadline (10ms). The rival attempt (attempt 1 >= slow_attempts) runs
-  // at full speed and wins; first-result-wins suppresses the straggler.
+  // Partition 0's first attempt sleeps 25ms per batch; the consumer checks
+  // for stragglers whenever its queue stays empty for 10ms and speculates
+  // any partition later than 0.05% of the 20s deadline (10ms). The rival
+  // attempt (attempt 1 >= slow_attempts) runs at full speed and wins;
+  // first-result-wins suppresses the straggler. The merging Exchange (ORDER
+  // BY) goes through the same dispatch, so its rival must also reproduce
+  // the fault-free sequence.
   GovernorOptions gopts;
   gopts.deadline_ms = 20000.0;  // generous: the test is about speculation,
                                 // not deadline trips (CI machines stall)
-  QueryGovernor governor(gopts);
   ExecOptions eo;
   eo.sample_limit = 1 << 22;
-  eo.governor = &governor;
   eo.exec_faults.slow_worker = 0;
   eo.exec_faults.slow_ms = 25.0;
   eo.exec_faults.slow_attempts = 1;
-  eo.recovery.enabled = true;
   eo.recovery.max_partition_attempts = 3;
-  eo.recovery.straggler_threshold = 0.0005;  // 10ms of the 20s deadline
-  eo.recovery.check_interval_ms = 2.0;
-  auto stats = ExecutePlan(*p.plan, &store(), &p.ctx, eo);
-  ASSERT_TRUE(stats.ok()) << stats.status();
-  EXPECT_EQ(SortedRows(stats->sample_rows), expect);
-  EXPECT_GE(stats->partitions_speculated, 1);
+  eo.recovery.straggler_threshold = 0.0005;
+  {
+    SCOPED_TRACE("plain");
+    Planned p = Plan(kParallelQuery, /*max_dop=*/4);
+    QueryGovernor governor(gopts);
+    eo.governor = &governor;
+    auto stats = ExecutePlan(*p.plan, &store(), &p.ctx, eo);
+    ASSERT_TRUE(stats.ok()) << stats.status();
+    EXPECT_EQ(SortedRows(stats->sample_rows), Reference(p));
+    EXPECT_GE(stats->partitions_speculated, 1);
+  }
+  {
+    SCOPED_TRACE("merge");
+    Planned p = Plan(
+        "SELECT a.id, a.x FROM AtomicPart a IN AtomicParts "
+        "WHERE a.x > a.y ORDER BY a.x;",
+        /*max_dop=*/4);
+    ASSERT_NE(FindMergeExchange(*p.plan), nullptr)
+        << PrintPlan(*p.plan, p.ctx);
+    ExecOptions clean;
+    clean.sample_limit = 1 << 22;
+    auto base = ExecutePlan(*p.plan, &store(), &p.ctx, clean);
+    ASSERT_TRUE(base.ok()) << base.status();
+    QueryGovernor governor(gopts);
+    eo.governor = &governor;
+    auto stats = ExecutePlan(*p.plan, &store(), &p.ctx, eo);
+    ASSERT_TRUE(stats.ok()) << stats.status();
+    EXPECT_EQ(RowSeq(stats->sample_rows), RowSeq(base->sample_rows));
+    EXPECT_GE(stats->partitions_speculated, 1);
+  }
 }
 
 TEST_F(ChaosTest, QueueStallIsBoundedAndCorrect) {
@@ -284,7 +191,6 @@ TEST_F(ChaosTest, RecoveredRunsKeepBatchPoolSteadyState) {
   eo.exec_faults.fail_worker = 1;
   eo.exec_faults.fail_after_batches = 1;
   eo.exec_faults.fail_attempts = 1;
-  eo.recovery.enabled = true;
   eo.recovery.max_partition_attempts = 3;
   auto run = [&] {
     auto stats = ExecutePlan(*p.plan, &store(), &p.ctx, eo);
@@ -314,7 +220,6 @@ TEST_P(ChaosTest, SweepFaultKindsAcrossEnginesAndDop) {
   ExecOptions eo;
   eo.sample_limit = 1 << 22;
   eo.exec_faults = RandomFaultPolicy(rng, max_dop, transient);
-  eo.recovery.enabled = true;
   eo.recovery.max_partition_attempts = 3;
   auto stats = ExecutePlan(*p.plan, &store(), &p.ctx, eo);
   if (stats.ok()) {
@@ -331,8 +236,8 @@ TEST_P(ChaosTest, SweepFaultKindsAcrossEnginesAndDop) {
 
 TEST_P(ChaosTest, OrderedFaultSweepPreservesSequence) {
   // Ordered (and limited) deliveries under fault injection: the contract
-  // tightens from multiset parity to *sequence* parity. Merge-Exchange
-  // recovery re-runs a worker's whole sorted stream in place, so an
+  // tightens from multiset parity to *sequence* parity. A merge
+  // partition's FIFO receives exactly one attempt's whole sorted stream, so an
   // execution that reports OK must reproduce the fault-free row sequence
   // exactly — a merge that resumed mid-stream or dropped a stream's tail
   // would reorder or truncate visibly here.
@@ -363,7 +268,6 @@ TEST_P(ChaosTest, OrderedFaultSweepPreservesSequence) {
   ExecOptions eo;
   eo.sample_limit = 1 << 22;
   eo.exec_faults = RandomFaultPolicy(rng, /*dop=*/4, transient);
-  eo.recovery.enabled = true;
   eo.recovery.max_partition_attempts = 3;
   auto stats = ExecutePlan(*p.plan, &store(), &p.ctx, eo);
   if (stats.ok()) {
@@ -426,7 +330,6 @@ TEST_P(SessionChaosTest, RetryLadderConvergesOrFailsTyped) {
   opts.exec.sample_limit = 1 << 22;
   opts.exec.exec_faults =
       RandomFaultPolicy(rng, opts.optimizer.max_dop, transient);
-  opts.exec.recovery.enabled = true;
   opts.exec.recovery.max_partition_attempts = 2;
   opts.retry.max_attempts = 4;
   opts.retry.backoff_s = 0.001;
@@ -444,20 +347,7 @@ TEST_P(SessionChaosTest, RetryLadderConvergesOrFailsTyped) {
   if (r.ok()) {
     auto reference = EvaluateReference(*r->logical, &s->store(), r->ctx);
     ASSERT_TRUE(reference.ok()) << reference.status();
-    std::vector<std::string> expect, got;
-    for (const auto& row : reference->rows) {
-      std::string k;
-      for (const Value& v : row) k += v.ToString() + "|";
-      expect.push_back(k);
-    }
-    for (const auto& row : r->rows()) {
-      std::string k;
-      for (const Value& v : row) k += v.ToString() + "|";
-      got.push_back(k);
-    }
-    std::sort(expect.begin(), expect.end());
-    std::sort(got.begin(), got.end());
-    EXPECT_EQ(got, expect);
+    EXPECT_EQ(SortedRows(r->rows()), SortedRows(reference->rows));
     ASSERT_FALSE(r->attempts.empty());
     EXPECT_TRUE(r->attempts.back().status.ok());
   } else {

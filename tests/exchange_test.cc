@@ -22,99 +22,13 @@
 namespace oodb {
 namespace {
 
-Oo7Options ParallelConfig() {
-  Oo7Options o;
-  o.complex_per_module = 3;
-  o.base_per_complex = 5;
-  o.components_per_base = 3;
-  o.num_composite_parts = 25;
-  o.atomic_per_composite = 8;
-  o.num_build_dates = 10;
-  o.num_doc_titles = 5;
-  return o;
-}
+using testing::FindMergeExchange;
+using testing::RandomOo7Query;
+using testing::RowSeq;
+using testing::SortedRows;
 
-/// Randomized OO7 queries: scans, explicit joins, set-valued unnest chains,
-/// path expressions over the documentation index, and ordered deliveries.
-std::string RandomOo7Query(Rng& rng) {
-  switch (rng.Uniform(8)) {
-    case 0:
-      return "SELECT a.id, a.x FROM AtomicPart a IN AtomicParts WHERE a.x > " +
-             std::to_string(rng.UniformRange(0, 999)) + ";";
-    case 1:
-      return "SELECT a.id FROM AtomicPart a IN AtomicParts "
-             "WHERE a.x > a.y && a.buildDate >= " +
-             std::to_string(rng.UniformRange(0, 9)) + ";";
-    case 2:
-      return "SELECT a.id, p.id FROM AtomicPart a IN AtomicParts, "
-             "CompositePart p IN CompositeParts "
-             "WHERE a.partOf == p && p.buildDate >= " +
-             std::to_string(rng.UniformRange(0, 9)) + ";";
-    case 3:
-      return kOo7QueryNewerComponents;
-    case 4:
-      return kOo7QueryTraversal;
-    case 5:
-      return Oo7QueryByDocTitle("Doc" +
-                                std::to_string(rng.UniformRange(0, 4)));
-    case 6:
-      return "SELECT a.id, a.partOf.buildDate FROM AtomicPart a IN "
-             "AtomicParts WHERE a.partOf.documentation.title == \"Doc" +
-             std::to_string(rng.UniformRange(0, 4)) + "\";";
-    default:
-      return "SELECT b.id, b.buildDate FROM BaseAssembly b IN BaseAssemblies "
-             "WHERE b.buildDate >= " +
-             std::to_string(rng.UniformRange(0, 9)) +
-             " ORDER BY b.buildDate;";
-  }
-}
-
-class ExchangeTest : public ::testing::TestWithParam<int> {
+class ExchangeTest : public testing::Oo7ParallelTest {
  protected:
-  static Oo7Instance* instance_;
-
-  static void SetUpTestSuite() {
-    auto r = MakeOo7(ParallelConfig());
-    ASSERT_TRUE(r.ok()) << r.status();
-    instance_ = new Oo7Instance(std::move(r).value());
-  }
-  static void TearDownTestSuite() {
-    delete instance_;
-    instance_ = nullptr;
-  }
-
-  static Catalog& catalog() { return instance_->db->catalog; }
-  static ObjectStore& store() { return *instance_->store; }
-
-  struct Planned {
-    QueryContext ctx;
-    LogicalExprPtr logical;
-    PlanNodePtr plan;
-  };
-
-  static Planned Plan(const std::string& text, int max_dop = 1) {
-    Planned out;
-    out.ctx.catalog = &catalog();
-    SortSpec order;
-    int64_t limit = 0;
-    auto logical = ParseAndSimplify(text, &out.ctx, &order, &limit);
-    EXPECT_TRUE(logical.ok()) << logical.status() << "\n" << text;
-    out.logical = *logical;
-    OptimizerOptions opts;
-    opts.max_dop = max_dop;
-    opts.verify_plans = true;
-    PhysProps required;
-    required.sort = order;
-    required.limit = limit;
-    Optimizer opt(&catalog(), std::move(opts));
-    auto planned = opt.Optimize(*out.logical, &out.ctx, required);
-    EXPECT_TRUE(planned.ok()) << planned.status() << "\n" << text;
-    EXPECT_TRUE(planned->stats.verify_error.empty())
-        << text << "\n" << planned->stats.verify_error;
-    out.plan = planned->plan;
-    return out;
-  }
-
   static Result<ExecStats> Exec(Planned& p, int batch_size,
                                 QueryGovernor* governor = nullptr) {
     ExecOptions eo;
@@ -138,49 +52,10 @@ class ExchangeTest : public ::testing::TestWithParam<int> {
                                           exact_io);
   }
 
-  static std::vector<std::string> SortedRows(
-      const std::vector<std::vector<Value>>& rows) {
-    std::vector<std::string> out;
-    for (const std::vector<Value>& row : rows) {
-      std::string s;
-      for (const Value& v : row) {
-        s += v.ToString();
-        s += '|';
-      }
-      out.push_back(std::move(s));
-    }
-    std::sort(out.begin(), out.end());
-    return out;
-  }
-
-  /// Result rows rendered in delivery order (no normalization): the oracle
-  /// for ordered queries, where the *sequence* is the contract.
-  static std::vector<std::string> RowSeq(
-      const std::vector<std::vector<Value>>& rows) {
-    std::vector<std::string> out;
-    for (const std::vector<Value>& row : rows) {
-      std::string s;
-      for (const Value& v : row) {
-        s += v.ToString();
-        s += '|';
-      }
-      out.push_back(std::move(s));
-    }
-    return out;
-  }
-
   static int CountExchanges(const PlanNode& plan) {
     std::vector<PhysOpKind> kinds = testing::PlanKinds(plan);
     return static_cast<int>(
         std::count(kinds.begin(), kinds.end(), PhysOpKind::kExchange));
-  }
-
-  static const PlanNode* FindMergeExchange(const PlanNode& node) {
-    if (node.op.kind == PhysOpKind::kExchange && node.op.merge) return &node;
-    for (const PlanNodePtr& c : node.children) {
-      if (const PlanNode* f = FindMergeExchange(*c)) return f;
-    }
-    return nullptr;
   }
 
   static int MaxDopOf(const PlanNode& node) {
@@ -191,8 +66,6 @@ class ExchangeTest : public ::testing::TestWithParam<int> {
     return dop;
   }
 };
-
-Oo7Instance* ExchangeTest::instance_ = nullptr;
 
 TEST_F(ExchangeTest, DefaultPlansStaySerial) {
   Planned p = Plan(kOo7QueryTraversal);  // max_dop defaults to 1
@@ -213,9 +86,7 @@ TEST_F(ExchangeTest, PlantsExchangeWhenProfitable) {
   EXPECT_EQ(stats->dop, dop);
   EXPECT_GT(stats->batch_size, 1);
 
-  auto reference = EvaluateReference(*p.logical, &store(), p.ctx);
-  ASSERT_TRUE(reference.ok()) << reference.status();
-  EXPECT_EQ(SortedRows(stats->sample_rows), SortedRows(reference->rows));
+  EXPECT_EQ(SortedRows(stats->sample_rows), Reference(p));
 }
 
 TEST_F(ExchangeTest, OrderedDeliveryStaysCorrectUnderParallelism) {
@@ -230,9 +101,7 @@ TEST_F(ExchangeTest, OrderedDeliveryStaysCorrectUnderParallelism) {
   for (size_t i = 1; i < stats->sample_rows.size(); ++i) {
     EXPECT_LE(stats->sample_rows[i - 1][1].i, stats->sample_rows[i][1].i);
   }
-  auto reference = EvaluateReference(*p.logical, &store(), p.ctx);
-  ASSERT_TRUE(reference.ok()) << reference.status();
-  EXPECT_EQ(SortedRows(stats->sample_rows), SortedRows(reference->rows));
+  EXPECT_EQ(SortedRows(stats->sample_rows), Reference(p));
 }
 
 TEST_P(ExchangeTest, BatchAndDopConfigurationsMatchReference) {
@@ -564,8 +433,7 @@ TEST_F(ExchangeTest, RandomFaultsYieldTypedOutcomesUnderDop) {
   // result or a typed storage fault — never a crash or a short read.
   const std::string text = kOo7QueryNewerComponents;
   Planned par = Plan(text, /*max_dop=*/4);
-  auto reference = EvaluateReference(*par.logical, &store(), par.ctx);
-  ASSERT_TRUE(reference.ok()) << reference.status();
+  const std::vector<std::string> expect = Reference(par);
 
   for (int trial = 0; trial < 10; ++trial) {
     FaultPolicy faults;
@@ -575,7 +443,7 @@ TEST_F(ExchangeTest, RandomFaultsYieldTypedOutcomesUnderDop) {
     auto stats = Exec(par, 1024);
     store().SetFaultPolicy(FaultPolicy{});
     if (stats.ok()) {
-      EXPECT_EQ(SortedRows(stats->sample_rows), SortedRows(reference->rows));
+      EXPECT_EQ(SortedRows(stats->sample_rows), expect);
     } else {
       EXPECT_EQ(stats.status().code(), StatusCode::kStorageFault)
           << stats.status();
@@ -732,7 +600,7 @@ TEST_F(ExchangeTest, PartitionedIndexScanChargesLeavesOnce) {
 }
 
 TEST_F(ExchangeTest, ExplainAnnotatesBatchAndDop) {
-  std::unique_ptr<Oo7Db> db = MakeOo7Catalog(ParallelConfig());
+  std::unique_ptr<Oo7Db> db = MakeOo7Catalog(testing::ParallelOo7Config());
   const std::string text =
       "SELECT a.id FROM AtomicPart a IN AtomicParts WHERE a.x > a.y;";
 

@@ -3,12 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
+#include <functional>
+#include <limits>
 #include <map>
 #include <set>
 
 #include "src/common/metrics.h"
 #include "src/exec/batch_pool.h"
+#include "src/exec/exec_fault.h"
 #include "src/exec/reference.h"
 #include "src/exec/tuple.h"
 #include "tests/test_util.h"
@@ -491,6 +495,114 @@ TEST_F(ExecTest, DifferenceOfSelfIsEmpty) {
   auto stats = ExecutePlan(*planned->plan, &store_, &ctx);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->rows, 0);
+}
+
+// OODB_EXEC_FAULTS grammar: every key's accepted and rejected values.
+// Integer keys parse as integers (a seed above 2^53 stays exact, "0.7" is
+// not truncated to worker 0) and every key rejects values outside its
+// documented range with InvalidArgument.
+TEST(ExecFaultSpecTest, ParsesEveryKeyAndRejectsOutOfRange) {
+  struct Accepted {
+    const char* spec;
+    std::function<bool(const ExecFaultPolicy&)> check;
+  };
+  const Accepted accepted[] = {
+      {"", [](const ExecFaultPolicy& p) { return !p.enabled(); }},
+      {"seed=18446744073709551615",
+       [](const ExecFaultPolicy& p) {
+         return p.seed == std::numeric_limits<uint64_t>::max();
+       }},
+      {"seed=9007199254740993",
+       [](const ExecFaultPolicy& p) { return p.seed == 9007199254740993ull; }},
+      {"fail_worker=-1", [](const ExecFaultPolicy& p) {
+         return p.fail_worker == -1;
+       }},
+      {"fail_worker=3", [](const ExecFaultPolicy& p) {
+         return p.fail_worker == 3;
+       }},
+      {"fail_after_batches=9000000000",
+       [](const ExecFaultPolicy& p) {
+         return p.fail_after_batches == 9000000000;
+       }},
+      {"fail_probability=0", [](const ExecFaultPolicy& p) {
+         return p.fail_probability == 0.0;
+       }},
+      {"fail_probability=0.25", [](const ExecFaultPolicy& p) {
+         return p.fail_probability == 0.25;
+       }},
+      {"fail_attempts=0", [](const ExecFaultPolicy& p) {
+         return p.fail_attempts == 0;
+       }},
+      {"fail_attempts=1000", [](const ExecFaultPolicy& p) {
+         return p.fail_attempts == 1000;
+       }},
+      {"slow_worker=2", [](const ExecFaultPolicy& p) {
+         return p.slow_worker == 2;
+       }},
+      {"slow_ms=60000", [](const ExecFaultPolicy& p) {
+         return p.slow_ms == 60000.0;
+       }},
+      {"slow_sim_s=0.001", [](const ExecFaultPolicy& p) {
+         return p.slow_sim_s == 0.001;
+       }},
+      {"slow_attempts=2", [](const ExecFaultPolicy& p) {
+         return p.slow_attempts == 2;
+       }},
+      {"stall_pushes=4", [](const ExecFaultPolicy& p) {
+         return p.stall_pushes == 4;
+       }},
+      {"stall_ms=2.5", [](const ExecFaultPolicy& p) {
+         return p.stall_ms == 2.5;
+       }},
+      {"fail_worker=1,fail_after_batches=2,,fail_attempts=1",
+       [](const ExecFaultPolicy& p) {
+         return p.fail_worker == 1 && p.fail_after_batches == 2 &&
+                p.fail_attempts == 1;
+       }},
+  };
+  for (const Accepted& a : accepted) {
+    SCOPED_TRACE(a.spec);
+    Result<ExecFaultPolicy> r = ParseExecFaultSpec(a.spec);
+    ASSERT_TRUE(r.ok()) << r.status();
+    EXPECT_TRUE(a.check(*r));
+  }
+
+  const char* rejected[] = {
+      "seed=-1",
+      "seed=1.5",
+      "seed=18446744073709551616",
+      "seed=",
+      "fail_worker=0.7",
+      "fail_worker=1e30",
+      "fail_worker=-2",
+      "fail_worker=2147483648",
+      "fail_after_batches=0",
+      "fail_after_batches=-3",
+      "fail_probability=1",
+      "fail_probability=1.5",
+      "fail_probability=-0.1",
+      "fail_probability=nan",
+      "fail_attempts=-1",
+      "fail_attempts=1.0",
+      "slow_worker=-2",
+      "slow_ms=-5",
+      "slow_ms=60001",
+      "slow_ms=inf",
+      "slow_sim_s=-1",
+      "slow_sim_s=inf",
+      "slow_attempts=-1",
+      "stall_pushes=-1",
+      "stall_pushes=1e3",
+      "stall_ms=-0.5",
+      "stall_ms=x",
+      "fail_worker",
+      "bogus=1",
+  };
+  for (const char* spec : rejected) {
+    Result<ExecFaultPolicy> r = ParseExecFaultSpec(spec);
+    ASSERT_FALSE(r.ok()) << spec;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << spec;
+  }
 }
 
 }  // namespace

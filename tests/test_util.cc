@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/exec/reference.h"
+
 namespace oodb {
 namespace testing {
 
@@ -25,6 +27,14 @@ std::vector<PhysOpKind> PlanKinds(const PlanNode& plan) {
   return out;
 }
 
+const PlanNode* FindMergeExchange(const PlanNode& plan) {
+  if (plan.op.kind == PhysOpKind::kExchange && plan.op.merge) return &plan;
+  for (const PlanNodePtr& c : plan.children) {
+    if (const PlanNode* f = FindMergeExchange(*c)) return f;
+  }
+  return nullptr;
+}
+
 OptimizedQuery MustOptimize(int n, const PaperDb& db, QueryContext* ctx,
                             OptimizerOptions opts) {
   Result<LogicalExprPtr> logical = BuildPaperQuery(n, db, ctx);
@@ -43,31 +53,35 @@ OptimizedQuery MustOptimize(int n, const PaperDb& db, QueryContext* ctx,
   return *std::move(r);
 }
 
-namespace {
-
-std::vector<std::string> SortedRowStrings(
-    const std::vector<std::vector<Value>>& rows) {
+std::vector<std::string> RowSeq(const std::vector<std::vector<Value>>& rows) {
   std::vector<std::string> out;
   for (const std::vector<Value>& row : rows) {
     std::string s;
-    for (const Value& v : row) s += v.ToString() + "|";
+    for (const Value& v : row) {
+      s += v.ToString();
+      s += '|';
+    }
     out.push_back(std::move(s));
   }
-  std::sort(out.begin(), out.end());
   return out;
 }
 
-}  // namespace
+std::vector<std::string> SortedRows(
+    const std::vector<std::vector<Value>>& rows) {
+  std::vector<std::string> out = RowSeq(rows);
+  std::sort(out.begin(), out.end());
+  return out;
+}
 
 void ExpectBatchAccountingMatches(const ExecStats& batched,
                                   const ExecStats& single,
                                   const std::vector<std::vector<Value>>& expect,
                                   bool exact_io) {
-  const std::vector<std::string> want = SortedRowStrings(expect);
+  const std::vector<std::string> want = SortedRows(expect);
   EXPECT_EQ(batched.rows, static_cast<int64_t>(expect.size()));
   EXPECT_EQ(single.rows, static_cast<int64_t>(expect.size()));
-  EXPECT_EQ(SortedRowStrings(batched.sample_rows), want) << "batch 1024";
-  EXPECT_EQ(SortedRowStrings(single.sample_rows), want) << "batch 1";
+  EXPECT_EQ(SortedRows(batched.sample_rows), want) << "batch 1024";
+  EXPECT_EQ(SortedRows(single.sample_rows), want) << "batch 1";
   EXPECT_EQ(batched.pages_read, single.pages_read);
   EXPECT_NEAR(batched.sim_cpu_s, single.sim_cpu_s,
               1e-12 * std::max(std::abs(batched.sim_cpu_s),
@@ -75,6 +89,94 @@ void ExpectBatchAccountingMatches(const ExecStats& batched,
   if (exact_io) {
     EXPECT_EQ(batched.sim_io_s, single.sim_io_s);
   }
+}
+
+Oo7Options ParallelOo7Config() {
+  Oo7Options o;
+  o.complex_per_module = 3;
+  o.base_per_complex = 5;
+  o.components_per_base = 3;
+  o.num_composite_parts = 25;
+  o.atomic_per_composite = 8;
+  o.num_build_dates = 10;
+  o.num_doc_titles = 5;
+  return o;
+}
+
+std::string RandomOo7Query(Rng& rng) {
+  switch (rng.Uniform(8)) {
+    case 0:
+      return "SELECT a.id, a.x FROM AtomicPart a IN AtomicParts WHERE a.x > " +
+             std::to_string(rng.UniformRange(0, 999)) + ";";
+    case 1:
+      return "SELECT a.id FROM AtomicPart a IN AtomicParts "
+             "WHERE a.x > a.y && a.buildDate >= " +
+             std::to_string(rng.UniformRange(0, 9)) + ";";
+    case 2:
+      return "SELECT a.id, p.id FROM AtomicPart a IN AtomicParts, "
+             "CompositePart p IN CompositeParts "
+             "WHERE a.partOf == p && p.buildDate >= " +
+             std::to_string(rng.UniformRange(0, 9)) + ";";
+    case 3:
+      return kOo7QueryNewerComponents;
+    case 4:
+      return kOo7QueryTraversal;
+    case 5:
+      return Oo7QueryByDocTitle("Doc" +
+                                std::to_string(rng.UniformRange(0, 4)));
+    case 6:
+      return "SELECT a.id, a.partOf.buildDate FROM AtomicPart a IN "
+             "AtomicParts WHERE a.partOf.documentation.title == \"Doc" +
+             std::to_string(rng.UniformRange(0, 4)) + "\";";
+    default:
+      return "SELECT b.id, b.buildDate FROM BaseAssembly b IN BaseAssemblies "
+             "WHERE b.buildDate >= " +
+             std::to_string(rng.UniformRange(0, 9)) +
+             " ORDER BY b.buildDate;";
+  }
+}
+
+Oo7Instance* Oo7ParallelTest::instance_ = nullptr;
+
+void Oo7ParallelTest::SetUpTestSuite() {
+  auto r = MakeOo7(ParallelOo7Config());
+  ASSERT_TRUE(r.ok()) << r.status();
+  instance_ = new Oo7Instance(std::move(r).value());
+}
+
+void Oo7ParallelTest::TearDownTestSuite() {
+  delete instance_;
+  instance_ = nullptr;
+}
+
+Oo7ParallelTest::Planned Oo7ParallelTest::Plan(const std::string& text,
+                                               int max_dop) {
+  Planned out;
+  out.ctx.catalog = &catalog();
+  SortSpec order;
+  int64_t limit = 0;
+  auto logical = ParseAndSimplify(text, &out.ctx, &order, &limit);
+  EXPECT_TRUE(logical.ok()) << logical.status() << "\n" << text;
+  out.logical = *logical;
+  OptimizerOptions opts;
+  opts.max_dop = max_dop;
+  opts.verify_plans = true;
+  PhysProps required;
+  required.sort = order;
+  required.limit = limit;
+  Optimizer opt(&catalog(), std::move(opts));
+  auto planned = opt.Optimize(*out.logical, &out.ctx, required);
+  EXPECT_TRUE(planned.ok()) << planned.status() << "\n" << text;
+  EXPECT_TRUE(planned->stats.verify_error.empty())
+      << text << "\n" << planned->stats.verify_error;
+  out.plan = planned->plan;
+  return out;
+}
+
+std::vector<std::string> Oo7ParallelTest::Reference(const Planned& p) {
+  auto reference = EvaluateReference(*p.logical, &store(), p.ctx);
+  EXPECT_TRUE(reference.ok()) << reference.status();
+  return SortedRows(reference->rows);
 }
 
 }  // namespace testing

@@ -7,8 +7,10 @@
 #include <string>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/oodb.h"
 #include "src/query/zql_parser.h"
+#include "src/workloads/oo7.h"
 #include "src/workloads/paper_queries.h"
 
 namespace oodb {
@@ -40,6 +42,9 @@ bool PlanContains(const PlanNode& plan, const QueryContext& ctx,
 /// Preorder operator kinds of a plan.
 std::vector<PhysOpKind> PlanKinds(const PlanNode& plan);
 
+/// The first order-preserving (merging) Exchange in preorder, or null.
+const PlanNode* FindMergeExchange(const PlanNode& plan);
+
 /// Optimizes paper query `n` under `opts`; aborts the test on failure.
 OptimizedQuery MustOptimize(int n, const PaperDb& db, QueryContext* ctx,
                             OptimizerOptions opts = {});
@@ -62,14 +67,52 @@ void ExpectBatchAccountingMatches(const ExecStats& batched,
                                   const std::vector<std::vector<Value>>& expect,
                                   bool exact_io);
 
+/// Result rows rendered "v|v|...|" and sorted: the multiset oracle.
+std::vector<std::string> SortedRows(
+    const std::vector<std::vector<Value>>& rows);
+
+/// Result rows rendered in delivery order (no normalization): the oracle
+/// for ordered queries, where the *sequence* is the contract.
+std::vector<std::string> RowSeq(const std::vector<std::vector<Value>>& rows);
+
+/// The small OO7 instance the parallel suites (exchange, chaos) run on.
+Oo7Options ParallelOo7Config();
+
+/// Randomized OO7 queries: scans, explicit joins, set-valued unnest chains,
+/// path expressions over the documentation index, and ordered deliveries.
+std::string RandomOo7Query(Rng& rng);
+
+/// Fixture of the parallel suites: one ParallelOo7Config instance per test
+/// suite, ZQL planning at a chosen max_dop, and the reference oracle.
+class Oo7ParallelTest : public ::testing::TestWithParam<int> {
+ protected:
+  static void SetUpTestSuite();
+  static void TearDownTestSuite();
+
+  static Catalog& catalog() { return instance_->db->catalog; }
+  static ObjectStore& store() { return *instance_->store; }
+
+  struct Planned {
+    QueryContext ctx;
+    LogicalExprPtr logical;
+    PlanNodePtr plan;
+  };
+
+  /// Parses, simplifies and optimizes `text` (ORDER BY / LIMIT become the
+  /// required root properties) with the plan verifier on.
+  static Planned Plan(const std::string& text, int max_dop = 1);
+
+  /// The reference evaluator's rows for `p`, as SortedRows.
+  static std::vector<std::string> Reference(const Planned& p);
+
+  static Oo7Instance* instance_;
+};
+
 }  // namespace testing
 
 /// Parses ZQL text, returning null (with a test failure) on error.
 ZqlQueryPtr ParseZqlForTest(const std::string& text);
 
-namespace testing {
-
-}  // namespace testing
 }  // namespace oodb
 
 #endif  // OODB_TESTS_TEST_UTIL_H_

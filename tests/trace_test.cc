@@ -489,7 +489,6 @@ TEST_F(TraceTest, RecoveredAnalyzeCountsRetriedPartitionsOnce) {
   eo.exec_faults.fail_worker = 1;
   eo.exec_faults.fail_after_batches = 1;
   eo.exec_faults.fail_attempts = 1;
-  eo.recovery.enabled = true;
   eo.recovery.max_partition_attempts = 3;
   auto stats = ExecutePlan(*p.plan, &store(), &p.ctx, eo);
   ASSERT_TRUE(stats.ok()) << stats.status();
