@@ -1,5 +1,6 @@
 #include "src/algebra/expr.h"
 
+#include <cmath>
 #include <cstdio>
 #include <functional>
 
@@ -82,12 +83,20 @@ std::string Value::KeyString() const {
 }
 
 size_t Value::Hash() const {
+  // operator== compares ints and doubles numerically, so equal numbers must
+  // hash alike whatever their kind: a number exactly representable as both
+  // (integral, magnitude below 2^53) hashes as an int, any other as a double.
+  constexpr int64_t kExact = int64_t{1} << 53;
   switch (kind) {
     case Kind::kNull:
       return 0x77;
     case Kind::kInt:
-      return std::hash<int64_t>()(i);
+      if (i > -kExact && i < kExact) return std::hash<int64_t>()(i);
+      return std::hash<double>()(static_cast<double>(i));
     case Kind::kDouble:
+      if (std::fabs(d) < static_cast<double>(kExact) && d == std::trunc(d)) {
+        return std::hash<int64_t>()(static_cast<int64_t>(d));
+      }
       return std::hash<double>()(d);
     case Kind::kString:
       return std::hash<std::string>()(s);
@@ -154,21 +163,21 @@ ScalarExprPtr ScalarExpr::Attr(BindingId binding, FieldId field) {
   e->kind_ = Kind::kAttr;
   e->binding_ = binding;
   e->field_ = field;
-  return e;
+  return Finish(std::move(e));
 }
 
 ScalarExprPtr ScalarExpr::Self(BindingId binding) {
   auto e = std::shared_ptr<ScalarExpr>(new ScalarExpr());
   e->kind_ = Kind::kSelf;
   e->binding_ = binding;
-  return e;
+  return Finish(std::move(e));
 }
 
 ScalarExprPtr ScalarExpr::Const(Value v) {
   auto e = std::shared_ptr<ScalarExpr>(new ScalarExpr());
   e->kind_ = Kind::kConst;
   e->value_ = std::move(v);
-  return e;
+  return Finish(std::move(e));
 }
 
 ScalarExprPtr ScalarExpr::Cmp(CmpOp op, ScalarExprPtr l, ScalarExprPtr r) {
@@ -176,7 +185,7 @@ ScalarExprPtr ScalarExpr::Cmp(CmpOp op, ScalarExprPtr l, ScalarExprPtr r) {
   e->kind_ = Kind::kCmp;
   e->cmp_op_ = op;
   e->children_ = {std::move(l), std::move(r)};
-  return e;
+  return Finish(std::move(e));
 }
 
 ScalarExprPtr ScalarExpr::And(std::vector<ScalarExprPtr> children) {
@@ -184,7 +193,7 @@ ScalarExprPtr ScalarExpr::And(std::vector<ScalarExprPtr> children) {
   auto e = std::shared_ptr<ScalarExpr>(new ScalarExpr());
   e->kind_ = Kind::kAnd;
   e->children_ = std::move(children);
-  return e;
+  return Finish(std::move(e));
 }
 
 ScalarExprPtr ScalarExpr::Or(std::vector<ScalarExprPtr> children) {
@@ -192,14 +201,14 @@ ScalarExprPtr ScalarExpr::Or(std::vector<ScalarExprPtr> children) {
   auto e = std::shared_ptr<ScalarExpr>(new ScalarExpr());
   e->kind_ = Kind::kOr;
   e->children_ = std::move(children);
-  return e;
+  return Finish(std::move(e));
 }
 
 ScalarExprPtr ScalarExpr::Not(ScalarExprPtr child) {
   auto e = std::shared_ptr<ScalarExpr>(new ScalarExpr());
   e->kind_ = Kind::kNot;
   e->children_ = {std::move(child)};
-  return e;
+  return Finish(std::move(e));
 }
 
 ScalarExprPtr ScalarExpr::AttrEqStr(BindingId b, FieldId f, std::string s) {
@@ -260,28 +269,31 @@ bool ScalarExpr::Equals(const ScalarExpr& other) const {
   return false;
 }
 
-size_t ScalarExpr::Hash() const {
-  size_t h = static_cast<size_t>(kind_) * 0x9e3779b9;
-  switch (kind_) {
+ScalarExprPtr ScalarExpr::Finish(std::shared_ptr<ScalarExpr> e) {
+  size_t h = static_cast<size_t>(e->kind_) * 0x9e3779b9;
+  switch (e->kind_) {
     case Kind::kAttr:
-      h = HashCombine(h, static_cast<size_t>(binding_) * 31 + field_);
+      h = HashCombine(h, static_cast<size_t>(e->binding_) * 31 + e->field_);
       break;
     case Kind::kSelf:
-      h = HashCombine(h, static_cast<size_t>(binding_));
+      h = HashCombine(h, static_cast<size_t>(e->binding_));
       break;
     case Kind::kConst:
-      h = HashCombine(h, value_.Hash());
+      h = HashCombine(h, e->value_.Hash());
       break;
     case Kind::kCmp:
-      h = HashCombine(h, static_cast<size_t>(cmp_op_));
+      h = HashCombine(h, static_cast<size_t>(e->cmp_op_));
       [[fallthrough]];
     case Kind::kAnd:
     case Kind::kOr:
     case Kind::kNot:
-      for (const ScalarExprPtr& c : children_) h = HashCombine(h, c->Hash());
+      for (const ScalarExprPtr& c : e->children_) {
+        h = HashCombine(h, c->Hash());
+      }
       break;
   }
-  return h;
+  e->hash_ = h;
+  return e;
 }
 
 std::string ScalarExpr::ToString(const BindingTable& bindings,
@@ -320,17 +332,19 @@ std::string ScalarExpr::ToString(const BindingTable& bindings,
   return "?";
 }
 
+namespace {
+void AppendConjuncts(const ScalarExprPtr& e, std::vector<ScalarExprPtr>* out) {
+  if (e->kind() != ScalarExpr::Kind::kAnd) {
+    out->push_back(e);
+    return;
+  }
+  for (const ScalarExprPtr& c : e->children()) AppendConjuncts(c, out);
+}
+}  // namespace
+
 std::vector<ScalarExprPtr> ScalarExpr::SplitConjuncts(const ScalarExprPtr& e) {
   std::vector<ScalarExprPtr> out;
-  if (!e) return out;
-  if (e->kind() == Kind::kAnd) {
-    for (const ScalarExprPtr& c : e->children()) {
-      auto sub = SplitConjuncts(c);
-      out.insert(out.end(), sub.begin(), sub.end());
-    }
-  } else {
-    out.push_back(e);
-  }
+  if (e) AppendConjuncts(e, &out);
   return out;
 }
 

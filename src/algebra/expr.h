@@ -104,8 +104,9 @@ class ScalarExpr {
   BindingSet ReferencedBindings() const;
 
   /// Structural equality / hashing (for memo dedup of Select/Join args).
+  /// The hash is computed once, when the node is built.
   bool Equals(const ScalarExpr& other) const;
-  size_t Hash() const;
+  size_t Hash() const { return hash_; }
 
   /// Pretty-prints using binding names and field names.
   std::string ToString(const BindingTable& bindings, const Schema& schema) const;
@@ -120,6 +121,9 @@ class ScalarExpr {
 
  private:
   ScalarExpr() = default;
+  /// Sets `e`'s hash from its fields and its children's hashes; every
+  /// factory returns through it.
+  static ScalarExprPtr Finish(std::shared_ptr<ScalarExpr> e);
 
   Kind kind_ = Kind::kConst;
   BindingId binding_ = kInvalidBinding;
@@ -127,6 +131,7 @@ class ScalarExpr {
   Value value_;
   CmpOp cmp_op_ = CmpOp::kEq;
   std::vector<ScalarExprPtr> children_;
+  size_t hash_ = 0;
 };
 
 /// Hash/equality helpers for ScalarExprPtr (null-safe).

@@ -47,6 +47,9 @@ enum class LogicalOpKind {
 
 const char* LogicalOpKindName(LogicalOpKind kind);
 
+/// Logical operators are at most binary (Join and the set operators).
+inline constexpr int kMaxLogicalArity = 2;
+
 /// One logical operator (without children — trees and memo m-exprs attach
 /// children separately). Value-semantic, hashable, comparable.
 struct LogicalOp {
@@ -78,7 +81,7 @@ struct LogicalOp {
   static LogicalOp Join(ScalarExprPtr pred);
   static LogicalOp SetOp(LogicalOpKind kind);
 
-  /// Number of children this operator takes.
+  /// Number of children this operator takes (at most kMaxLogicalArity).
   int Arity() const;
 
   bool operator==(const LogicalOp& o) const;

@@ -10,13 +10,19 @@ BindingSet GroupScope(OptContext& ctx, GroupId g) {
   return ctx.memo->group(g).props.scope;
 }
 
-/// Iterates the logical m-exprs of `g` having kind `kind`.
-std::vector<const LogicalMExpr*> ChildMExprs(OptContext& ctx, GroupId g,
-                                             LogicalOpKind kind) {
-  std::vector<const LogicalMExpr*> out;
-  for (MExprId id : ctx.memo->group(g).mexprs) {
-    const LogicalMExpr& m = ctx.memo->mexpr(id);
-    if (m.op.kind == kind) out.push_back(&m);
+/// A conjunct with the bindings it references.
+struct Conjunct {
+  ScalarExprPtr expr;
+  BindingSet refs;
+};
+
+/// The conjuncts of `pred` with their references, computed once per firing
+/// rather than once per bound child m-expr.
+std::vector<Conjunct> RefConjuncts(const ScalarExprPtr& pred) {
+  std::vector<Conjunct> out;
+  for (ScalarExprPtr& cj : ScalarExpr::SplitConjuncts(pred)) {
+    BindingSet refs = cj->ReferencedBindings();
+    out.push_back(Conjunct{std::move(cj), refs});
   }
   return out;
 }
@@ -53,13 +59,14 @@ class MatMatCommute : public TransformationRule {
 
   Status Apply(OptContext& ctx, const LogicalMExpr& mexpr,
                std::vector<RuleExprPtr>* out) const override {
-    GroupId child = ctx.memo->Find(mexpr.children[0]);
-    for (const LogicalMExpr* b : ChildMExprs(ctx, child, LogicalOpKind::kMat)) {
-      GroupId x = ctx.memo->Find(b->children[0]);
-      if (!GroupScope(ctx, x).Contains(mexpr.op.source)) continue;
-      out->push_back(RuleExpr::Op(
-          b->op, {RuleExpr::Op(mexpr.op, {RuleExpr::GroupLeaf(x)})}));
-    }
+    ChildMExprs(ctx, mexpr, 0, LogicalOpKind::kMat, out,
+                [&](const LogicalMExpr& b) {
+                  GroupId x = ctx.memo->Find(b.children[0]);
+                  if (!GroupScope(ctx, x).Contains(mexpr.op.source)) return;
+                  out->push_back(RuleExpr::Op(
+                      b.op,
+                      {RuleExpr::Op(mexpr.op, {RuleExpr::GroupLeaf(x)})}));
+                });
     return Status::OK();
   }
 };
@@ -76,13 +83,14 @@ class SelectMatCommute : public TransformationRule {
   Status Apply(OptContext& ctx, const LogicalMExpr& mexpr,
                std::vector<RuleExprPtr>* out) const override {
     BindingSet refs = mexpr.op.pred->ReferencedBindings();
-    GroupId child = ctx.memo->Find(mexpr.children[0]);
-    for (const LogicalMExpr* b : ChildMExprs(ctx, child, LogicalOpKind::kMat)) {
-      if (refs.Contains(b->op.target)) continue;
-      GroupId x = ctx.memo->Find(b->children[0]);
-      out->push_back(RuleExpr::Op(
-          b->op, {RuleExpr::Op(mexpr.op, {RuleExpr::GroupLeaf(x)})}));
-    }
+    ChildMExprs(ctx, mexpr, 0, LogicalOpKind::kMat, out,
+                [&](const LogicalMExpr& b) {
+                  if (refs.Contains(b.op.target)) return;
+                  GroupId x = ctx.memo->Find(b.children[0]);
+                  out->push_back(RuleExpr::Op(
+                      b.op,
+                      {RuleExpr::Op(mexpr.op, {RuleExpr::GroupLeaf(x)})}));
+                });
     return Status::OK();
   }
 };
@@ -98,14 +106,14 @@ class MatSelectCommute : public TransformationRule {
 
   Status Apply(OptContext& ctx, const LogicalMExpr& mexpr,
                std::vector<RuleExprPtr>* out) const override {
-    GroupId child = ctx.memo->Find(mexpr.children[0]);
-    for (const LogicalMExpr* s :
-         ChildMExprs(ctx, child, LogicalOpKind::kSelect)) {
-      GroupId x = ctx.memo->Find(s->children[0]);
-      if (!GroupScope(ctx, x).Contains(mexpr.op.source)) continue;
-      out->push_back(RuleExpr::Op(
-          s->op, {RuleExpr::Op(mexpr.op, {RuleExpr::GroupLeaf(x)})}));
-    }
+    ChildMExprs(ctx, mexpr, 0, LogicalOpKind::kSelect, out,
+                [&](const LogicalMExpr& sel) {
+                  GroupId x = ctx.memo->Find(sel.children[0]);
+                  if (!GroupScope(ctx, x).Contains(mexpr.op.source)) return;
+                  out->push_back(RuleExpr::Op(
+                      sel.op,
+                      {RuleExpr::Op(mexpr.op, {RuleExpr::GroupLeaf(x)})}));
+                });
     return Status::OK();
   }
 };
@@ -149,17 +157,19 @@ class SelectMerge : public TransformationRule {
 
   Status Apply(OptContext& ctx, const LogicalMExpr& mexpr,
                std::vector<RuleExprPtr>* out) const override {
-    GroupId child = ctx.memo->Find(mexpr.children[0]);
-    for (const LogicalMExpr* s :
-         ChildMExprs(ctx, child, LogicalOpKind::kSelect)) {
-      std::vector<ScalarExprPtr> conjuncts =
-          ScalarExpr::SplitConjuncts(mexpr.op.pred);
-      std::vector<ScalarExprPtr> qs = ScalarExpr::SplitConjuncts(s->op.pred);
-      conjuncts.insert(conjuncts.end(), qs.begin(), qs.end());
-      out->push_back(RuleExpr::Op(
-          LogicalOp::Select(CanonicalConjunction(std::move(conjuncts))),
-          {RuleExpr::GroupLeaf(ctx.memo->Find(s->children[0]))}));
-    }
+    const std::vector<ScalarExprPtr> ps =
+        ScalarExpr::SplitConjuncts(mexpr.op.pred);
+    ChildMExprs(
+        ctx, mexpr, 0, LogicalOpKind::kSelect, out,
+        [&](const LogicalMExpr& sel) {
+          std::vector<ScalarExprPtr> conjuncts = ps;
+          std::vector<ScalarExprPtr> qs =
+              ScalarExpr::SplitConjuncts(sel.op.pred);
+          conjuncts.insert(conjuncts.end(), qs.begin(), qs.end());
+          out->push_back(RuleExpr::Op(
+              LogicalOp::Select(CanonicalConjunction(std::move(conjuncts))),
+              {RuleExpr::GroupLeaf(ctx.memo->Find(sel.children[0]))}));
+        });
     return Status::OK();
   }
 };
@@ -177,14 +187,14 @@ class SelectUnnestCommute : public TransformationRule {
   Status Apply(OptContext& ctx, const LogicalMExpr& mexpr,
                std::vector<RuleExprPtr>* out) const override {
     BindingSet refs = mexpr.op.pred->ReferencedBindings();
-    GroupId child = ctx.memo->Find(mexpr.children[0]);
-    for (const LogicalMExpr* u :
-         ChildMExprs(ctx, child, LogicalOpKind::kUnnest)) {
-      if (refs.Contains(u->op.target)) continue;
-      GroupId x = ctx.memo->Find(u->children[0]);
-      out->push_back(RuleExpr::Op(
-          u->op, {RuleExpr::Op(mexpr.op, {RuleExpr::GroupLeaf(x)})}));
-    }
+    ChildMExprs(ctx, mexpr, 0, LogicalOpKind::kUnnest, out,
+                [&](const LogicalMExpr& u) {
+                  if (refs.Contains(u.op.target)) return;
+                  GroupId x = ctx.memo->Find(u.children[0]);
+                  out->push_back(RuleExpr::Op(
+                      u.op,
+                      {RuleExpr::Op(mexpr.op, {RuleExpr::GroupLeaf(x)})}));
+                });
     return Status::OK();
   }
 };
@@ -200,14 +210,14 @@ class UnnestSelectCommute : public TransformationRule {
 
   Status Apply(OptContext& ctx, const LogicalMExpr& mexpr,
                std::vector<RuleExprPtr>* out) const override {
-    GroupId child = ctx.memo->Find(mexpr.children[0]);
-    for (const LogicalMExpr* s :
-         ChildMExprs(ctx, child, LogicalOpKind::kSelect)) {
-      GroupId x = ctx.memo->Find(s->children[0]);
-      if (!GroupScope(ctx, x).Contains(mexpr.op.source)) continue;
-      out->push_back(RuleExpr::Op(
-          s->op, {RuleExpr::Op(mexpr.op, {RuleExpr::GroupLeaf(x)})}));
-    }
+    ChildMExprs(ctx, mexpr, 0, LogicalOpKind::kSelect, out,
+                [&](const LogicalMExpr& sel) {
+                  GroupId x = ctx.memo->Find(sel.children[0]);
+                  if (!GroupScope(ctx, x).Contains(mexpr.op.source)) return;
+                  out->push_back(RuleExpr::Op(
+                      sel.op,
+                      {RuleExpr::Op(mexpr.op, {RuleExpr::GroupLeaf(x)})}));
+                });
     return Status::OK();
   }
 };
@@ -223,14 +233,14 @@ class MatUnnestCommute : public TransformationRule {
 
   Status Apply(OptContext& ctx, const LogicalMExpr& mexpr,
                std::vector<RuleExprPtr>* out) const override {
-    GroupId child = ctx.memo->Find(mexpr.children[0]);
-    for (const LogicalMExpr* u :
-         ChildMExprs(ctx, child, LogicalOpKind::kUnnest)) {
-      GroupId x = ctx.memo->Find(u->children[0]);
-      if (!GroupScope(ctx, x).Contains(mexpr.op.source)) continue;
-      out->push_back(RuleExpr::Op(
-          u->op, {RuleExpr::Op(mexpr.op, {RuleExpr::GroupLeaf(x)})}));
-    }
+    ChildMExprs(ctx, mexpr, 0, LogicalOpKind::kUnnest, out,
+                [&](const LogicalMExpr& u) {
+                  GroupId x = ctx.memo->Find(u.children[0]);
+                  if (!GroupScope(ctx, x).Contains(mexpr.op.source)) return;
+                  out->push_back(RuleExpr::Op(
+                      u.op,
+                      {RuleExpr::Op(mexpr.op, {RuleExpr::GroupLeaf(x)})}));
+                });
     return Status::OK();
   }
 };
@@ -246,13 +256,14 @@ class UnnestMatCommute : public TransformationRule {
 
   Status Apply(OptContext& ctx, const LogicalMExpr& mexpr,
                std::vector<RuleExprPtr>* out) const override {
-    GroupId child = ctx.memo->Find(mexpr.children[0]);
-    for (const LogicalMExpr* a : ChildMExprs(ctx, child, LogicalOpKind::kMat)) {
-      GroupId x = ctx.memo->Find(a->children[0]);
-      if (!GroupScope(ctx, x).Contains(mexpr.op.source)) continue;
-      out->push_back(RuleExpr::Op(
-          a->op, {RuleExpr::Op(mexpr.op, {RuleExpr::GroupLeaf(x)})}));
-    }
+    ChildMExprs(ctx, mexpr, 0, LogicalOpKind::kMat, out,
+                [&](const LogicalMExpr& a) {
+                  GroupId x = ctx.memo->Find(a.children[0]);
+                  if (!GroupScope(ctx, x).Contains(mexpr.op.source)) return;
+                  out->push_back(RuleExpr::Op(
+                      a.op,
+                      {RuleExpr::Op(mexpr.op, {RuleExpr::GroupLeaf(x)})}));
+                });
     return Status::OK();
   }
 };
@@ -317,32 +328,32 @@ class JoinAssoc : public TransformationRule {
 
   Status Apply(OptContext& ctx, const LogicalMExpr& mexpr,
                std::vector<RuleExprPtr>* out) const override {
-    GroupId left = ctx.memo->Find(mexpr.children[0]);
     GroupId c = ctx.memo->Find(mexpr.children[1]);
-    for (const LogicalMExpr* lower :
-         ChildMExprs(ctx, left, LogicalOpKind::kJoin)) {
-      GroupId a = ctx.memo->Find(lower->children[0]);
-      GroupId b = ctx.memo->Find(lower->children[1]);
-      BindingSet inner_scope = GroupScope(ctx, b).Union(GroupScope(ctx, c));
-      std::vector<ScalarExprPtr> conjuncts =
-          ScalarExpr::SplitConjuncts(mexpr.op.pred);
-      std::vector<ScalarExprPtr> qs = ScalarExpr::SplitConjuncts(lower->op.pred);
-      conjuncts.insert(conjuncts.end(), qs.begin(), qs.end());
-      std::vector<ScalarExprPtr> inner, outer;
-      for (const ScalarExprPtr& cj : conjuncts) {
-        if (inner_scope.ContainsAll(cj->ReferencedBindings())) {
-          inner.push_back(cj);
-        } else {
-          outer.push_back(cj);
-        }
-      }
-      if (inner.empty() || outer.empty()) continue;
-      out->push_back(RuleExpr::Op(
-          LogicalOp::Join(CanonicalConjunction(std::move(outer))),
-          {RuleExpr::GroupLeaf(a),
-           RuleExpr::Op(LogicalOp::Join(CanonicalConjunction(std::move(inner))),
-                        {RuleExpr::GroupLeaf(b), RuleExpr::GroupLeaf(c)})}));
-    }
+    const std::vector<Conjunct> ps = RefConjuncts(mexpr.op.pred);
+    ChildMExprs(
+        ctx, mexpr, 0, LogicalOpKind::kJoin, out,
+        [&](const LogicalMExpr& lower) {
+          GroupId a = ctx.memo->Find(lower.children[0]);
+          GroupId b = ctx.memo->Find(lower.children[1]);
+          BindingSet inner_scope =
+              GroupScope(ctx, b).Union(GroupScope(ctx, c));
+          std::vector<ScalarExprPtr> inner, outer;
+          auto place = [&](const ScalarExprPtr& cj, BindingSet refs) {
+            (inner_scope.ContainsAll(refs) ? inner : outer).push_back(cj);
+          };
+          for (const Conjunct& cj : ps) place(cj.expr, cj.refs);
+          for (const ScalarExprPtr& cj :
+               ScalarExpr::SplitConjuncts(lower.op.pred)) {
+            place(cj, cj->ReferencedBindings());
+          }
+          if (inner.empty() || outer.empty()) return;
+          out->push_back(RuleExpr::Op(
+              LogicalOp::Join(CanonicalConjunction(std::move(outer))),
+              {RuleExpr::GroupLeaf(a),
+               RuleExpr::Op(
+                   LogicalOp::Join(CanonicalConjunction(std::move(inner))),
+                   {RuleExpr::GroupLeaf(b), RuleExpr::GroupLeaf(c)})}));
+        });
     return Status::OK();
   }
 };
@@ -358,41 +369,44 @@ class SelectJoinPush : public TransformationRule {
 
   Status Apply(OptContext& ctx, const LogicalMExpr& mexpr,
                std::vector<RuleExprPtr>* out) const override {
-    GroupId child = ctx.memo->Find(mexpr.children[0]);
-    for (const LogicalMExpr* j : ChildMExprs(ctx, child, LogicalOpKind::kJoin)) {
-      GroupId a = ctx.memo->Find(j->children[0]);
-      GroupId b = ctx.memo->Find(j->children[1]);
-      BindingSet sa = GroupScope(ctx, a), sb = GroupScope(ctx, b);
-      std::vector<ScalarExprPtr> pa, pb, rest;
-      for (const ScalarExprPtr& cj :
-           ScalarExpr::SplitConjuncts(mexpr.op.pred)) {
-        BindingSet refs = cj->ReferencedBindings();
-        if (sa.ContainsAll(refs)) {
-          pa.push_back(cj);
-        } else if (sb.ContainsAll(refs)) {
-          pb.push_back(cj);
-        } else {
-          rest.push_back(cj);
-        }
-      }
-      if (pa.empty() && pb.empty()) continue;
-      RuleExprPtr left = RuleExpr::GroupLeaf(a);
-      if (!pa.empty()) {
-        left = RuleExpr::Op(
-            LogicalOp::Select(CanonicalConjunction(std::move(pa))), {left});
-      }
-      RuleExprPtr right = RuleExpr::GroupLeaf(b);
-      if (!pb.empty()) {
-        right = RuleExpr::Op(
-            LogicalOp::Select(CanonicalConjunction(std::move(pb))), {right});
-      }
-      RuleExprPtr join = RuleExpr::Op(j->op, {left, right});
-      if (!rest.empty()) {
-        join = RuleExpr::Op(
-            LogicalOp::Select(CanonicalConjunction(std::move(rest))), {join});
-      }
-      out->push_back(join);
-    }
+    const std::vector<Conjunct> ps = RefConjuncts(mexpr.op.pred);
+    ChildMExprs(
+        ctx, mexpr, 0, LogicalOpKind::kJoin, out,
+        [&](const LogicalMExpr& j) {
+          GroupId a = ctx.memo->Find(j.children[0]);
+          GroupId b = ctx.memo->Find(j.children[1]);
+          BindingSet sa = GroupScope(ctx, a), sb = GroupScope(ctx, b);
+          std::vector<ScalarExprPtr> pa, pb, rest;
+          for (const Conjunct& cj : ps) {
+            if (sa.ContainsAll(cj.refs)) {
+              pa.push_back(cj.expr);
+            } else if (sb.ContainsAll(cj.refs)) {
+              pb.push_back(cj.expr);
+            } else {
+              rest.push_back(cj.expr);
+            }
+          }
+          if (pa.empty() && pb.empty()) return;
+          RuleExprPtr left = RuleExpr::GroupLeaf(a);
+          if (!pa.empty()) {
+            left = RuleExpr::Op(
+                LogicalOp::Select(CanonicalConjunction(std::move(pa))),
+                {left});
+          }
+          RuleExprPtr right = RuleExpr::GroupLeaf(b);
+          if (!pb.empty()) {
+            right = RuleExpr::Op(
+                LogicalOp::Select(CanonicalConjunction(std::move(pb))),
+                {right});
+          }
+          RuleExprPtr join = RuleExpr::Op(j.op, {left, right});
+          if (!rest.empty()) {
+            join = RuleExpr::Op(
+                LogicalOp::Select(CanonicalConjunction(std::move(rest))),
+                {join});
+          }
+          out->push_back(join);
+        });
     return Status::OK();
   }
 };
@@ -408,17 +422,19 @@ class SelectJoinAbsorb : public TransformationRule {
 
   Status Apply(OptContext& ctx, const LogicalMExpr& mexpr,
                std::vector<RuleExprPtr>* out) const override {
-    GroupId child = ctx.memo->Find(mexpr.children[0]);
-    for (const LogicalMExpr* j : ChildMExprs(ctx, child, LogicalOpKind::kJoin)) {
-      std::vector<ScalarExprPtr> conjuncts =
-          ScalarExpr::SplitConjuncts(mexpr.op.pred);
-      std::vector<ScalarExprPtr> qs = ScalarExpr::SplitConjuncts(j->op.pred);
-      conjuncts.insert(conjuncts.end(), qs.begin(), qs.end());
-      out->push_back(RuleExpr::Op(
-          LogicalOp::Join(CanonicalConjunction(std::move(conjuncts))),
-          {RuleExpr::GroupLeaf(ctx.memo->Find(j->children[0])),
-           RuleExpr::GroupLeaf(ctx.memo->Find(j->children[1]))}));
-    }
+    const std::vector<ScalarExprPtr> ps =
+        ScalarExpr::SplitConjuncts(mexpr.op.pred);
+    ChildMExprs(
+        ctx, mexpr, 0, LogicalOpKind::kJoin, out,
+        [&](const LogicalMExpr& j) {
+          std::vector<ScalarExprPtr> conjuncts = ps;
+          std::vector<ScalarExprPtr> qs = ScalarExpr::SplitConjuncts(j.op.pred);
+          conjuncts.insert(conjuncts.end(), qs.begin(), qs.end());
+          out->push_back(RuleExpr::Op(
+              LogicalOp::Join(CanonicalConjunction(std::move(conjuncts))),
+              {RuleExpr::GroupLeaf(ctx.memo->Find(j.children[0])),
+               RuleExpr::GroupLeaf(ctx.memo->Find(j.children[1]))}));
+        });
     return Status::OK();
   }
 };
@@ -434,21 +450,22 @@ class MatJoinPush : public TransformationRule {
 
   Status Apply(OptContext& ctx, const LogicalMExpr& mexpr,
                std::vector<RuleExprPtr>* out) const override {
-    GroupId child = ctx.memo->Find(mexpr.children[0]);
-    for (const LogicalMExpr* j : ChildMExprs(ctx, child, LogicalOpKind::kJoin)) {
-      GroupId a = ctx.memo->Find(j->children[0]);
-      GroupId b = ctx.memo->Find(j->children[1]);
-      if (GroupScope(ctx, a).Contains(mexpr.op.source)) {
-        out->push_back(RuleExpr::Op(
-            j->op, {RuleExpr::Op(mexpr.op, {RuleExpr::GroupLeaf(a)}),
-                    RuleExpr::GroupLeaf(b)}));
-      }
-      if (GroupScope(ctx, b).Contains(mexpr.op.source)) {
-        out->push_back(RuleExpr::Op(
-            j->op, {RuleExpr::GroupLeaf(a),
-                    RuleExpr::Op(mexpr.op, {RuleExpr::GroupLeaf(b)})}));
-      }
-    }
+    ChildMExprs(
+        ctx, mexpr, 0, LogicalOpKind::kJoin, out,
+        [&](const LogicalMExpr& j) {
+          GroupId a = ctx.memo->Find(j.children[0]);
+          GroupId b = ctx.memo->Find(j.children[1]);
+          if (GroupScope(ctx, a).Contains(mexpr.op.source)) {
+            out->push_back(RuleExpr::Op(
+                j.op, {RuleExpr::Op(mexpr.op, {RuleExpr::GroupLeaf(a)}),
+                       RuleExpr::GroupLeaf(b)}));
+          }
+          if (GroupScope(ctx, b).Contains(mexpr.op.source)) {
+            out->push_back(RuleExpr::Op(
+                j.op, {RuleExpr::GroupLeaf(a),
+                       RuleExpr::Op(mexpr.op, {RuleExpr::GroupLeaf(b)})}));
+          }
+        });
     return Status::OK();
   }
 };
@@ -467,19 +484,20 @@ class MatJoinPull : public TransformationRule {
                std::vector<RuleExprPtr>* out) const override {
     BindingSet refs = mexpr.op.pred->ReferencedBindings();
     for (int side = 0; side < 2; ++side) {
-      GroupId g = ctx.memo->Find(mexpr.children[side]);
       GroupId other = ctx.memo->Find(mexpr.children[1 - side]);
-      for (const LogicalMExpr* a : ChildMExprs(ctx, g, LogicalOpKind::kMat)) {
-        if (refs.Contains(a->op.target)) continue;
-        GroupId x = ctx.memo->Find(a->children[0]);
-        RuleExprPtr join =
-            side == 0
-                ? RuleExpr::Op(mexpr.op, {RuleExpr::GroupLeaf(x),
-                                          RuleExpr::GroupLeaf(other)})
-                : RuleExpr::Op(mexpr.op, {RuleExpr::GroupLeaf(other),
-                                          RuleExpr::GroupLeaf(x)});
-        out->push_back(RuleExpr::Op(a->op, {join}));
-      }
+      ChildMExprs(
+          ctx, mexpr, side, LogicalOpKind::kMat, out,
+          [&](const LogicalMExpr& a) {
+            if (refs.Contains(a.op.target)) return;
+            GroupId x = ctx.memo->Find(a.children[0]);
+            RuleExprPtr join =
+                side == 0
+                    ? RuleExpr::Op(mexpr.op, {RuleExpr::GroupLeaf(x),
+                                              RuleExpr::GroupLeaf(other)})
+                    : RuleExpr::Op(mexpr.op, {RuleExpr::GroupLeaf(other),
+                                              RuleExpr::GroupLeaf(x)});
+            out->push_back(RuleExpr::Op(a.op, {join}));
+          });
     }
     return Status::OK();
   }
@@ -516,16 +534,17 @@ class SetOpAssoc : public TransformationRule {
 
   Status Apply(OptContext& ctx, const LogicalMExpr& mexpr,
                std::vector<RuleExprPtr>* out) const override {
-    GroupId left = ctx.memo->Find(mexpr.children[0]);
     GroupId c = ctx.memo->Find(mexpr.children[1]);
-    for (const LogicalMExpr* lower : ChildMExprs(ctx, left, kind_)) {
-      out->push_back(RuleExpr::Op(
-          LogicalOp::SetOp(kind_),
-          {RuleExpr::GroupLeaf(ctx.memo->Find(lower->children[0])),
-           RuleExpr::Op(LogicalOp::SetOp(kind_),
-                        {RuleExpr::GroupLeaf(ctx.memo->Find(lower->children[1])),
-                         RuleExpr::GroupLeaf(c)})}));
-    }
+    ChildMExprs(
+        ctx, mexpr, 0, kind_, out, [&](const LogicalMExpr& lower) {
+          out->push_back(RuleExpr::Op(
+              LogicalOp::SetOp(kind_),
+              {RuleExpr::GroupLeaf(ctx.memo->Find(lower.children[0])),
+               RuleExpr::Op(
+                   LogicalOp::SetOp(kind_),
+                   {RuleExpr::GroupLeaf(ctx.memo->Find(lower.children[1])),
+                    RuleExpr::GroupLeaf(c)})}));
+        });
     return Status::OK();
   }
 

@@ -39,14 +39,6 @@ GroupId Memo::Find(GroupId g) const {
   return g;
 }
 
-int Memo::num_groups() const {
-  int n = 0;
-  for (GroupId g = 0; g < static_cast<GroupId>(groups_.size()); ++g) {
-    if (Find(g) == g) ++n;
-  }
-  return n;
-}
-
 Result<LogicalProps> Memo::DeriveProps(
     const LogicalOp& op, const std::vector<GroupId>& children) const {
   std::vector<LogicalProps> child_props;
@@ -65,6 +57,8 @@ Status Memo::Merge(GroupId a, GroupId b) {
   // Keep the smaller id as representative.
   if (b < a) std::swap(a, b);
   parent_link_[b] = a;
+  --live_groups_;
+  ++merge_epoch_;
   Group& rep = groups_[a];
   Group& merged = groups_[b];
   for (MExprId m : merged.mexprs) {
@@ -86,8 +80,11 @@ Result<std::pair<MExprId, bool>> Memo::Insert(LogicalOp op,
 
   // op.Hash() walks predicate/emit expression trees; hash once and carry
   // the result in the key (KeyEq short-circuits on op_hash before falling
-  // back to the deep LogicalOp comparison).
-  MExprKey key{op.Hash(), op, children};
+  // back to the deep LogicalOp comparison). Most rule outputs are
+  // duplicates, so the key takes op and children by move and only a new
+  // m-expr pays for copies.
+  size_t op_hash = op.Hash();
+  MExprKey key{op_hash, std::move(op), std::move(children)};
   auto it = index_.find(key);
   if (it != index_.end()) {
     MExprId existing = it->second;
@@ -100,23 +97,25 @@ Result<std::pair<MExprId, bool>> Memo::Insert(LogicalOp op,
 
   GroupId g = target;
   if (g == kInvalidGroup) {
-    OODB_ASSIGN_OR_RETURN(LogicalProps props, DeriveProps(op, children));
+    OODB_ASSIGN_OR_RETURN(LogicalProps props,
+                          DeriveProps(key.op, key.children));
     g = static_cast<GroupId>(groups_.size());
     groups_.emplace_back();
     groups_[g].id = g;
-    groups_[g].props = props;
+    groups_[g].props = std::move(props);
     parent_link_.push_back(g);
+    ++live_groups_;
   }
 
   MExprId id = static_cast<MExprId>(mexprs_.size());
   LogicalMExpr m;
   m.id = id;
   m.group = g;
-  m.op = std::move(op);  // the key keeps its own copy for the index
-  m.children = children;
+  m.op = key.op;
+  m.children = key.children;
   mexprs_.push_back(std::move(m));
   groups_[g].mexprs.push_back(id);
-  for (GroupId c : children) {
+  for (GroupId c : key.children) {
     groups_[Find(c)].parents.push_back(id);
   }
   index_.emplace(std::move(key), id);
@@ -155,20 +154,28 @@ Result<GroupId> Memo::InsertTree(const LogicalExpr& tree) {
   return InsertTreeRec(tree);
 }
 
-Result<GroupId> Memo::InsertRec(const RuleExprPtr& expr) {
-  if (expr->is_group) return Find(expr->group);
-  std::vector<GroupId> children;
-  children.reserve(expr->children.size());
-  for (const RuleExprPtr& c : expr->children) {
-    OODB_ASSIGN_OR_RETURN(GroupId g, InsertRec(c));
-    children.push_back(g);
+Result<GroupId> Memo::InsertRec(const RuleExprPtr& expr,
+                                std::vector<GroupId>* named) {
+  GroupId g;
+  if (expr->is_group) {
+    g = Find(expr->group);
+  } else {
+    std::vector<GroupId> children;
+    children.reserve(expr->children.size());
+    for (const RuleExprPtr& c : expr->children) {
+      OODB_ASSIGN_OR_RETURN(GroupId child, InsertRec(c, named));
+      children.push_back(child);
+    }
+    OODB_ASSIGN_OR_RETURN(auto inserted,
+                          Insert(expr->op, std::move(children), kInvalidGroup));
+    g = Find(mexprs_[inserted.first].group);
   }
-  OODB_ASSIGN_OR_RETURN(auto inserted,
-                        Insert(expr->op, std::move(children), kInvalidGroup));
-  return Find(mexprs_[inserted.first].group);
+  if (named != nullptr) named->push_back(g);
+  return g;
 }
 
-Result<MExprId> Memo::InsertRuleExpr(const RuleExprPtr& expr, GroupId target) {
+Result<MExprId> Memo::InsertRuleExpr(const RuleExprPtr& expr, GroupId target,
+                                     std::vector<GroupId>* named) {
   if (expr->is_group) {
     // A rule may only rewrite to an operator tree, not to a bare group.
     return Status::Internal("rule produced a bare group as its root");
@@ -176,7 +183,7 @@ Result<MExprId> Memo::InsertRuleExpr(const RuleExprPtr& expr, GroupId target) {
   std::vector<GroupId> children;
   children.reserve(expr->children.size());
   for (const RuleExprPtr& c : expr->children) {
-    OODB_ASSIGN_OR_RETURN(GroupId g, InsertRec(c));
+    OODB_ASSIGN_OR_RETURN(GroupId g, InsertRec(c, named));
     children.push_back(g);
   }
   OODB_ASSIGN_OR_RETURN(auto inserted,

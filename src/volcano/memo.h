@@ -81,7 +81,11 @@ class Memo {
 
   /// Inserts a rule-produced fragment into group `target`. Returns the new
   /// m-expr id, or kInvalidMExpr if the root was already present (duplicate).
-  Result<MExprId> InsertRuleExpr(const RuleExprPtr& expr, GroupId target);
+  /// If `named` is non-null, appends the group of every node below the
+  /// root (group leaves included): the group ids the fragment's index keys
+  /// name.
+  Result<MExprId> InsertRuleExpr(const RuleExprPtr& expr, GroupId target,
+                                 std::vector<GroupId>* named = nullptr);
 
   /// Union-find root of `g`.
   GroupId Find(GroupId g) const;
@@ -96,8 +100,13 @@ class Memo {
     return Find(m.children[i]);
   }
 
-  int num_groups() const;        ///< live (representative) groups
+  int num_groups() const { return live_groups_; }  ///< representative groups
   int num_mexprs() const { return static_cast<int>(mexprs_.size()); }
+
+  /// Number of group merges so far. A merge moves m-exprs between groups
+  /// and leaves index keys naming the merged-away group stale, so anything
+  /// derived from group contents is valid only while this is unchanged.
+  uint64_t merge_epoch() const { return merge_epoch_; }
 
   /// Total groups ever created, including ones merged away by union-find.
   /// Raw iteration for the verifier; use Find() to test liveness.
@@ -132,7 +141,8 @@ class Memo {
                                           std::vector<GroupId> children,
                                           GroupId target);
 
-  Result<GroupId> InsertRec(const RuleExprPtr& expr);
+  Result<GroupId> InsertRec(const RuleExprPtr& expr,
+                            std::vector<GroupId>* named);
   Result<GroupId> InsertTreeRec(const LogicalExpr& tree);
 
   /// Merges the groups of `a` and `b`; winners must be empty.
@@ -146,6 +156,8 @@ class Memo {
   std::vector<LogicalMExpr> mexprs_;
   mutable std::vector<GroupId> parent_link_;  // union-find
   std::unordered_map<MExprKey, MExprId, KeyHash, KeyEq> index_;
+  int live_groups_ = 0;
+  uint64_t merge_epoch_ = 0;
 };
 
 }  // namespace oodb

@@ -12,6 +12,7 @@
 #include "src/common/governor.h"
 #include "src/cost/cost_model.h"
 #include "src/volcano/memo.h"
+#include "src/volcano/watermark.h"
 
 namespace oodb {
 
@@ -32,6 +33,8 @@ struct SearchStats {
   int logical_mexprs = 0;
   int phys_alternatives = 0;     ///< physical alternatives costed
   int transformation_firings = 0;
+  /// Transformation-rule outputs whose root was already in the memo.
+  int duplicates = 0;
   int impl_firings = 0;
   int enforcer_firings = 0;
   /// Wall-clock (steady_clock) time spent inside the search engine — the
@@ -166,7 +169,38 @@ struct OptContext {
   const CostModel* cost_model = nullptr;
   const OptimizerOptions* opts = nullptr;
   SearchStats* stats = nullptr;
+  /// Set by the search engine for each transformation-rule firing: per
+  /// child slot, the position in that child group's m-expr list where
+  /// ChildMExprs starts. The entries before it were bound by an earlier
+  /// firing of the same rule on the same m-expr and cannot yield anything
+  /// that is not already in the memo.
+  ChildStarts child_from = {};
+  /// Filled by ChildMExprs during a firing: which binding produced which
+  /// of the firing's outputs.
+  std::vector<BindingOutputs> bound;
 };
+
+/// Binds, in group order, each m-expr of kind `kind` in the child group at
+/// `slot` of `mexpr` that the firing rule has not bound before (see
+/// OptContext::child_from): `bind(child)` appends that binding's outputs
+/// to `out`.
+template <typename Bind>
+void ChildMExprs(OptContext& ctx, const LogicalMExpr& mexpr, int slot,
+                 LogicalOpKind kind, std::vector<RuleExprPtr>* out,
+                 Bind&& bind) {
+  const std::vector<MExprId>& ids =
+      ctx.memo->group(mexpr.children[slot]).mexprs;
+  for (size_t i = ctx.child_from[slot]; i < ids.size(); ++i) {
+    const LogicalMExpr& child = ctx.memo->mexpr(ids[i]);
+    if (child.op.kind != kind) continue;
+    size_t begin = out->size();
+    bind(child);
+    if (out->size() > begin) {
+      ctx.bound.push_back(BindingOutputs{slot, static_cast<int32_t>(i), begin,
+                                         out->size()});
+    }
+  }
+}
 
 /// A logical-to-logical transformation rule.
 class TransformationRule {
@@ -175,8 +209,13 @@ class TransformationRule {
   virtual const char* name() const = 0;
   /// Operator kind of the m-exprs this rule matches.
   virtual LogicalOpKind root_kind() const = 0;
-  /// True if the rule also inspects child-group contents (such rules are
-  /// re-fired when a child group gains expressions).
+  /// True if the rule also binds m-exprs of its child groups. Such rules
+  /// are re-fired when a child group gains expressions. They must bind
+  /// through ChildMExprs, one child slot after another in ascending order,
+  /// emit outputs only from ChildMExprs's callback, and read no group
+  /// contents but scopes: a re-firing then skips the bindings earlier
+  /// firings had and still inserts exactly what binding them again would
+  /// (see src/volcano/watermark.h).
   virtual bool matches_children() const { return false; }
   /// Appends substitute expressions for `mexpr` to `out`.
   virtual Status Apply(OptContext& ctx, const LogicalMExpr& mexpr,

@@ -35,9 +35,19 @@ void SearchEngine::AddEnforcer(std::unique_ptr<Enforcer> enforcer) {
 }
 
 Status SearchEngine::Explore() {
-  if (transformations_.size() > 64) {
+  const size_t num_rules = transformations_.size();
+  if (num_rules > 64) {
     return Status::Internal("more than 64 transformation rules");
   }
+  // The rule switches cannot change during a search: resolve the names once
+  // instead of for every (m-expr, rule) pair on every sweep.
+  uint64_t enabled = 0;
+  for (size_t r = 0; r < num_rules; ++r) {
+    if (!opts_->IsDisabled(transformations_[r]->name())) enabled |= 1ull << r;
+  }
+  // Per firing: the groups each output named, for its watermark.
+  std::vector<GroupId> named;
+  std::vector<size_t> named_end;
   bool changed = true;
   while (changed) {
     changed = false;
@@ -47,53 +57,75 @@ Status SearchEngine::Explore() {
         OODB_RETURN_IF_ERROR(opts_->governor->CheckSearch(
             memo_.num_groups(), memo_.num_mexprs()));
       }
-      if (static_cast<size_t>(m) >= child_sizes_seen_.size()) {
-        child_sizes_seen_.resize(m + 1, -1);
+      if (static_cast<size_t>(m) == visits_.size()) {
+        // First visit: the m-expr's watermarks are appended below, one per
+        // child-matching rule, in rule order.
+        visits_.push_back(Visit{-1, watermarks_.size()});
       }
       int64_t child_sizes = 0;
-      for (size_t i = 0; i < memo_.mexpr(m).children.size(); ++i) {
-        child_sizes += memo_.group(memo_.mexpr(m).children[i]).mexprs.size();
+      for (GroupId c : memo_.mexpr(m).children) {
+        child_sizes += memo_.group(c).mexprs.size();
       }
-      bool children_grew = child_sizes != child_sizes_seen_[m];
-      for (size_t r = 0; r < transformations_.size(); ++r) {
+      bool children_grew = child_sizes != visits_[m].child_sizes;
+      size_t next_watermark = visits_[m].first_watermark;
+      for (size_t r = 0; r < num_rules; ++r) {
         const TransformationRule& rule = *transformations_[r];
-        if (rule.root_kind() != memo_.mexpr(m).op.kind) continue;
-        if (opts_->IsDisabled(rule.name())) continue;
         uint64_t bit = 1ull << r;
+        if (rule.root_kind() != memo_.mexpr(m).op.kind) continue;
+        if ((enabled & bit) == 0) continue;
         bool fired_before = (memo_.mexpr(m).applied_rules & bit) != 0;
-        if (fired_before && !(rule.matches_children() && children_grew)) {
-          continue;
+        Watermark* mark = nullptr;
+        if (!rule.matches_children()) {
+          if (fired_before) continue;
+          octx_.child_from = {};
+        } else {
+          size_t w = next_watermark++;
+          if (w == watermarks_.size()) watermarks_.emplace_back();
+          if (fired_before && !children_grew) continue;
+          mark = &watermarks_[w];
+          octx_.child_from = mark->Start(memo_, memo_.mexpr(m));
+          octx_.bound.clear();
         }
         memo_.mutable_mexpr(m).applied_rules |= bit;
         std::vector<RuleExprPtr> out;
         OODB_RETURN_IF_ERROR(rule.Apply(octx_, memo_.mexpr(m), &out));
         if (stats_ != nullptr) ++stats_->transformation_firings;
         GroupId target = memo_.Find(memo_.mexpr(m).group);
+        named.clear();
+        named_end.clear();
         for (const RuleExprPtr& e : out) {
-          OODB_ASSIGN_OR_RETURN(MExprId inserted,
-                                memo_.InsertRuleExpr(e, target));
-          if (inserted != kInvalidMExpr) {
-            changed = true;
-            if (opts_->trace_sink != nullptr) {
-              // Rule firings dominate the event stream; the (group, mexpr)
-              // ids identify the produced expression in the memo without
-              // paying for expression rendering on the hot path.
-              OptEvent ev;
-              ev.kind = OptEventKind::kRuleFired;
-              ev.rule = rule.name();
-              ev.group = static_cast<int>(target);
-              ev.mexpr = static_cast<int>(inserted);
-              opts_->trace_sink->Record(std::move(ev));
-            }
+          OODB_ASSIGN_OR_RETURN(
+              MExprId inserted,
+              memo_.InsertRuleExpr(e, target, mark ? &named : nullptr));
+          named_end.push_back(named.size());
+          if (inserted == kInvalidMExpr) {
+            if (stats_ != nullptr) ++stats_->duplicates;
+            continue;
+          }
+          changed = true;
+          if (opts_->trace_sink != nullptr) {
+            // Rule firings dominate the event stream; the (group, mexpr)
+            // ids identify the produced expression in the memo without
+            // paying for expression rendering on the hot path.
+            OptEvent ev;
+            ev.kind = OptEventKind::kRuleFired;
+            ev.rule = rule.name();
+            ev.group = static_cast<int>(target);
+            ev.mexpr = static_cast<int>(inserted);
+            opts_->trace_sink->Record(std::move(ev));
           }
         }
+        if (mark != nullptr) {
+          OODB_RETURN_IF_ERROR(mark->Finish(octx_.bound, named, named_end));
+        }
       }
-      child_sizes_seen_[m] = child_sizes;
+      visits_[m].child_sizes = child_sizes;
       // Re-check sizes next round; if a rule enlarged this m-expr's children
       // after we recorded them, the outer loop runs again anyway because
       // `changed` is set when anything was inserted.
     }
   }
+  octx_.child_from = {};
   return Status::OK();
 }
 
@@ -142,22 +174,24 @@ Result<PlanNodePtr> SearchEngine::OptimizeGroup(GroupId g, PhysProps required,
   // not interesting (either over the caller's limit or beaten by `best`).
   double upper = limit;
   PlanNodePtr best;
-  auto trace_prune = [&](const char* rule_name, double cost,
-                         std::string what) {
+  // `what` renders the pruned operator; it runs only when a sink records
+  // the event, so untraced searches never pay for expression rendering.
+  auto trace_prune = [&](const char* rule_name, double cost, auto&& what) {
     if (opts_->trace_sink == nullptr) return;
     OptEvent ev;
     ev.kind = OptEventKind::kBranchPruned;
     if (rule_name != nullptr) ev.rule = rule_name;
     ev.group = static_cast<int>(g);
     ev.cost = cost;
-    ev.detail = std::move(what);
+    ev.detail = what();
     opts_->trace_sink->Record(std::move(ev));
   };
   auto consider = [&](PlanNodePtr node) {
     if (node->total_cost.total() > upper) {
-      trace_prune(nullptr, node->total_cost.total(),
-                  node->op.ToString(*qctx_) + " over bound " +
-                      FormatDouble(upper, 6));
+      trace_prune(nullptr, node->total_cost.total(), [&] {
+        return node->op.ToString(*qctx_) + " over bound " +
+               FormatDouble(upper, 6);
+      });
       return;
     }
     upper = node->total_cost.total();
@@ -192,8 +226,9 @@ Result<PlanNodePtr> SearchEngine::OptimizeGroup(GroupId g, PhysProps required,
         if (!alt.delivered.Satisfies(required)) continue;
         double spent = alt.local_cost.total();
         if (spent > upper) {
-          trace_prune(rule->name(), spent,
-                      alt.op.ToString(*qctx_) + " local cost over bound");
+          trace_prune(rule->name(), spent, [&] {
+            return alt.op.ToString(*qctx_) + " local cost over bound";
+          });
           continue;
         }
         std::vector<PlanNodePtr> children;
@@ -212,10 +247,11 @@ Result<PlanNodePtr> SearchEngine::OptimizeGroup(GroupId g, PhysProps required,
           }
           spent += (*child)->total_cost.total();
           if (spent > upper) {
-            trace_prune(rule->name(), spent,
-                        alt.op.ToString(*qctx_) +
-                            " children exceed bound after " +
-                            std::to_string(children.size() + 1) + " inputs");
+            trace_prune(rule->name(), spent, [&] {
+              return alt.op.ToString(*qctx_) +
+                     " children exceed bound after " +
+                     std::to_string(children.size() + 1) + " inputs";
+            });
             ok = false;
             break;
           }
@@ -242,8 +278,9 @@ Result<PlanNodePtr> SearchEngine::OptimizeGroup(GroupId g, PhysProps required,
       if (alt.child_required == required) continue;  // no progress
       if (!alt.delivered.Satisfies(required)) continue;
       if (alt.local_cost.total() > upper) {
-        trace_prune(enf->name(), alt.local_cost.total(),
-                    alt.op.ToString(*qctx_) + " local cost over bound");
+        trace_prune(enf->name(), alt.local_cost.total(), [&] {
+          return alt.op.ToString(*qctx_) + " local cost over bound";
+        });
         continue;
       }
       Result<PlanNodePtr> child = OptimizeGroup(

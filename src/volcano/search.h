@@ -7,6 +7,7 @@
 #define OODB_VOLCANO_SEARCH_H_
 
 #include <memory>
+#include <vector>
 
 #include "src/volcano/rule.h"
 
@@ -31,6 +32,14 @@ class SearchEngine {
   Memo& memo() { return memo_; }
 
  private:
+  /// Per visited m-expr: the sum of its child-group sizes at the last visit
+  /// (child-matching rules re-fire when it changes) and the first of its
+  /// watermarks, one per enabled child-matching rule of its kind.
+  struct Visit {
+    int64_t child_sizes = -1;
+    size_t first_watermark = 0;
+  };
+
   /// Applies transformation rules to fixpoint over the whole memo.
   Status Explore();
 
@@ -48,9 +57,8 @@ class SearchEngine {
   std::vector<std::unique_ptr<ImplRule>> impl_rules_;
   std::vector<std::unique_ptr<Enforcer>> enforcers_;
 
-  /// Per-mexpr sum of child-group sizes when child-matching rules last
-  /// fired; triggers re-firing after child groups grow.
-  std::vector<int64_t> child_sizes_seen_;
+  std::vector<Visit> visits_;  // indexed by MExprId
+  std::vector<Watermark> watermarks_;
 };
 
 }  // namespace oodb

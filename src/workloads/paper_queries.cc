@@ -25,4 +25,17 @@ Result<LogicalExprPtr> BuildPaperQuery(int n, const PaperDb& db,
   return ParseAndSimplify(text, ctx);
 }
 
+std::string JoinChainQueryText(int width) {
+  std::string text = "SELECT e1.name FROM Employee e1 IN Employees";
+  for (int i = 2; i <= width; ++i) {
+    text += ", Employee e" + std::to_string(i) + " IN Employees";
+  }
+  text += " WHERE ";
+  for (int i = 2; i <= width; ++i) {
+    if (i > 2) text += " && ";
+    text += "e1.name == e" + std::to_string(i) + ".name";
+  }
+  return text + ";";
+}
+
 }  // namespace oodb

@@ -4,6 +4,8 @@
 #ifndef OODB_WORKLOADS_PAPER_QUERIES_H_
 #define OODB_WORKLOADS_PAPER_QUERIES_H_
 
+#include <string>
+
 #include "src/catalog/paper_catalog.h"
 #include "src/query/simplify.h"
 
@@ -31,6 +33,19 @@ inline constexpr const char* kQuery3Text =
 inline constexpr const char* kQuery4Text =
     "SELECT t FROM Task t IN Tasks, Employee e IN t.team_members "
     "WHERE e.name == \"Fred\" && t.time == 100;";
+
+/// E12's "moderately complex" query: three ranges, a set-valued path, and
+/// five predicates — a superset of every paper query's features.
+inline constexpr const char* kComplexQueryText =
+    "SELECT e.name, d.name, t.name "
+    "FROM Employee e IN Employees, Department d IN Department, "
+    "     Task t IN Tasks, Employee m IN t.team_members "
+    "WHERE e.dept == d && d.floor == 3 && e.age >= 32 && "
+    "      t.time == 100 && m.name == e.name;";
+
+/// A chain of `width` Employee ranges joined by `e1.name == eK.name`: the
+/// stress case for exploration growth.
+std::string JoinChainQueryText(int width);
 
 /// Parses and simplifies paper query `n` (1-4). `ctx` must be fresh and
 /// reference `db.catalog`.

@@ -56,6 +56,21 @@ TEST(ValueTest, HashDistinguishes) {
   EXPECT_EQ(Value::Str("a").Hash(), Value::Str("a").Hash());
 }
 
+TEST(ValueTest, NumericallyEqualIntAndDoubleHashAlike) {
+  // operator== says Int(3) == Double(3.0), so their hashes must agree.
+  EXPECT_EQ(Value::Int(3), Value::Double(3.0));
+  EXPECT_EQ(Value::Int(3).Hash(), Value::Double(3.0).Hash());
+  EXPECT_EQ(Value::Int(-7).Hash(), Value::Double(-7.0).Hash());
+  EXPECT_EQ(Value::Int(0).Hash(), Value::Double(-0.0).Hash());
+  // Past 2^53 a double no longer tells neighbouring ints apart, and
+  // operator== rounds the int; the hash must round the same way.
+  const int64_t big = (int64_t{1} << 53) + 1;
+  ASSERT_EQ(Value::Int(big), Value::Double(static_cast<double>(big)));
+  EXPECT_EQ(Value::Int(big).Hash(),
+            Value::Double(static_cast<double>(big)).Hash());
+  EXPECT_NE(Value::Double(3.5).Hash(), Value::Int(3).Hash());
+}
+
 TEST(CmpOpTest, Names) {
   EXPECT_STREQ(CmpOpName(CmpOp::kEq), "==");
   EXPECT_STREQ(CmpOpName(CmpOp::kLe), "<=");
@@ -107,6 +122,20 @@ TEST_F(ExprTest, StructuralEquality) {
   EXPECT_TRUE(a->Equals(*b));
   EXPECT_FALSE(a->Equals(*c));
   EXPECT_EQ(a->Hash(), b->Hash());
+}
+
+TEST_F(ExprTest, IntAndDoubleLiteralPredicatesHashAlike) {
+  // `c.population == 3` and `c.population == 3.0` are Equals(); the memo
+  // index and CanonicalConjunction's hash sort need their hashes equal too.
+  auto pred = [&](Value v) {
+    return ScalarExpr::Cmp(CmpOp::kEq,
+                           ScalarExpr::Attr(c_, db_.city_population),
+                           ScalarExpr::Const(std::move(v)));
+  };
+  ScalarExprPtr as_int = pred(Value::Int(3));
+  ScalarExprPtr as_double = pred(Value::Double(3.0));
+  ASSERT_TRUE(as_int->Equals(*as_double));
+  EXPECT_EQ(as_int->Hash(), as_double->Hash());
 }
 
 TEST_F(ExprTest, SelfVsAttrDiffer) {

@@ -2,6 +2,9 @@
 // property satisfaction, plan utilities, and operator rendering.
 #include <gtest/gtest.h>
 
+#include "src/physical/enforcers.h"
+#include "src/physical/impl_rules.h"
+#include "src/rules/transformations.h"
 #include "tests/test_util.h"
 
 namespace oodb {
@@ -182,6 +185,158 @@ TEST(SearchEngineTest, StatsAccumulateAcrossPhases) {
   EXPECT_GE(q.stats.expressions(),
             q.stats.logical_mexprs + q.stats.phys_alternatives);
   EXPECT_GT(q.stats.optimize_seconds, 0.0);
+}
+
+// --- Exploration: incremental re-firing reproduces the full memo ---
+
+constexpr const char* kTwoRangeJoin =
+    "SELECT e1.name, e2.age FROM Employee e1 IN Employees, "
+    "Employee e2 IN Employees WHERE e1.name == e2.name && "
+    "e1.age == 31 && e2.age == 44;";
+constexpr const char* kThreeRangeJoin =
+    "SELECT e1.name, e3.age FROM Employee e1 IN Employees, "
+    "Employee e2 IN Employees, Employee e3 IN Employees "
+    "WHERE e1.name == e2.name && e2.name == e3.name && "
+    "e1.age == 31 && e2.age == 44 && e3.age == 52;";
+
+/// Paper query `n` (1-4), or `text` when n is 0.
+LogicalExprPtr BuildQuery(const PaperDb& db, int n, const std::string& text,
+                          QueryContext* ctx) {
+  ctx->catalog = &db.catalog;
+  Result<LogicalExprPtr> logical =
+      n > 0 ? BuildPaperQuery(n, db, ctx) : ParseAndSimplify(text, ctx);
+  EXPECT_TRUE(logical.ok()) << logical.status().ToString();
+  return logical.ok() ? *logical : nullptr;
+}
+
+TEST(SearchEngineTest, GoldenMemoIdentity) {
+  // Search counters and optimal costs of the default optimizer, recorded
+  // before re-firings learned to skip bindings they had already had. The
+  // memo must not change: only the work of building it may.
+  struct Golden {
+    const char* name;
+    int paper;  // 0: `text`
+    std::string text;
+    int groups, mexprs, firings, impl_firings, alternatives;
+    double cost;  // < 0: not pinned
+  };
+  const std::vector<Golden> goldens = {
+      {"Q1", 1, "", 14, 47, 198, 288, 150, 146.5164},
+      {"Q2", 2, "", 6, 12, 40, 38, 20, 0.081401},
+      {"Q3", 3, "", 6, 12, 40, 61, 33, 0.103803},
+      {"Q4", 4, "", 11, 34, 127, 126, 59, 1.634105},
+      {"3-range", 0, kThreeRangeJoin, 59, 1478, 8656, 4888, 1651, 6851},
+      {"2-range", 0, kTwoRangeJoin, 13, 71, 325, 211, 79, 265.32},
+      {"E12 complex", 0, kComplexQueryText, 88, 1495, 8007, 3932, 1395,
+       1789.928868},
+      {"chain 2", 0, JoinChainQueryText(2), 5, 8, 18, 21, 10, -1},
+      {"chain 3", 0, JoinChainQueryText(3), 13, 49, 185, 164, 68, -1},
+      {"chain 4", 0, JoinChainQueryText(4), 40, 447, 2262, 1529, 616, -1},
+      {"chain 5", 0, JoinChainQueryText(5), 157, 6633, 36801, 21480, 8399,
+       -1},
+  };
+  PaperDb db = MakePaperCatalog();
+  for (const Golden& g : goldens) {
+    SCOPED_TRACE(g.name);
+    QueryContext ctx;
+    LogicalExprPtr logical = BuildQuery(db, g.paper, g.text, &ctx);
+    ASSERT_NE(logical, nullptr);
+    Result<OptimizedQuery> q = Optimizer(&db.catalog).Optimize(*logical, &ctx);
+    ASSERT_TRUE(q.ok()) << q.status().ToString();
+    EXPECT_EQ(q->stats.groups, g.groups);
+    EXPECT_EQ(q->stats.logical_mexprs, g.mexprs);
+    EXPECT_EQ(q->stats.transformation_firings, g.firings);
+    EXPECT_EQ(q->stats.impl_firings, g.impl_firings);
+    EXPECT_EQ(q->stats.phys_alternatives, g.alternatives);
+    if (g.cost >= 0) {
+      EXPECT_NEAR(q->cost.total(), g.cost, 1e-6);
+    }
+  }
+}
+
+/// Makes a child-matching rule bind every child m-expr on every firing,
+/// as exploration did before watermarks: the oracle they must reproduce.
+class BindEverything : public TransformationRule {
+ public:
+  explicit BindEverything(std::unique_ptr<TransformationRule> rule)
+      : rule_(std::move(rule)) {}
+  const char* name() const override { return rule_->name(); }
+  LogicalOpKind root_kind() const override { return rule_->root_kind(); }
+  bool matches_children() const override { return rule_->matches_children(); }
+  Status Apply(OptContext& ctx, const LogicalMExpr& mexpr,
+               std::vector<RuleExprPtr>* out) const override {
+    ctx.child_from = {};
+    return rule_->Apply(ctx, mexpr, out);
+  }
+
+ private:
+  std::unique_ptr<TransformationRule> rule_;
+};
+
+struct Explored {
+  std::string memo;
+  SearchStats stats;
+  double cost = 0.0;
+};
+
+Explored Explore(const PaperDb& db, int paper, const std::string& text,
+                 const OptimizerOptions& opts, bool bind_everything) {
+  QueryContext ctx;
+  LogicalExprPtr logical = BuildQuery(db, paper, text, &ctx);
+  EXPECT_NE(logical, nullptr);
+  CostModel cost_model(opts.cost);
+  SearchEngine engine(&ctx, &cost_model, &opts);
+  for (auto& rule : MakeDefaultTransformations()) {
+    if (bind_everything) rule = std::make_unique<BindEverything>(std::move(rule));
+    engine.AddTransformation(std::move(rule));
+  }
+  for (auto& rule : MakeDefaultImplRules()) engine.AddImplRule(std::move(rule));
+  for (auto& enf : MakeDefaultEnforcers()) engine.AddEnforcer(std::move(enf));
+  Explored out;
+  Result<PlanNodePtr> plan = engine.Optimize(*logical, PhysProps{}, &out.stats);
+  EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+  if (plan.ok()) out.cost = (*plan)->total_cost.total();
+  out.memo = engine.memo().ToString();
+  return out;
+}
+
+TEST(SearchEngineTest, IncrementalReFiringBuildsTheSameMemo) {
+  // The 3-range join and E12 merge hundreds of groups during exploration,
+  // so they also cover the watermark's re-binding after merges.
+  PaperDb db = MakePaperCatalog();
+  OptimizerOptions no_split;
+  no_split.disabled_rules = {kRuleSelectSplit};
+  struct Case {
+    int paper;
+    std::string text;
+    const OptimizerOptions* opts;
+  };
+  const OptimizerOptions defaults;
+  const std::vector<Case> cases = {
+      {1, "", &defaults},
+      {4, "", &defaults},
+      {0, kThreeRangeJoin, &defaults},
+      {0, kComplexQueryText, &defaults},
+      {0, JoinChainQueryText(4), &defaults},
+      {0, kThreeRangeJoin, &no_split},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.paper > 0 ? "Q" + std::to_string(c.paper) : c.text);
+    Explored incremental = Explore(db, c.paper, c.text, *c.opts, false);
+    Explored full = Explore(db, c.paper, c.text, *c.opts, true);
+    EXPECT_EQ(incremental.memo, full.memo);
+    EXPECT_EQ(incremental.stats.groups, full.stats.groups);
+    EXPECT_EQ(incremental.stats.transformation_firings,
+              full.stats.transformation_firings);
+    EXPECT_EQ(incremental.stats.phys_alternatives,
+              full.stats.phys_alternatives);
+    EXPECT_EQ(incremental.cost, full.cost);
+    // Re-firings skip the bindings they had: fewer outputs to discard.
+    EXPECT_LE(incremental.stats.duplicates, full.stats.duplicates);
+  }
+  Explored incremental = Explore(db, 0, kThreeRangeJoin, defaults, false);
+  Explored full = Explore(db, 0, kThreeRangeJoin, defaults, true);
+  EXPECT_LT(incremental.stats.duplicates, full.stats.duplicates * 3 / 4);
 }
 
 }  // namespace
