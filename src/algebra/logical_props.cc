@@ -73,8 +73,8 @@ Result<LogicalProps> DeriveLogicalProps(
       return out;
     }
     case LogicalOpKind::kJoin: {
-      double l = child_props[0].card, r = child_props[1].card;
-      out.card = l * r * sel.JoinSelectivity(op.pred, l, r);
+      out.card =
+          child_props[0].card * child_props[1].card * sel.Estimate(op.pred);
       out.tuple_bytes = child_props[0].tuple_bytes + child_props[1].tuple_bytes;
       return out;
     }
@@ -82,11 +82,14 @@ Result<LogicalProps> DeriveLogicalProps(
       out.card = child_props[0].card + child_props[1].card;
       out.tuple_bytes = child_props[0].tuple_bytes;
       return out;
-    case LogicalOpKind::kIntersect:
-      out.card =
-          0.5 * std::min(child_props[0].card, child_props[1].card);
+    case LogicalOpKind::kIntersect: {
+      // l·r/(l+r): associative and commutative, so every bracketing the
+      // setop rules produce derives the same estimate; 0 if a side is empty.
+      double l = child_props[0].card, r = child_props[1].card;
+      out.card = l + r > 0.0 ? l * r / (l + r) : 0.0;
       out.tuple_bytes = child_props[0].tuple_bytes;
       return out;
+    }
     case LogicalOpKind::kDifference:
       out.card = 0.5 * child_props[0].card;
       out.tuple_bytes = child_props[0].tuple_bytes;

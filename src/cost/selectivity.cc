@@ -3,9 +3,32 @@
 #include <algorithm>
 #include <vector>
 
+#include "src/algebra/logical_props.h"
+#include "src/rules/expr_rewrites.h"
 #include "src/trace/card_feedback.h"
 
 namespace oodb {
+
+namespace {
+
+/// The `self` side of a `ref == self` (or `self == self`) equality, or null.
+const ScalarExpr* SelfOperand(const ScalarExprPtr& e) {
+  if (e->kind() != ScalarExpr::Kind::kCmp || e->cmp_op() != CmpOp::kEq) {
+    return nullptr;
+  }
+  const ScalarExpr* self = nullptr;
+  for (const ScalarExprPtr& side : e->children()) {
+    if (side->kind() == ScalarExpr::Kind::kSelf) self = side.get();
+  }
+  return self;
+}
+
+}  // namespace
+
+bool SelectivityEstimator::IsExact(const ScalarExprPtr& conjunct) {
+  return IsConstTrue(conjunct) || IsConstFalse(conjunct) ||
+         SelfOperand(conjunct) != nullptr;
+}
 
 double SelectivityEstimator::Estimate(const ScalarExprPtr& pred) const {
   if (!pred) return 1.0;
@@ -28,6 +51,21 @@ double SelectivityEstimator::Estimate(const ScalarExprPtr& pred) const {
 }
 
 double SelectivityEstimator::EstimateConjunct(const ScalarExprPtr& e) const {
+  // A constant is exact: the constant-true predicate of a cartesian FROM
+  // keeps the whole cross product.
+  if (IsConstTrue(e)) return 1.0;
+  if (IsConstFalse(e)) return 0.0;
+  if (const ScalarExpr* self = SelfOperand(e)) {
+    // ref == self: each referencing tuple matches exactly one object of the
+    // referenced population. That is the extent Get mat-to-join scans, so
+    // Join(X, extent) re-derives exactly the cardinality of the Mat(X) it
+    // replaces.
+    TypeId t = ctx_->bindings.def(self->binding()).type;
+    Result<LogicalProps> extent = DeriveLogicalProps(
+        LogicalOp::Get(CollectionId::Extent(t), self->binding()), {}, *ctx_);
+    return extent.ok() ? 1.0 / std::max(1.0, extent->card)
+                       : kDefaultSelectivity;
+  }
   // Measured feedback from a prior execution of this query wins over any
   // statistic: the structural hash includes literal values, so an observed
   // selectivity for `x == 7` is consulted only for that exact conjunct —
@@ -51,6 +89,18 @@ double SelectivityEstimator::EstimateConjunct(const ScalarExprPtr& e) const {
   }
   switch (e->cmp_op()) {
     case CmpOp::kEq: {
+      // Value equality between two attributes: 1 / max(distinct), with an
+      // unmeasured side counted as 10 distinct values.
+      if (l->kind() == ScalarExpr::Kind::kAttr &&
+          r->kind() == ScalarExpr::Kind::kAttr) {
+        auto distinct = [&](const ScalarExpr* a) -> double {
+          const BindingDef& b = ctx_->bindings.def(a->binding());
+          const FieldDef& f = ctx_->schema().type(b.type).field(a->field());
+          return f.distinct_values > 0 ? static_cast<double>(f.distinct_values)
+                                       : 10.0;
+        };
+        return 1.0 / std::max(distinct(l.get()), distinct(r.get()));
+      }
       if (attr != nullptr) {
         const IndexInfo* idx = FindAssistingIndex(attr->binding(), attr->field());
         if (idx != nullptr && idx->distinct_keys > 0) {
@@ -101,56 +151,6 @@ double SelectivityEstimator::EstimateConjunct(const ScalarExprPtr& e) const {
     }
   }
   return kDefaultSelectivity;
-}
-
-double SelectivityEstimator::JoinSelectivity(const ScalarExprPtr& pred,
-                                             double left_card,
-                                             double right_card) const {
-  if (!pred) return 1.0;
-  if (ctx_->feedback != nullptr) {
-    if (std::optional<double> sel =
-            ctx_->feedback->JoinSelectivity(pred->Hash())) {
-      return *sel;
-    }
-  }
-  std::vector<ScalarExprPtr> conjuncts = ScalarExpr::SplitConjuncts(pred);
-  double sel = 1.0;
-  for (const ScalarExprPtr& c : conjuncts) {
-    if (c->kind() != ScalarExpr::Kind::kCmp || c->cmp_op() != CmpOp::kEq) {
-      sel *= kDefaultSelectivity;
-      continue;
-    }
-    const ScalarExprPtr& l = c->children()[0];
-    const ScalarExprPtr& r = c->children()[1];
-    // ref == self: each referencing tuple matches exactly one object of the
-    // referenced population.
-    const ScalarExpr* self = nullptr;
-    if (l->kind() == ScalarExpr::Kind::kSelf) self = l.get();
-    if (r->kind() == ScalarExpr::Kind::kSelf) self = r.get();
-    if (self != nullptr) {
-      TypeId t = ctx_->bindings.def(self->binding()).type;
-      if (std::optional<int64_t> population = ctx_->catalog->TypeCardinality(t)) {
-        sel *= 1.0 / std::max<double>(1.0, static_cast<double>(*population));
-        continue;
-      }
-      sel *= 1.0 / std::max(1.0, std::max(left_card, right_card));
-      continue;
-    }
-    // Value equality between two attributes: 1 / max(distinct).
-    if (l->kind() == ScalarExpr::Kind::kAttr &&
-        r->kind() == ScalarExpr::Kind::kAttr) {
-      auto distinct = [&](const ScalarExpr* a) -> double {
-        const BindingDef& b = ctx_->bindings.def(a->binding());
-        const FieldDef& f = ctx_->schema().type(b.type).field(a->field());
-        return f.distinct_values > 0 ? static_cast<double>(f.distinct_values)
-                                     : 10.0;
-      };
-      sel *= 1.0 / std::max(distinct(l.get()), distinct(r.get()));
-      continue;
-    }
-    sel *= kDefaultSelectivity;
-  }
-  return sel;
 }
 
 const IndexInfo* SelectivityEstimator::FindAssistingIndex(BindingId binding,

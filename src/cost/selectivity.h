@@ -2,6 +2,8 @@
 // selectivity estimation, selectivity of selection predicates is assumed to
 // be 10%". An equality predicate whose attribute is reachable through an
 // enabled (possibly path-) index is estimated as 1/distinct-keys.
+// Select and Join price each conjunct the same way, so a group's
+// cardinality does not depend on which expression derives it.
 #ifndef OODB_COST_SELECTIVITY_H_
 #define OODB_COST_SELECTIVITY_H_
 
@@ -15,7 +17,7 @@ namespace oodb {
 inline constexpr double kDefaultSelectivity = 0.10;
 inline constexpr double kDefaultRangeSelectivity = 1.0 / 3.0;
 
-/// Estimates predicate and join selectivities against a catalog.
+/// Estimates predicate selectivities against a catalog.
 class SelectivityEstimator {
  public:
   explicit SelectivityEstimator(const QueryContext* ctx) : ctx_(ctx) {}
@@ -24,11 +26,9 @@ class SelectivityEstimator {
   /// conjuncts multiply, disjuncts combine by inclusion-exclusion.
   double Estimate(const ScalarExprPtr& pred) const;
 
-  /// Selectivity of a join predicate relating the two sides. `left_card`
-  /// and `right_card` are the input cardinalities. Reference-equality
-  /// predicates (ref == self) use the referenced population's size.
-  double JoinSelectivity(const ScalarExprPtr& pred, double left_card,
-                         double right_card) const;
+  /// True for a conjunct priced exactly, which feedback never overrides:
+  /// a constant, or `ref == self`.
+  static bool IsExact(const ScalarExprPtr& conjunct);
 
   /// If an enabled index assists `binding`.`field` (directly, or as the key
   /// of a path index whose path matches the binding's Mat-derivation chain

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/rules/expr_rewrites.h"
+
 namespace oodb {
 
 namespace {
@@ -34,9 +36,7 @@ ScalarExprPtr CanonicalConjunction(std::vector<ScalarExprPtr> conjuncts) {
   // of cartesian FROM combinations) as soon as a real conjunct is present.
   std::vector<ScalarExprPtr> kept;
   for (ScalarExprPtr& c : conjuncts) {
-    bool const_true = c->kind() == ScalarExpr::Kind::kConst &&
-                      c->value().kind == Value::Kind::kInt && c->value().i != 0;
-    if (!const_true) kept.push_back(std::move(c));
+    if (!IsConstTrue(c)) kept.push_back(std::move(c));
   }
   if (kept.empty()) kept.push_back(ScalarExpr::Const(Value::Int(1)));
   std::sort(kept.begin(), kept.end(),

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <vector>
 
+#include "src/cost/selectivity.h"
+
 namespace oodb {
 
 namespace {
@@ -28,10 +30,6 @@ void CardFeedback::RecordSelectivity(size_t conjunct_hash, double sel) {
   selectivities_[conjunct_hash] = ClampSel(sel);
 }
 
-void CardFeedback::RecordJoinSelectivity(size_t pred_hash, double sel) {
-  join_selectivities_[pred_hash] = ClampSel(sel);
-}
-
 void CardFeedback::RecordUnnestFanout(TypeId type, FieldId field,
                                       double fanout) {
   unnest_fanouts_[FieldKey(type, field)] = std::max(fanout, kMinFanout);
@@ -49,12 +47,6 @@ std::optional<double> CardFeedback::Selectivity(size_t conjunct_hash) const {
   return it->second;
 }
 
-std::optional<double> CardFeedback::JoinSelectivity(size_t pred_hash) const {
-  auto it = join_selectivities_.find(pred_hash);
-  if (it == join_selectivities_.end()) return std::nullopt;
-  return it->second;
-}
-
 std::optional<double> CardFeedback::UnnestFanout(TypeId type,
                                                 FieldId field) const {
   auto it = unnest_fanouts_.find(FieldKey(type, field));
@@ -66,7 +58,6 @@ std::string CardFeedback::Summary() const {
   std::string s = "feedback: ";
   s += std::to_string(scan_cards_.size()) + " scans, ";
   s += std::to_string(selectivities_.size()) + " conjuncts, ";
-  s += std::to_string(join_selectivities_.size()) + " joins, ";
   s += std::to_string(unnest_fanouts_.size()) + " unnests";
   return s;
 }
@@ -85,9 +76,16 @@ class Extractor {
  public:
   Extractor(const ExecProfile& profile, const QueryContext& ctx,
             const ObjectStore& store, CardFeedback* out)
-      : profile_(profile), ctx_(ctx), store_(store), out_(out) {}
+      : profile_(profile), ctx_(ctx), store_(store), out_(out) {
+    // Exact conjuncts are divided out as the re-plan will price them:
+    // against this feedback.
+    ctx_.feedback = out;
+  }
 
+  /// Post-order, so the scans below a join have recorded their member
+  /// counts before its exact conjuncts are priced against them.
   void Visit(const PlanNode& node) {
+    for (const PlanNodePtr& c : node.children) Visit(*c);
     switch (node.op.kind) {
       case PhysOpKind::kFileScan:
       case PhysOpKind::kIndexScan:
@@ -107,7 +105,6 @@ class Extractor {
       default:
         break;
     }
-    for (const PlanNodePtr& c : node.children) Visit(*c);
   }
 
  private:
@@ -125,18 +122,27 @@ class Extractor {
     return static_cast<double>((*members)->size());
   }
 
-  /// Splits a combined observed selectivity geometrically across conjuncts:
-  /// each conjunct gets sel^(1/k), so the product — and with it the chain's
-  /// output cardinality — is preserved no matter where the re-plan places
-  /// each conjunct.
-  void RecordConjuncts(const std::vector<ScalarExprPtr>& conjuncts,
-                       double sel) {
-    if (conjuncts.empty()) return;
-    double per =
-        std::pow(ClampSel(sel), 1.0 / static_cast<double>(conjuncts.size()));
-    for (const ScalarExprPtr& c : conjuncts) {
-      if (c != nullptr) out_->RecordSelectivity(c->Hash(), per);
+  /// Splits the combined observed selectivity of `preds` geometrically
+  /// across their conjuncts that take feedback: the exactly priced ones'
+  /// estimate is divided out, and each other conjunct gets the k-th root of
+  /// the rest, so the product — and with it the output cardinality — is
+  /// preserved no matter where the re-plan places each conjunct.
+  void RecordConjuncts(const std::vector<ScalarExprPtr>& preds, double sel) {
+    SelectivityEstimator estimator(&ctx_);
+    std::vector<size_t> measured;
+    for (const ScalarExprPtr& pred : preds) {
+      for (const ScalarExprPtr& c : ScalarExpr::SplitConjuncts(pred)) {
+        if (!SelectivityEstimator::IsExact(c)) {
+          measured.push_back(c->Hash());
+        } else if (double exact = estimator.Estimate(c); exact > 0.0) {
+          sel /= exact;
+        }
+      }
     }
+    if (measured.empty()) return;
+    double per =
+        std::pow(ClampSel(sel), 1.0 / static_cast<double>(measured.size()));
+    for (size_t hash : measured) out_->RecordSelectivity(hash, per);
   }
 
   void RecordScan(const PlanNode& node) {
@@ -147,17 +153,8 @@ class Extractor {
     if (node.op.kind != PhysOpKind::kIndexScan) return;
     double out_rows = ActualRows(node);
     if (members <= 0.0 || out_rows < 0.0) return;
-    std::vector<ScalarExprPtr> conjuncts;
-    if (node.op.index_pred != nullptr) {
-      std::vector<ScalarExprPtr> cs =
-          ScalarExpr::SplitConjuncts(node.op.index_pred);
-      conjuncts.insert(conjuncts.end(), cs.begin(), cs.end());
-    }
-    if (node.op.pred != nullptr) {
-      std::vector<ScalarExprPtr> cs = ScalarExpr::SplitConjuncts(node.op.pred);
-      conjuncts.insert(conjuncts.end(), cs.begin(), cs.end());
-    }
-    RecordConjuncts(conjuncts, std::max(out_rows, 0.5) / members);
+    RecordConjuncts({node.op.index_pred, node.op.pred},
+                    std::max(out_rows, 0.5) / members);
   }
 
   void RecordFilterChain(const PlanNode& node) {
@@ -165,11 +162,10 @@ class Extractor {
     // from their top when the chain was collapsed at exec-build time.
     double out_rows = ActualRows(node);
     if (out_rows < 0.0 || node.op.pred == nullptr) return;
-    std::vector<ScalarExprPtr> conjuncts;
+    std::vector<ScalarExprPtr> preds;
     const PlanNode* base = &node;
     while (base->op.kind == PhysOpKind::kFilter && base->op.pred != nullptr) {
-      std::vector<ScalarExprPtr> cs = ScalarExpr::SplitConjuncts(base->op.pred);
-      conjuncts.insert(conjuncts.end(), cs.begin(), cs.end());
+      preds.push_back(base->op.pred);
       base = base->children[0].get();
     }
     double in_rows = ActualRows(*base);
@@ -179,7 +175,7 @@ class Extractor {
       in_rows = MemberCount(base->op.coll);
     }
     if (in_rows <= 0.0) return;
-    RecordConjuncts(conjuncts, std::max(out_rows, 0.5) / in_rows);
+    RecordConjuncts(preds, std::max(out_rows, 0.5) / in_rows);
   }
 
   void RecordUnnest(const PlanNode& node) {
@@ -199,12 +195,11 @@ class Extractor {
     // the probe side never opened, and a 0-row input says nothing about the
     // predicate.
     if (out_rows < 0.0 || left <= 0.0 || right <= 0.0) return;
-    out_->RecordJoinSelectivity(node.op.pred->Hash(),
-                                std::max(out_rows, 0.5) / (left * right));
+    RecordConjuncts({node.op.pred}, std::max(out_rows, 0.5) / (left * right));
   }
 
   const ExecProfile& profile_;
-  const QueryContext& ctx_;
+  QueryContext ctx_;
   const ObjectStore& store_;
   CardFeedback* out_;
 };

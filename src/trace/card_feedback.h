@@ -24,30 +24,26 @@ namespace oodb {
 /// Observed cardinality facts keyed by the structures the estimator already
 /// resolves during costing: collections, predicate conjunct hashes (the
 /// structural ScalarExpr hash *includes literal values*, so feedback for
-/// `x == 7` never leaks onto `x == 8` — exactly what catches skew), join
-/// predicate hashes, and (type, field) unnest fanouts.
+/// `x == 7` never leaks onto `x == 8` — exactly what catches skew), and
+/// (type, field) unnest fanouts. Filters and joins both feed the one
+/// conjunct map, so a conjunct's feedback follows it wherever the re-plan
+/// places it.
 class CardFeedback {
  public:
   void RecordScanCard(const CollectionId& id, double card);
   void RecordSelectivity(size_t conjunct_hash, double sel);
-  void RecordJoinSelectivity(size_t pred_hash, double sel);
   void RecordUnnestFanout(TypeId type, FieldId field, double fanout);
 
   std::optional<double> ScanCard(const CollectionId& id) const;
   std::optional<double> Selectivity(size_t conjunct_hash) const;
-  std::optional<double> JoinSelectivity(size_t pred_hash) const;
   std::optional<double> UnnestFanout(TypeId type, FieldId field) const;
 
   bool empty() const {
     return scan_cards_.empty() && selectivities_.empty() &&
-           join_selectivities_.empty() && unnest_fanouts_.empty();
-  }
-  size_t size() const {
-    return scan_cards_.size() + selectivities_.size() +
-           join_selectivities_.size() + unnest_fanouts_.size();
+           unnest_fanouts_.empty();
   }
 
-  /// One-line summary ("feedback: 2 scans, 3 conjuncts, 1 join, 0 unnests")
+  /// One-line summary ("feedback: 2 scans, 3 conjuncts, 0 unnests")
   /// for the re-plan trail rendering.
   std::string Summary() const;
 
@@ -60,7 +56,6 @@ class CardFeedback {
 
   std::unordered_map<std::string, double> scan_cards_;
   std::unordered_map<size_t, double> selectivities_;
-  std::unordered_map<size_t, double> join_selectivities_;
   std::unordered_map<uint64_t, double> unnest_fanouts_;
 };
 
@@ -75,7 +70,10 @@ class CardFeedback {
 ///     combined selectivity is split geometrically across the chain's
 ///     conjuncts, preserving the product (and so the chain's output
 ///     cardinality) wherever the re-plan places each conjunct;
-///   - join selectivities: actual-out / (actual-left x actual-right);
+///   - join selectivities: actual-out / (actual-left x actual-right), split
+///     the same way across the join's conjuncts. Exactly priced conjuncts
+///     (constants, ref == self) take no feedback; their estimate is
+///     divided out first;
 ///   - unnest fanouts: actual-out over actual-in.
 /// Ratios are only recorded when the denominator side was actually profiled
 /// with rows, so a partial profile from a FAILED run contributes exactly the

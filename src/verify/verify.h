@@ -35,6 +35,9 @@ inline constexpr const char* kMemoEmptyGroup = "memo-empty-group";
 inline constexpr const char* kMemoMembership = "memo-group-membership";
 inline constexpr const char* kMemoArity = "memo-arity";
 inline constexpr const char* kMemoScopeDrift = "memo-scope-drift";
+/// Every m-expr re-derives its group's cardinality: the estimate depends on
+/// the logical expression, never on which derivation created the group.
+inline constexpr const char* kMemoCardDrift = "memo-card-drift";
 inline constexpr const char* kMemoCard = "memo-card-invalid";
 inline constexpr const char* kMemoOpInvalid = "memo-op-invalid";
 inline constexpr const char* kMemoWinnerInProgress = "memo-winner-in-progress";

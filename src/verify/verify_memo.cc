@@ -1,7 +1,8 @@
 // The memo layer of the verifier: every m-expr belongs to the group that
 // lists it, children reference live groups, logical properties of a group
-// match what its expressions derive, winners are finished searches with
-// finite, additive costs whose plans satisfy their property keys.
+// (scope and cardinality) match what each of its expressions derives,
+// winners are finished searches with finite, additive costs whose plans
+// satisfy their property keys.
 #include "src/verify/verify.h"
 
 #include <algorithm>
@@ -21,6 +22,11 @@ std::string MExprPath(const Memo& memo, const LogicalMExpr& m) {
 }
 
 bool FiniteNonNegative(double v) { return std::isfinite(v) && v >= 0.0; }
+
+/// |a - b| within `tol` of the larger magnitude (of 1 below it).
+bool Close(double a, double b, double tol) {
+  return std::abs(a - b) <= tol * std::max({1.0, std::abs(a), std::abs(b)});
+}
 
 /// Shallow cost sanity for a winner's plan root: finite, non-negative local
 /// cost (winners are produced by the search, never by the Exchange pass, so
@@ -48,11 +54,8 @@ void CheckWinnerPlan(const PlanNode& plan, const std::string& path,
     cpu += c->total_cost.cpu_s;
   }
   double tol = opts.cost_rel_tolerance;
-  auto close = [tol](double a, double b) {
-    return std::abs(a - b) <=
-           tol * std::max({1.0, std::abs(a), std::abs(b)});
-  };
-  if (!close(io, plan.total_cost.io_s) || !close(cpu, plan.total_cost.cpu_s)) {
+  if (!Close(io, plan.total_cost.io_s, tol) ||
+      !Close(cpu, plan.total_cost.cpu_s, tol)) {
     report->Add(invariant::kMemoWinnerCost, path,
                 "winner total cost is not local + sum of child totals: a "
                 "physical alternative undercuts its inputs' lower bound");
@@ -129,14 +132,23 @@ VerifyReport VerifyMemoReport(const Memo& memo, const VerifyOptions& opts) {
       report.Add(invariant::kMemoOpInvalid, path, st.message());
       continue;
     }
-    // Every expression in a group must produce the group's scope — the
-    // "all exprs in a group share logical properties" invariant. Cardinality
-    // estimates may legitimately differ per derivation; the scope may not.
-    BindingSet derived = m.op.OutputBindings(child_scopes);
-    if (!(derived == owner.props.scope)) {
+    // Every expression in a group must derive the group's logical
+    // properties — the "all exprs in a group share logical properties"
+    // invariant: the same scope, and the same cardinality within 1e-9
+    // relative, absolute below one row (the rounding of multiplying its
+    // factors in another order).
+    Result<LogicalProps> props = memo.DeriveProps(m.op, m.children);
+    if (!props.ok()) continue;
+    if (!(props->scope == owner.props.scope)) {
       report.Add(invariant::kMemoScopeDrift, path,
                  "m-expr derives a different scope than its group's logical "
                  "properties carry");
+    }
+    if (!Close(props->card, owner.props.card, 1e-9)) {
+      report.Add(invariant::kMemoCardDrift, path,
+                 "m-expr derives cardinality " + std::to_string(props->card) +
+                     " but its group carries " +
+                     std::to_string(owner.props.card));
     }
   }
 

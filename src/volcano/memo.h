@@ -90,6 +90,11 @@ class Memo {
   /// Union-find root of `g`.
   GroupId Find(GroupId g) const;
 
+  /// The logical properties `op` derives over the current props of
+  /// `children`.
+  Result<LogicalProps> DeriveProps(const LogicalOp& op,
+                                   const std::vector<GroupId>& children) const;
+
   const Group& group(GroupId g) const { return groups_[Find(g)]; }
   Group& mutable_group(GroupId g) { return groups_[Find(g)]; }
   const LogicalMExpr& mexpr(MExprId m) const { return mexprs_[m]; }
@@ -147,9 +152,6 @@ class Memo {
 
   /// Merges the groups of `a` and `b`; winners must be empty.
   Status Merge(GroupId a, GroupId b);
-
-  Result<LogicalProps> DeriveProps(const LogicalOp& op,
-                                   const std::vector<GroupId>& children) const;
 
   QueryContext* ctx_;
   std::vector<Group> groups_;

@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "src/cost/selectivity.h"
 #include "src/exec/reference.h"
 #include "src/trace/card_feedback.h"
 #include "tests/test_util.h"
@@ -305,9 +307,59 @@ TEST_F(AdaptiveTest, ExtractFeedbackFromEmptyProfileRecordsOnlyScans) {
   auto card = fb.ScanCard(employees_);
   ASSERT_TRUE(card.has_value());
   EXPECT_EQ(static_cast<int64_t>(*card), EmployeesCard());
-  EXPECT_NE(fb.Summary().find("0 conjuncts, 0 joins, 0 unnests"),
+  EXPECT_NE(fb.Summary().find("0 conjuncts, 0 unnests"),
             std::string::npos)
       << fb.Summary();
+}
+
+// A join's observed selectivity feeds the one per-conjunct map, split
+// geometrically across the conjuncts that take feedback. The exactly priced
+// ref == self conjunct takes none: its estimate is divided out first, so
+// the re-plan re-derives the observed join cardinality wherever it places
+// each conjunct.
+TEST_F(AdaptiveTest, JoinProfileRecordsPerConjunctFeedback) {
+  Session s(&db_.catalog);
+  Populate(&s);
+  QueryContext ctx;
+  ctx.catalog = &db_.catalog;
+  BindingId e = ctx.bindings.AddGet("e", db_.employee);
+  BindingId d = ctx.bindings.AddGet("d", db_.department);
+  ScalarExprPtr ref = ScalarExpr::RefEq(e, db_.emp_dept, d);
+  ScalarExprPtr age = ScalarExpr::AttrCmpInt(e, db_.emp_age, CmpOp::kGe, 30);
+  ScalarExprPtr floor = ScalarExpr::AttrEqInt(d, db_.dept_floor, 3);
+  auto scan = [](CollectionId coll, BindingId b) {
+    PhysicalOp op;
+    op.kind = PhysOpKind::kFileScan;
+    op.coll = coll;
+    op.binding = b;
+    return PlanNode::Make(std::move(op), {}, {}, {}, {});
+  };
+  ScalarExprPtr pred = ScalarExpr::And({ref, age, floor});
+  PhysicalOp join;
+  join.kind = PhysOpKind::kNestedLoops;
+  join.pred = pred;
+  PlanNodePtr plan = PlanNode::Make(
+      std::move(join),
+      {scan(employees_, e), scan(CollectionId::Extent(db_.department), d)},
+      {}, {}, {});
+  ExecProfile profile;
+  profile.Register(plan.get())->rows = 40;
+  profile.Register(plan->children[0].get())->rows = 1000;
+  profile.Register(plan->children[1].get())->rows = 200;
+
+  CardFeedback fb = ExtractCardFeedback(*plan, profile, ctx, s.store());
+  ctx.feedback = &fb;
+  SelectivityEstimator replan(&ctx);
+  double per = std::sqrt(40.0 / (1000.0 * 200.0) / replan.Estimate(ref));
+  EXPECT_FALSE(fb.Selectivity(ref->Hash()).has_value());
+  ASSERT_TRUE(fb.Selectivity(age->Hash()).has_value());
+  EXPECT_NEAR(*fb.Selectivity(age->Hash()), per, 1e-12);
+  EXPECT_NEAR(*fb.Selectivity(floor->Hash()), per, 1e-12);
+  EXPECT_NE(fb.Summary().find("2 conjuncts"), std::string::npos)
+      << fb.Summary();
+
+  // The re-plan prices the whole join predicate back to the observation.
+  EXPECT_NEAR(1000.0 * 200.0 * replan.Estimate(pred), 40.0, 1e-9);
 }
 
 // ---------------------------------------------------------------------------
@@ -319,20 +371,17 @@ TEST(CardFeedbackTest, RecordAndLookupRoundTrip) {
   CollectionId set = CollectionId::Set("Employees", 3);
   fb.RecordScanCard(set, 123.0);
   fb.RecordSelectivity(42u, 0.25);
-  fb.RecordJoinSelectivity(7u, 1e-3);
   fb.RecordUnnestFanout(3, 9, 2.5);
   EXPECT_FALSE(fb.empty());
-  EXPECT_EQ(fb.size(), 4u);
   EXPECT_DOUBLE_EQ(*fb.ScanCard(set), 123.0);
   EXPECT_DOUBLE_EQ(*fb.Selectivity(42u), 0.25);
-  EXPECT_DOUBLE_EQ(*fb.JoinSelectivity(7u), 1e-3);
   EXPECT_DOUBLE_EQ(*fb.UnnestFanout(3, 9), 2.5);
   // Distinct collections with the same element type do not collide, and
   // neither do sets vs extents.
   EXPECT_FALSE(fb.ScanCard(CollectionId::Set("Others", 3)).has_value());
   EXPECT_FALSE(fb.ScanCard(CollectionId::Extent(3)).has_value());
   EXPECT_FALSE(fb.Selectivity(43u).has_value());
-  EXPECT_EQ(fb.Summary(), "feedback: 1 scans, 1 conjuncts, 1 joins, 1 unnests");
+  EXPECT_EQ(fb.Summary(), "feedback: 1 scans, 1 conjuncts, 1 unnests");
 }
 
 TEST(CardFeedbackTest, ClampsDegenerateRatios) {

@@ -2,6 +2,7 @@
 
 #include "src/catalog/paper_catalog.h"
 #include "src/cost/selectivity.h"
+#include "src/trace/card_feedback.h"
 
 namespace oodb {
 namespace {
@@ -112,7 +113,7 @@ TEST_F(SelectivityTest, RefJoinSelectivityUsesPopulation) {
   BindingId d = ctx_.bindings.AddMat("e.dept", db_.department, e, db_.emp_dept);
   ScalarExprPtr pred = ScalarExpr::RefEq(e, db_.emp_dept, d);
   // Department extent has 1000 objects.
-  EXPECT_DOUBLE_EQ(sel.JoinSelectivity(pred, 50000, 1000), 1.0 / 1000.0);
+  EXPECT_DOUBLE_EQ(sel.Estimate(pred), 1.0 / 1000.0);
 }
 
 TEST_F(SelectivityTest, ValueJoinSelectivityUsesDistinct) {
@@ -123,7 +124,38 @@ TEST_F(SelectivityTest, ValueJoinSelectivityUsesDistinct) {
       ScalarExpr::Cmp(CmpOp::kEq, ScalarExpr::Attr(e, db_.emp_name),
                       ScalarExpr::Attr(p, db_.person_name));
   // 1 / max(distinct(emp.name)=475, distinct(person.name)=5000).
-  EXPECT_DOUBLE_EQ(sel.JoinSelectivity(pred, 100, 100), 1.0 / 5000.0);
+  EXPECT_DOUBLE_EQ(sel.Estimate(pred), 1.0 / 5000.0);
+}
+
+TEST_F(SelectivityTest, ConstantTrueKeepsEverythingAndFalseNothing) {
+  // The constant-true predicate of a cartesian FROM keeps the whole cross
+  // product; it is not a 10% filter.
+  SelectivityEstimator sel(&ctx_);
+  EXPECT_DOUBLE_EQ(sel.Estimate(ScalarExpr::Const(Value::Int(1))), 1.0);
+  EXPECT_DOUBLE_EQ(sel.Estimate(ScalarExpr::Const(Value::Int(0))), 0.0);
+  ScalarExprPtr task = ScalarExpr::AttrEqInt(t_, db_.task_time, 100);
+  EXPECT_DOUBLE_EQ(
+      sel.Estimate(ScalarExpr::And({ScalarExpr::Const(Value::Int(1)), task})),
+      sel.Estimate(task));
+}
+
+TEST_F(SelectivityTest, FeedbackNeverOverridesExactConjuncts) {
+  BindingId e = ctx_.bindings.AddGet("e", db_.employee);
+  BindingId d = ctx_.bindings.AddMat("e.dept", db_.department, e, db_.emp_dept);
+  ScalarExprPtr ref = ScalarExpr::RefEq(e, db_.emp_dept, d);
+  ScalarExprPtr truth = ScalarExpr::Const(Value::Int(1));
+  CardFeedback fb;
+  fb.RecordSelectivity(ref->Hash(), 0.5);
+  fb.RecordSelectivity(truth->Hash(), 0.5);
+  // The population is the measured extent when one was scanned.
+  fb.RecordScanCard(CollectionId::Extent(db_.department), 400);
+  ctx_.feedback = &fb;
+  SelectivityEstimator sel(&ctx_);
+  EXPECT_DOUBLE_EQ(sel.Estimate(ref), 1.0 / 400.0);
+  EXPECT_DOUBLE_EQ(sel.Estimate(truth), 1.0);
+  EXPECT_TRUE(SelectivityEstimator::IsExact(ref));
+  EXPECT_FALSE(
+      SelectivityEstimator::IsExact(ScalarExpr::AttrEqInt(t_, db_.task_time, 1)));
 }
 
 TEST_F(SelectivityTest, FindAssistingIndexExtentOnlyForMatRef) {

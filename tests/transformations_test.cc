@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "src/rules/transformations.h"
+#include "src/verify/verify.h"
 #include "tests/test_util.h"
 
 namespace oodb {
@@ -304,6 +305,26 @@ TEST_F(TransformationTest, SetOpCommuteAndAssoc) {
                                 {u1, caps});
   Explored e = Explore(tree);
   EXPECT_GE(CountInRoot(e, LogicalOpKind::kIntersect), 2);
+}
+
+TEST_F(TransformationTest, IntersectChainKeepsOneCardinalityPerGroup) {
+  // Inputs of 10000, 10000 and 1000 rows: every bracketing and ordering the
+  // setop rules produce must derive its group's estimate.
+  BindingId c = ctx_.bindings.AddGet("c", db_.city);
+  auto cities = LogicalExpr::Make(
+      LogicalOp::Get(CollectionId::Set("Cities", db_.city), c));
+  auto small = LogicalExpr::Make(
+      LogicalOp::Select(ScalarExpr::AttrEqInt(c, db_.city_population, 5)),
+      {cities});
+  auto pair = LogicalExpr::Make(LogicalOp::SetOp(LogicalOpKind::kIntersect),
+                                {cities, cities});
+  auto tree = LogicalExpr::Make(LogicalOp::SetOp(LogicalOpKind::kIntersect),
+                                {pair, small});
+  Explored e = Explore(tree);
+  EXPECT_GE(CountAll(e, LogicalOpKind::kIntersect), 4);
+  VerifyReport report = VerifyMemoReport(*e.memo);
+  EXPECT_TRUE(report.ok()) << report.ToString();
+  EXPECT_NEAR(e.memo->group(e.root).props.card, 1.0 / (2e-4 + 1e-3), 1e-9);
 }
 
 }  // namespace

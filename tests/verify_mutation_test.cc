@@ -670,6 +670,12 @@ TEST_F(MemoMutationTest, GroupScopeDriftIsRejected) {
   ExpectMemoViolation(invariant::kMemoScopeDrift);
 }
 
+TEST_F(MemoMutationTest, GroupCardinalityDriftIsRejected) {
+  Search(4);
+  memo().mutable_group(0).props.card *= 2.0;
+  ExpectMemoViolation(invariant::kMemoCardDrift);
+}
+
 TEST_F(MemoMutationTest, NegativeCardinalityIsRejected) {
   Search(2);
   memo().mutable_group(0).props.card = -5.0;
