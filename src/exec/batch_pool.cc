@@ -9,13 +9,17 @@ namespace oodb {
 namespace {
 
 /// Recycling effectiveness for the metrics snapshot: Take() hits (arena
-/// reused) vs misses (fresh allocation), and arenas parked by Return().
-/// Steady-state execution should show hits climbing and misses flat — the
-/// zero-alloc invariant exec_test asserts. Resolved once; never freed.
+/// reused) vs misses (fresh allocation), and arenas Return() parks
+/// (recycled) or frees because the pool is full (dropped). Steady-state
+/// execution should show hits climbing and misses flat — the zero-alloc
+/// invariant exec_test asserts — and an execution that returns every arena
+/// it took adds as much to hits + misses as to recycled + dropped, the
+/// balance chaos_test asserts. Resolved once; never freed.
 struct BatchPoolMetrics {
   Counter* hits;
   Counter* misses;
   Counter* recycled;
+  Counter* dropped;
 
   static const BatchPoolMetrics& Get() {
     static const BatchPoolMetrics m = [] {
@@ -27,6 +31,8 @@ struct BatchPoolMetrics {
                            "Take() calls that allocated a fresh arena.");
       m.recycled = r.counter("oodb_batch_pool_recycled_total",
                              "Arenas parked for reuse by Return().");
+      m.dropped = r.counter("oodb_batch_pool_dropped_total",
+                            "Arenas Return() freed because the pool was full.");
       return m;
     }();
     return m;
@@ -66,6 +72,8 @@ void BatchPool::Return(TupleBatch&& batch) {
   if (pool_.size() < kMaxPooled) {
     pool_.push_back(std::move(batch));
     BatchPoolMetrics::Get().recycled->Increment();
+  } else {
+    BatchPoolMetrics::Get().dropped->Increment();
   }
 }
 

@@ -28,7 +28,8 @@ class BatchPool {
   /// Returns a pooled arena of exactly (width, capacity), else a fresh one.
   TupleBatch Take(int width, size_t capacity);
 
-  /// Parks `batch` for reuse. Over-capacity returns are simply freed.
+  /// Parks `batch` for reuse. Returns past kMaxPooled are freed (and
+  /// counted as dropped).
   void Return(TupleBatch&& batch);
 
  private:

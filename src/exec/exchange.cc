@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <deque>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -10,6 +11,7 @@
 #include "src/common/mutex.h"
 #include "src/common/thread_annotations.h"
 #include "src/exec/batch_pool.h"
+#include "src/exec/sort_keys.h"
 #include "src/exec/worker_pool.h"
 #include "src/physical/parallel.h"
 #include "src/trace/exec_profile.h"
@@ -169,9 +171,7 @@ class ExchangeExec : public ExecNode {
     max_attempts_ = std::max(1, env_.recovery.max_partition_attempts);
     merge_ = plan_->op.merge;
     if (merge_) {
-      for (const SortKey& k : plan_->op.sort.keys) {
-        key_exprs_.push_back(ScalarExpr::Attr(k.binding, k.field));
-      }
+      codec_.emplace(plan_->op.sort.keys, env_.store, env_.ctx);
       for (int p = 0; p < dop_; ++p) {
         queues_.push_back(std::make_unique<BatchQueue>(16));
       }
@@ -301,17 +301,26 @@ class ExchangeExec : public ExecNode {
   // exactly one attempt's complete stream (the winner's), so retries and
   // speculative rivals keep stream identity and the merged sequence is the
   // fault-free one.
+  //
+  // Each popped batch is encoded once (SortKeyCodec) and the tournament
+  // compares order words.
 
   struct MergeCursor {
     TupleBatch batch;
     size_t pos = 0;
     bool open = false;       ///< batch holds rows (pos < batch.size())
     bool exhausted = false;  ///< stream closed and drained
-    std::vector<Value> keys; ///< sort keys of the current row
+    std::vector<uint64_t> keys;  ///< encoded sort keys of the batch's rows
+    size_t encoded = 0;  ///< rows [0, encoded) have keys; the next one fails
+
+    const uint64_t* key(size_t words) const {
+      return keys.data() + pos * words;
+    }
+    const Slot* row() const { return batch.ref(pos).slots; }
   };
 
   /// Advances cursor `w` to its next row, waiting on the partition's queue
-  /// at batch boundaries; refreshes the cached sort keys.
+  /// at batch boundaries and encoding each new batch's sort keys.
   Status AdvanceCursor(int w) {
     MergeCursor& c = cursors_[static_cast<size_t>(w)];
     if (c.open) ++c.pos;
@@ -324,19 +333,15 @@ class ExchangeExec : public ExecNode {
         c.batch = std::move(next);
         c.pos = 0;
         c.open = c.batch.size() > 0;
+        c.keys.resize(c.batch.size() * codec_->words());
+        c.encoded = codec_->Encode(&c.batch, c.keys.data());
       } else {
         c.open = false;
         c.exhausted = true;
       }
     }
-    if (c.exhausted) return Status::OK();
-    TupleRef row = c.batch.ref(c.pos);
-    c.keys.clear();
-    for (const ScalarExprPtr& e : key_exprs_) {
-      OODB_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, row, *env_.ctx));
-      c.keys.push_back(std::move(v));
-    }
-    return Status::OK();
+    if (c.exhausted || c.pos < c.encoded) return Status::OK();
+    return codec_->KeyError(c.batch.ref(c.pos));
   }
 
   Result<size_t> NextMerge(TupleBatch* out) {
@@ -347,7 +352,7 @@ class ExchangeExec : public ExecNode {
         OODB_RETURN_IF_ERROR(AdvanceCursor(w));
       }
     }
-    const std::vector<SortKey>& keys = plan_->op.sort.keys;
+    const size_t words = codec_->words();
     const int64_t limit = plan_->op.limit;
     const double row_cpu_s =
         env_.timing().exchange_flow_tuple_s +
@@ -365,11 +370,9 @@ class ExchangeExec : public ExecNode {
           continue;
         }
         const MergeCursor& b = cursors_[static_cast<size_t>(best)];
-        for (size_t i = 0; i < keys.size(); ++i) {
-          int cmp = c.keys[i].Compare(b.keys[i]);
-          if (cmp == 0) continue;
-          if (keys[i].desc ? cmp > 0 : cmp < 0) best = w;
-          break;
+        if (codec_->Compare(c.key(words), c.row(), b.key(words), b.row()) <
+            0) {
+          best = w;
         }
       }
       if (best < 0) break;  // every stream drained
@@ -715,9 +718,15 @@ class ExchangeExec : public ExecNode {
     AbortQueues();
   }
 
+  /// Stops and joins the workers and pools the batches merge cursors still
+  /// hold (a reached limit or an error ends the merge mid-stream).
   void Shutdown() {
     if (!joined_) StopWorkers();
     JoinWorkers();
+    for (MergeCursor& c : cursors_) {
+      if (c.open) BatchPool::Instance().Return(std::move(c.batch));
+      c.open = false;
+    }
   }
 
   ExecEnv env_;
@@ -731,7 +740,7 @@ class ExchangeExec : public ExecNode {
   std::vector<std::unique_ptr<BatchQueue>> queues_;
   // Merge cursor state (consumer thread only):
   std::vector<MergeCursor> cursors_;
-  std::vector<ScalarExprPtr> key_exprs_;
+  std::optional<SortKeyCodec> codec_;
   bool merge_primed_ = false;
   int64_t merge_emitted_ = 0;
   Mutex pending_mu_{lock_rank::kExchangePending};

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "src/exec/exchange.h"
+#include "src/exec/sort_keys.h"
 #include "src/trace/exec_profile.h"
 #include "src/verify/verify.h"
 
@@ -1180,105 +1181,135 @@ class HashSetOpExec : public ExecNode {
 };
 
 // ---------------------------------------------------------------------------
+// Buffered rows of an order operator: a flat Slot arena of fixed-width rows
+// plus the delivery order over them (row indices). Sort and TopK buffer here
+// and emit by gathering through the order.
+// ---------------------------------------------------------------------------
+class RowArena {
+ public:
+  explicit RowArena(int width) : width_(static_cast<size_t>(width)) {}
+
+  size_t size() const { return count_; }
+  size_t width() const { return width_; }
+  const Slot* row(size_t i) const { return slots_.data() + i * width_; }
+
+  /// Appends a copy of `row`; returns its index.
+  uint32_t Append(TupleRef row) {
+    slots_.insert(slots_.end(), row.slots, row.slots + width_);
+    return static_cast<uint32_t>(count_++);
+  }
+  /// Overwrites row `i` with `row`.
+  void Assign(size_t i, TupleRef row) {
+    std::copy(row.slots, row.slots + width_, slots_.data() + i * width_);
+  }
+
+  /// Fills `out` with the next rows of `order`, starting at *pos.
+  size_t Emit(TupleBatch* out, const std::vector<uint32_t>& order,
+              size_t* pos) const {
+    while (!out->full() && *pos < order.size()) {
+      out->AppendRowRaw().CopyFrom(TupleRef(row(order[(*pos)++]), width_));
+    }
+    return out->size();
+  }
+
+ private:
+  size_t width_;
+  size_t count_ = 0;
+  std::vector<Slot> slots_;
+};
+
+/// Comparison-count model of one sort or heap operation: ceil(log2(n)),
+/// at least 1.
+double LogCeil(size_t n) {
+  double log = 1.0;
+  while ((1ull << static_cast<unsigned>(log)) < n) log += 1.0;
+  return log;
+}
+
+// ---------------------------------------------------------------------------
 // Sort (enforcer, extension): multi-key stable sort with per-key direction.
-// A row carries its evaluated key vector so comparisons never re-chase
-// object pointers. When op.sort_prefix > 0 the child already delivers the
-// first `prefix` keys in order (a partial sort): rows are buffered one
-// equal-prefix run at a time and only the run is sorted on the remaining
-// keys, so simulated CPU scales with n*log(run) instead of n*log(n) — the
-// saving PartialSortCost anticipates. Flushed runs are counted on the
-// operator's profile (sort_runs) for EXPLAIN ANALYZE.
+// Keys are encoded a batch at a time into fixed-width order words
+// (SortKeyCodec) beside a flat copy of the rows, and the sort orders row
+// indices — ties broken by input position, so the result is the stable
+// sort. When op.sort_prefix > 0 the child already delivers the first
+// `prefix` keys in order (a partial sort): each equal-prefix run is sorted
+// on the remaining keys as it closes, so simulated CPU scales with
+// n*log(run) instead of n*log(n) — the saving PartialSortCost anticipates.
+// Flushed runs are counted on the operator's profile (sort_runs) for
+// EXPLAIN ANALYZE.
 // ---------------------------------------------------------------------------
 class SortExec : public ExecNode {
  public:
   SortExec(ExecEnv env, const PhysicalOp& op, std::unique_ptr<ExecNode> child,
            OpProfile* prof = nullptr)
-      : env_(env), op_(op), child_(std::move(child)), prof_(prof) {
-    for (const SortKey& k : op_.sort.keys) {
-      key_exprs_.push_back(ScalarExpr::Attr(k.binding, k.field));
-    }
-  }
+      : env_(env),
+        op_(op),
+        child_(std::move(child)),
+        prof_(prof),
+        codec_(op_.sort.keys, env_.store, env_.ctx),
+        rows_(env_.num_bindings()) {}
 
   Status Open() override {
     OODB_RETURN_IF_ERROR(child_->Open());
-    BatchReader reader(child_.get(), env_.num_bindings(), env_.batch_size);
-    TupleRef t;
-    const size_t nkeys = key_exprs_.size();
+    const size_t nw = codec_.words();
     const size_t prefix =
-        std::min(nkeys, static_cast<size_t>(std::max(op_.sort_prefix, 0)));
-    std::vector<Keyed> run;
+        std::min(nw, static_cast<size_t>(std::max(op_.sort_prefix, 0)));
+    TupleBatch batch(env_.num_bindings(), env_.batch_size);
+    size_t run_begin = 0;
     while (true) {
-      OODB_ASSIGN_OR_RETURN(bool more, reader.NextRef(&t));
-      if (!more) break;
-      Keyed row;
-      row.keys.reserve(nkeys);
-      for (const ScalarExprPtr& e : key_exprs_) {
-        OODB_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, t, *env_.ctx));
-        row.keys.push_back(std::move(v));
+      OODB_ASSIGN_OR_RETURN(size_t n, child_->Next(&batch));
+      if (n == 0) break;
+      const size_t live = batch.active();
+      const size_t base = rows_.size();
+      keys_.resize((base + live) * nw);
+      const size_t good = codec_.Encode(&batch, keys_.data() + base * nw);
+      for (size_t i = 0; i < live; ++i) {
+        if (i == good) return codec_.KeyError(batch.active_ref(i));
+        env_.clock().cpu_s += env_.timing().cpu_hash_probe_s;
+        OODB_RETURN_IF_ERROR(env_.ChargeBuffered());
+        const size_t r = base + i;
+        TupleRef t = batch.active_ref(i);
+        if (prefix > 0 && r > run_begin &&
+            codec_.Compare(Key(run_begin), rows_.row(run_begin), Key(r),
+                           t.slots, 0, prefix) != 0) {
+          FlushRun(run_begin, r, prefix);
+          run_begin = r;
+        }
+        rows_.Append(t);
       }
-      env_.clock().cpu_s += env_.timing().cpu_hash_probe_s;
-      OODB_RETURN_IF_ERROR(env_.ChargeBuffered());
-      if (prefix > 0 && !run.empty() &&
-          !PrefixEqual(run.front().keys, row.keys, prefix)) {
-        FlushRun(&run, prefix);
-      }
-      row.tuple = Tuple(t);
-      run.push_back(std::move(row));
     }
     child_->Close();
-    FlushRun(&run, prefix);
+    FlushRun(run_begin, rows_.size(), prefix);
     return Status::OK();
   }
 
   Result<size_t> Next(TupleBatch* out) override {
     OODB_RETURN_IF_ERROR(env_.Tick());
     out->Clear();
-    while (!out->full() && pos_ < out_.size()) {
-      out->AppendRow().CopyFrom(out_[pos_++]);
-    }
-    return out->size();
+    return rows_.Emit(out, order_, &pos_);
   }
 
   void Close() override {}
 
  private:
-  struct Keyed {
-    std::vector<Value> keys;
-    Tuple tuple;
-  };
-
-  static bool PrefixEqual(const std::vector<Value>& a,
-                          const std::vector<Value>& b, size_t prefix) {
-    for (size_t i = 0; i < prefix; ++i) {
-      if (a[i].Compare(b[i]) != 0) return false;
-    }
-    return true;
+  const uint64_t* Key(size_t r) const {
+    return keys_.data() + r * codec_.words();
   }
 
-  /// Stable-sorts the buffered run on keys [prefix, nkeys) and appends it
-  /// to the output. With prefix == 0 the run is the whole input.
-  void FlushRun(std::vector<Keyed>* run, size_t prefix) {
-    if (run->empty()) return;
-    const std::vector<SortKey>& keys = op_.sort.keys;
-    std::stable_sort(run->begin(), run->end(),
-                     [&](const Keyed& a, const Keyed& b) {
-                       for (size_t i = prefix; i < keys.size(); ++i) {
-                         int c = a.keys[i].Compare(b.keys[i]);
-                         if (c != 0) return keys[i].desc ? c > 0 : c < 0;
-                       }
-                       return false;
-                     });
+  /// Sorts rows [begin, end) — one equal-prefix run, or with prefix == 0
+  /// the whole input — on keys [prefix, nkeys) and appends them to the
+  /// delivery order.
+  void FlushRun(size_t begin, size_t end, size_t prefix) {
+    if (begin == end) return;
+    order_.resize(end);
+    for (size_t r = begin; r < end; ++r) order_[r] = static_cast<uint32_t>(r);
+    codec_.SortRows(keys_.data(), rows_.row(0), rows_.width(), prefix,
+                    order_.data() + begin, order_.data() + end);
     // Comparison-count model: n*ceil(log2(run)) probes, so a partial sort's
     // shorter runs genuinely cost less simulated time than one global sort.
-    double log_run = 1.0;
-    while ((1ull << static_cast<unsigned>(log_run)) < run->size()) {
-      log_run += 1.0;
-    }
-    env_.clock().cpu_s += static_cast<double>(run->size()) * log_run *
+    const size_t n = end - begin;
+    env_.clock().cpu_s += static_cast<double>(n) * LogCeil(n) *
                           env_.timing().cpu_hash_probe_s;
-    out_.reserve(out_.size() + run->size());
-    for (Keyed& row : *run) out_.push_back(std::move(row.tuple));
-    run->clear();
     if (prefix > 0 && prof_ != nullptr) ++prof_->sort_runs;
   }
 
@@ -1286,8 +1317,10 @@ class SortExec : public ExecNode {
   PhysicalOp op_;
   std::unique_ptr<ExecNode> child_;
   OpProfile* prof_;
-  std::vector<ScalarExprPtr> key_exprs_;
-  std::vector<Tuple> out_;
+  SortKeyCodec codec_;
+  RowArena rows_;
+  std::vector<uint64_t> keys_;  ///< codec_.words() per buffered row
+  std::vector<uint32_t> order_;
   size_t pos_ = 0;
 };
 
@@ -1297,29 +1330,27 @@ class SortExec : public ExecNode {
 //   - sort_prefix == nkeys (or no sort keys at all): the child already
 //     delivers the full order — stream the first k rows and stop pulling,
 //     so a limited query never drains its input.
-//   - otherwise: a bounded max-heap of k rows keyed on the sort columns;
+//   - otherwise: a bounded max-heap of k entries — each an encoded key
+//     (SortKeyCodec), an insertion sequence number and a row of the arena;
 //     the heap root is the worst survivor, and an incoming row replaces it
-//     only when strictly better. Ties keep the earlier row (insertion
-//     sequence numbers make the result the stable top-k, matching what
-//     stable_sort + truncate produces).
-// Batches whose key column extracts as a typed int/real vector are
-// pre-screened against the heap root's leading key so rows that
-// cannot qualify skip Value materialization; simulated charges are
-// identical either way.
+//     only when strictly better, decided by one encoded compare against the
+//     root. Ties keep the earlier row (sequence numbers make the result the
+//     stable top-k, matching what stable_sort + truncate produces).
 // ---------------------------------------------------------------------------
 class TopKExec : public ExecNode {
  public:
   TopKExec(ExecEnv env, const PhysicalOp& op, std::unique_ptr<ExecNode> child,
            OpProfile* prof = nullptr)
-      : env_(env), op_(op), child_(std::move(child)), prof_(prof) {
-    for (const SortKey& k : op_.sort.keys) {
-      key_exprs_.push_back(ScalarExpr::Attr(k.binding, k.field));
-    }
-  }
+      : env_(env),
+        op_(op),
+        child_(std::move(child)),
+        prof_(prof),
+        codec_(op_.sort.keys, env_.store, env_.ctx),
+        rows_(env_.num_bindings()) {}
 
   Status Open() override {
     OODB_RETURN_IF_ERROR(child_->Open());
-    const size_t nkeys = key_exprs_.size();
+    const size_t nkeys = codec_.words();
     const size_t k =
         static_cast<size_t>(std::max<int64_t>(op_.limit, 0));
     // exec.topk == false: the oracle strategy — buffer everything (the
@@ -1340,8 +1371,8 @@ class TopKExec : public ExecNode {
         for (size_t i = 0; i < batch.active() && !done; ++i) {
           env_.clock().cpu_s += env_.timing().cpu_pred_s;
           OODB_RETURN_IF_ERROR(env_.ChargeBuffered());
-          out_.emplace_back(batch.active_ref(i));
-          done = out_.size() >= k;
+          order_.push_back(rows_.Append(batch.active_ref(i)));
+          done = order_.size() >= k;
         }
         continue;
       }
@@ -1352,17 +1383,9 @@ class TopKExec : public ExecNode {
       // Heap order is "worst first"; the result is ascending sort order
       // with insertion sequence breaking ties (stability).
       std::sort(heap_.begin(), heap_.end(),
-                [this](const Entry& a, const Entry& b) {
-                  int c = CompareKeys(a.keys, b.keys);
-                  if (c != 0) return c < 0;
-                  return a.seq < b.seq;
-                });
-      out_.reserve(std::min(heap_.size(), k));
-      for (Entry& e : heap_) {
-        if (out_.size() >= k) break;
-        out_.push_back(std::move(e.tuple));
-      }
-      heap_.clear();
+                [this](uint32_t a, uint32_t b) { return Worse(b, a); });
+      if (heap_.size() > k) heap_.resize(k);
+      order_ = std::move(heap_);
     }
     return Status::OK();
   }
@@ -1370,94 +1393,64 @@ class TopKExec : public ExecNode {
   Result<size_t> Next(TupleBatch* out) override {
     OODB_RETURN_IF_ERROR(env_.Tick());
     out->Clear();
-    while (!out->full() && pos_ < out_.size()) {
-      out->AppendRow().CopyFrom(out_[pos_++]);
-    }
-    return out->size();
+    return rows_.Emit(out, order_, &pos_);
   }
 
   void Close() override {}
 
  private:
-  struct Entry {
-    std::vector<Value> keys;
-    int64_t seq = 0;
-    Tuple tuple;
-  };
-
-  /// Lexicographic three-way comparison honoring per-key direction.
-  int CompareKeys(const std::vector<Value>& a,
-                  const std::vector<Value>& b) const {
-    const std::vector<SortKey>& keys = op_.sort.keys;
-    for (size_t i = 0; i < keys.size(); ++i) {
-      int c = a[i].Compare(b[i]);
-      if (c != 0) return keys[i].desc ? -c : c;
-    }
-    return 0;
+  const uint64_t* Key(uint32_t e) const {
+    return keys_.data() + e * codec_.words();
   }
 
   /// True when entry `a` is worse than `b` (comes later in sort order, or
   /// equal but inserted later) — the max-heap ordering: the root is the
   /// worst survivor, the first to be evicted.
-  bool Worse(const Entry& a, const Entry& b) const {
-    int c = CompareKeys(a.keys, b.keys);
+  bool Worse(uint32_t a, uint32_t b) const {
+    int c = codec_.Compare(Key(a), rows_.row(a), Key(b), rows_.row(b));
     if (c != 0) return c > 0;
-    return a.seq > b.seq;
+    return seq_of_[a] > seq_of_[b];
   }
 
   Status AbsorbBatch(TupleBatch* batch, size_t k) {
-    // Columnar pre-screen: once the heap is full, a row strictly worse than
-    // the root on the *leading* key alone can never enter. One typed
-    // compare rejects it without evaluating the remaining keys or building
-    // Values. (Rows with an unloaded leading slot fall through to the row
-    // path, which raises the proper error.)
-    const ColumnView* lead = nullptr;
-    if (heap_.size() >= k && !heap_.empty() &&
-        heap_.front().keys[0].kind != Value::Kind::kString) {
-      const SortKey& k0 = op_.sort.keys[0];
-      lead = batch->ExtractFieldColumn(k0.binding, k0.field, nullptr);
-    }
-    for (size_t i = 0; i < batch->active(); ++i) {
+    const size_t nw = codec_.words();
+    const size_t live = batch->active();
+    batch_keys_.resize(live * nw);
+    const size_t good = codec_.Encode(batch, batch_keys_.data());
+    // One heap operation: ~log2(k+1) comparisons.
+    const double log_k = LogCeil(k + 1);
+    auto worse = [this](uint32_t a, uint32_t b) {
+      return Worse(b, a);  // std heap: "less" puts the max at the root
+    };
+    for (size_t i = 0; i < live; ++i) {
       env_.clock().cpu_s += env_.timing().cpu_pred_s;
-      if (lead != nullptr) {
-        size_t phys = batch->active_index(i);
-        if (lead->loaded_at(phys)) {
-          const Value& worst = heap_.front().keys[0];
-          double v = lead->is_real ? lead->reals[phys]
-                                   : static_cast<double>(lead->ints[phys]);
-          double w = worst.kind == Value::Kind::kDouble
-                         ? worst.d
-                         : static_cast<double>(worst.i);
-          bool rejected = op_.sort.keys[0].desc ? v < w : v > w;
-          if (rejected) continue;
-        }
-      }
+      if (i == good) return codec_.KeyError(batch->active_ref(i));
+      const uint64_t* key = batch_keys_.data() + i * nw;
       TupleRef t = batch->active_ref(i);
-      Entry e;
-      e.keys.reserve(key_exprs_.size());
-      for (const ScalarExprPtr& expr : key_exprs_) {
-        OODB_ASSIGN_OR_RETURN(Value v, EvalExpr(*expr, t, *env_.ctx));
-        e.keys.push_back(std::move(v));
+      const int64_t seq = seq_++;
+      const bool full = heap_.size() >= k;
+      // A row ties the root at best (its sequence number is the newest):
+      // it enters only when its key is strictly better.
+      if (full && codec_.Compare(key, t.slots, Key(heap_.front()),
+                                 rows_.row(heap_.front())) >= 0) {
+        continue;
       }
-      e.seq = seq_++;
-      if (heap_.size() >= k) {
-        if (!Worse(heap_.front(), e)) continue;  // not better than the worst
-      }
-      e.tuple = Tuple(t);
-      // One heap operation: ~log2(k+1) comparisons.
-      double log_k = 1.0;
-      while ((1ull << static_cast<unsigned>(log_k)) < k + 1) log_k += 1.0;
       env_.clock().cpu_s += log_k * env_.timing().cpu_hash_probe_s;
-      auto worse = [this](const Entry& a, const Entry& b) {
-        return Worse(b, a);  // std heap: "less" puts the max at the root
-      };
-      if (heap_.size() >= k) {
+      uint32_t e;
+      if (full) {
         std::pop_heap(heap_.begin(), heap_.end(), worse);
+        e = heap_.back();
         heap_.pop_back();
+        rows_.Assign(e, t);
+        std::copy(key, key + nw, keys_.begin() + e * nw);
+        seq_of_[e] = seq;
       } else {
         OODB_RETURN_IF_ERROR(env_.ChargeBuffered());
+        e = rows_.Append(t);
+        keys_.insert(keys_.end(), key, key + nw);
+        seq_of_.push_back(seq);
       }
-      heap_.push_back(std::move(e));
+      heap_.push_back(e);
       std::push_heap(heap_.begin(), heap_.end(), worse);
       if (prof_ != nullptr) {
         prof_->topk_heap =
@@ -1471,10 +1464,16 @@ class TopKExec : public ExecNode {
   PhysicalOp op_;
   std::unique_ptr<ExecNode> child_;
   OpProfile* prof_;
-  std::vector<ScalarExprPtr> key_exprs_;
-  std::vector<Entry> heap_;
+  SortKeyCodec codec_;
+  /// Heap entries (and, streaming, the first k rows): entry e is row e of
+  /// the arena, keys_[e*nkeys...] and seq_of_[e].
+  RowArena rows_;
+  std::vector<uint64_t> keys_;
+  std::vector<int64_t> seq_of_;
+  std::vector<uint64_t> batch_keys_;  ///< the absorbed batch's encoded keys
+  std::vector<uint32_t> heap_;
   int64_t seq_ = 0;
-  std::vector<Tuple> out_;
+  std::vector<uint32_t> order_;
   size_t pos_ = 0;
 };
 

@@ -181,29 +181,51 @@ TEST_F(ChaosTest, QueueStallIsBoundedAndCorrect) {
 }
 
 TEST_F(ChaosTest, RecoveredRunsKeepBatchPoolSteadyState) {
-  // The zero-alloc invariant under faults: a recovered (partition-retried)
-  // execution returns every staged and in-flight arena; repeat runs of the
-  // same deterministic fault are served from the pool with no fresh
-  // allocations.
-  Planned p = Plan(kParallelQuery, /*max_dop=*/4);
-  ExecOptions eo;
-  eo.sample_limit = 1 << 22;
-  eo.exec_faults.fail_worker = 1;
-  eo.exec_faults.fail_after_batches = 1;
-  eo.exec_faults.fail_attempts = 1;
-  eo.recovery.max_partition_attempts = 3;
-  auto run = [&] {
-    auto stats = ExecutePlan(*p.plan, &store(), &p.ctx, eo);
-    ASSERT_TRUE(stats.ok()) << stats.status();
+  // The pooled-arena invariant under faults: a recovered (partition-retried)
+  // execution returns every arena it took — staged by the failed attempt,
+  // in flight in a queue, or held by a merge cursor. Whether a Take() hits
+  // or misses depends on how many arenas happen to be live at once, which
+  // is thread scheduling, so the check is the exact balance on every run:
+  // arenas taken (hits + misses) equal arenas returned (recycled + dropped).
+  MetricsRegistry& metrics = MetricsRegistry::Global();
+  Counter* hits = metrics.counter("oodb_batch_pool_hits_total");
+  Counter* misses = metrics.counter("oodb_batch_pool_misses_total");
+  Counter* recycled = metrics.counter("oodb_batch_pool_recycled_total");
+  Counter* dropped = metrics.counter("oodb_batch_pool_dropped_total");
+  // A plain Exchange, a merge that drains every stream, and a merge whose
+  // limit ends it while its cursors still hold batches.
+  const char* queries[] = {
+      kParallelQuery,
+      "SELECT a.id, a.x FROM AtomicPart a IN AtomicParts "
+      "WHERE a.x > a.y ORDER BY a.x;",
+      "SELECT a.id, a.x FROM AtomicPart a IN AtomicParts "
+      "WHERE a.x > a.y ORDER BY a.x LIMIT 20;",
   };
-  run();
-  run();
-  Counter* misses =
-      MetricsRegistry::Global().counter("oodb_batch_pool_misses_total");
-  int64_t misses_before = misses->value();
-  run();
-  EXPECT_EQ(misses->value(), misses_before)
-      << "a recovered execution allocated (leaked) a batch arena";
+  for (const char* text : queries) {
+    SCOPED_TRACE(text);
+    Planned p = Plan(text, /*max_dop=*/4);
+    ASSERT_EQ(FindMergeExchange(*p.plan) != nullptr, text != kParallelQuery)
+        << PrintPlan(*p.plan, p.ctx);
+    // Small batches, and the kill after the second: the failed attempt has
+    // staged a batch to give back.
+    ExecOptions eo;
+    eo.sample_limit = 1 << 22;
+    eo.batch_size = 8;
+    eo.exec_faults.fail_worker = 1;
+    eo.exec_faults.fail_after_batches = 2;
+    eo.exec_faults.fail_attempts = 1;
+    eo.recovery.max_partition_attempts = 3;
+    for (int run = 0; run < 3; ++run) {
+      const int64_t taken = hits->value() + misses->value();
+      const int64_t returned = recycled->value() + dropped->value();
+      auto stats = ExecutePlan(*p.plan, &store(), &p.ctx, eo);
+      ASSERT_TRUE(stats.ok()) << stats.status();
+      EXPECT_GE(stats->partitions_retried, 1);
+      EXPECT_EQ(hits->value() + misses->value() - taken,
+                recycled->value() + dropped->value() - returned)
+          << "run " << run << ": an execution leaked a batch arena";
+    }
+  }
 }
 
 // --- randomized sweep: ExecutePlan level ---

@@ -621,5 +621,219 @@ TEST_F(ExchangeTest, ExplainAnnotatesBatchAndDop) {
   EXPECT_NE(par_explain->find("Exchange"), std::string::npos) << *par_explain;
 }
 
+// --- ordered parity beyond OO7 ints ---------------------------------------
+
+/// The paper database at scale 0.1 (5,000 employees sharing a few dozen
+/// names): ordered statements over it plan a merging Exchange at max_dop 4,
+/// and the reference evaluator stays quick. Covers what the OO7 sweeps do
+/// not: string sort keys, descending keys with many ties, a partial sort,
+/// and TopK with a LIMIT below and above its input.
+class OrderedParityTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    db_ = new PaperDb(MakePaperCatalog(0.1));
+    store_ = new ObjectStore(&db_->catalog);
+    GenOptions gen;
+    gen.num_plants = 20;
+    ASSERT_TRUE(GeneratePaperData(*db_, store_, gen).ok());
+  }
+  static void TearDownTestSuite() {
+    delete store_;
+    delete db_;
+    store_ = nullptr;
+    db_ = nullptr;
+  }
+
+  /// An ordered statement whose ORDER BY keys are select columns, so the
+  /// expected sequence follows from the reference rows by a stable sort.
+  struct Case {
+    std::string text;
+    std::vector<std::pair<size_t, bool>> keys;  // select-column index, desc
+    int64_t limit = 0;
+  };
+
+  static std::vector<std::string> Expected(const Case& c,
+                                           const testing::PlannedQuery& p) {
+    auto reference = EvaluateReference(*p.logical, store_, p.ctx);
+    EXPECT_TRUE(reference.ok()) << reference.status();
+    std::vector<std::vector<Value>> rows = reference->rows;
+    std::stable_sort(rows.begin(), rows.end(),
+                     [&c](const std::vector<Value>& a,
+                          const std::vector<Value>& b) {
+                       for (const auto& [col, desc] : c.keys) {
+                         int cmp = a[col].Compare(b[col]);
+                         if (cmp != 0) return desc ? cmp > 0 : cmp < 0;
+                       }
+                       return false;
+                     });
+    if (c.limit > 0 && static_cast<int64_t>(rows.size()) > c.limit) {
+      rows.resize(static_cast<size_t>(c.limit));
+    }
+    return RowSeq(rows);
+  }
+
+  /// Holds every run of `c` — max_dop 1 to 4, batch 1 and 1024, the top-k
+  /// fast paths on and off — to the reference sequence. Leaves the plans in
+  /// *plans, indexed by max_dop - 1, for shape checks.
+  static void ExpectParity(const Case& c,
+                           std::vector<testing::PlannedQuery>* plans) {
+    SCOPED_TRACE(c.text);
+    std::vector<std::string> expect;
+    for (int dop = 1; dop <= 4; ++dop) {
+      plans->push_back(testing::PlanQuery(&db_->catalog, c.text, dop));
+      testing::PlannedQuery& p = plans->back();
+      if (dop == 1) expect = Expected(c, p);
+      for (int batch : {1, 1024}) {
+        for (bool topk : {true, false}) {
+          ExecOptions eo;
+          eo.sample_limit = 1 << 22;
+          eo.batch_size = batch;
+          eo.topk = topk;
+          auto stats = ExecutePlan(*p.plan, store_, &p.ctx, eo);
+          ASSERT_TRUE(stats.ok()) << stats.status();
+          EXPECT_EQ(RowSeq(stats->sample_rows), expect)
+              << "max_dop=" << dop << " batch=" << batch << " topk=" << topk
+              << "\nplan:\n" << PrintPlan(*p.plan, p.ctx);
+        }
+      }
+    }
+  }
+
+  /// Executes a hand-built plan over the city scan `c` whose order keys
+  /// read the never-loaded mayor `c.mayor`.
+  static Status RunUnloaded(const PlanNodePtr& plan, QueryContext* ctx,
+                            bool topk) {
+    ExecOptions eo;
+    eo.topk = topk;
+    return ExecutePlan(*plan, store_, ctx, eo).status();
+  }
+
+  static PaperDb* db_;
+  static ObjectStore* store_;
+};
+
+PaperDb* OrderedParityTest::db_ = nullptr;
+ObjectStore* OrderedParityTest::store_ = nullptr;
+
+TEST_F(OrderedParityTest, StringKeyThroughMergingExchange) {
+  std::vector<testing::PlannedQuery> plans;
+  ExpectParity({"SELECT e.name, e.age FROM Employee e IN Employees "
+                "WHERE e.age >= 20 ORDER BY e.name;",
+                {{0, false}}},
+               &plans);
+  EXPECT_NE(FindMergeExchange(*plans[3].plan), nullptr)
+      << PrintPlan(*plans[3].plan, plans[3].ctx);
+}
+
+TEST_F(OrderedParityTest, DescendingKeysWithManyTies) {
+  std::vector<testing::PlannedQuery> plans;
+  ExpectParity({"SELECT e.age, e.name FROM Employee e IN Employees "
+                "WHERE e.age >= 20 ORDER BY e.age DESC;",
+                {{0, true}}},
+               &plans);
+  EXPECT_NE(FindMergeExchange(*plans[3].plan), nullptr)
+      << PrintPlan(*plans[3].plan, plans[3].ctx);
+  plans.clear();
+  ExpectParity({"SELECT e.name, e.salary, e.age FROM Employee e IN Employees "
+                "WHERE e.age >= 20 ORDER BY e.name DESC, e.salary;",
+                {{0, true}, {1, false}}},
+               &plans);
+}
+
+TEST_F(OrderedParityTest, PartialSortOverIndexOrder) {
+  // The index delivers t.time; the Sort orders each run of equal times on
+  // t.name.
+  std::vector<testing::PlannedQuery> plans;
+  ExpectParity({"SELECT t.time, t.name FROM Task t IN Tasks "
+                "WHERE t.time >= 55 ORDER BY t.time, t.name;",
+                {{0, false}, {1, false}}},
+               &plans);
+  bool partial = false;
+  for (const testing::PlannedQuery& p : plans) {
+    std::vector<const PlanNode*> stack = {p.plan.get()};
+    while (!stack.empty()) {
+      const PlanNode* n = stack.back();
+      stack.pop_back();
+      partial |= n->op.kind == PhysOpKind::kSort && n->op.sort_prefix > 0;
+      for (const PlanNodePtr& c : n->children) stack.push_back(c.get());
+    }
+  }
+  EXPECT_TRUE(partial) << PrintPlan(*plans[0].plan, plans[0].ctx);
+}
+
+TEST_F(OrderedParityTest, TopKLimitBelowAndAboveInput) {
+  for (int64_t limit : {7, 100000}) {
+    Case c{"SELECT e.name, e.age FROM Employee e IN Employees "
+           "WHERE e.age >= 60 ORDER BY e.name DESC, e.age LIMIT " +
+               std::to_string(limit) + ";",
+           {{0, true}, {1, false}},
+           limit};
+    std::vector<testing::PlannedQuery> plans;
+    ExpectParity(c, &plans);
+    EXPECT_EQ(CountOps(*plans[0].plan, PhysOpKind::kTopK), 1)
+        << PrintPlan(*plans[0].plan, plans[0].ctx);
+  }
+}
+
+TEST_F(OrderedParityTest, UnloadedSortKeyFailsWithTheReadError) {
+  // Hand-built invalid plans: order keys on the mayor of a city scan, which
+  // no operator loads. Sort, TopK (heap and oracle) and the merging
+  // Exchange's cursor must each fail with the attribute-read error, naming
+  // the unloaded binding.
+  QueryContext ctx;
+  ctx.catalog = &db_->catalog;
+  BindingId c = ctx.bindings.AddGet("c", db_->city);
+  BindingId m = ctx.bindings.AddMat("c.mayor", db_->person, c,
+                                    db_->city_mayor);
+  LogicalProps props;
+  props.scope = BindingSet::Of(c);
+  auto node = [&](PhysicalOp op, std::vector<PlanNodePtr> children) {
+    return PlanNode::Make(op, std::move(children), props,
+                          PhysProps{BindingSet::Of(c), {}}, Cost{});
+  };
+  PhysicalOp scan;
+  scan.kind = PhysOpKind::kFileScan;
+  scan.coll = CollectionId::Set("Cities", db_->city);
+  scan.binding = c;
+  PlanNodePtr scan_node = node(scan, {});
+  const SortSpec bad_keys(
+      std::vector<SortKey>{{c, db_->city_population, false},
+                           {m, db_->person_age, true}});
+
+  PhysicalOp sort;
+  sort.kind = PhysOpKind::kSort;
+  sort.sort = bad_keys;
+  PhysicalOp topk = sort;
+  topk.kind = PhysOpKind::kTopK;
+  topk.limit = 5;
+  // The merge reads the mayor; its workers sort on the loaded population.
+  PhysicalOp good_sort = sort;
+  good_sort.sort = SortSpec(c, db_->city_population);
+  PhysicalOp exchange;
+  exchange.kind = PhysOpKind::kExchange;
+  exchange.dop = 2;
+  exchange.merge = true;
+  exchange.partition_binding = c;
+  exchange.sort = SortSpec(m, db_->person_age);
+
+  struct {
+    const char* label;
+    PlanNodePtr plan;
+    bool topk;
+  } cases[] = {
+      {"sort", node(sort, {scan_node}), true},
+      {"topk heap", node(topk, {scan_node}), true},
+      {"topk oracle", node(topk, {scan_node}), false},
+      {"merge", node(exchange, {node(good_sort, {scan_node})}), true},
+  };
+  for (const auto& k : cases) {
+    SCOPED_TRACE(k.label);
+    Status st = RunUnloaded(k.plan, &ctx, k.topk);
+    EXPECT_EQ(st.code(), StatusCode::kInternal) << st;
+    EXPECT_EQ(st.message(),
+              "attribute read on component not present in memory: c.mayor");
+  }
+}
+
 }  // namespace
 }  // namespace oodb

@@ -149,10 +149,10 @@ void Oo7ParallelTest::TearDownTestSuite() {
   instance_ = nullptr;
 }
 
-Oo7ParallelTest::Planned Oo7ParallelTest::Plan(const std::string& text,
-                                               int max_dop) {
-  Planned out;
-  out.ctx.catalog = &catalog();
+PlannedQuery PlanQuery(Catalog* catalog, const std::string& text,
+                       int max_dop) {
+  PlannedQuery out;
+  out.ctx.catalog = catalog;
   SortSpec order;
   int64_t limit = 0;
   auto logical = ParseAndSimplify(text, &out.ctx, &order, &limit);
@@ -164,7 +164,7 @@ Oo7ParallelTest::Planned Oo7ParallelTest::Plan(const std::string& text,
   PhysProps required;
   required.sort = order;
   required.limit = limit;
-  Optimizer opt(&catalog(), std::move(opts));
+  Optimizer opt(catalog, std::move(opts));
   auto planned = opt.Optimize(*out.logical, &out.ctx, required);
   EXPECT_TRUE(planned.ok()) << planned.status() << "\n" << text;
   EXPECT_TRUE(planned->stats.verify_error.empty())

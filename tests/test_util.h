@@ -82,6 +82,16 @@ Oo7Options ParallelOo7Config();
 /// path expressions over the documentation index, and ordered deliveries.
 std::string RandomOo7Query(Rng& rng);
 
+/// A ZQL statement parsed, simplified and optimized (ORDER BY / LIMIT become
+/// the required root properties) with the plan verifier on.
+struct PlannedQuery {
+  QueryContext ctx;
+  LogicalExprPtr logical;
+  PlanNodePtr plan;
+};
+PlannedQuery PlanQuery(Catalog* catalog, const std::string& text,
+                       int max_dop = 1);
+
 /// Fixture of the parallel suites: one ParallelOo7Config instance per test
 /// suite, ZQL planning at a chosen max_dop, and the reference oracle.
 class Oo7ParallelTest : public ::testing::TestWithParam<int> {
@@ -92,15 +102,12 @@ class Oo7ParallelTest : public ::testing::TestWithParam<int> {
   static Catalog& catalog() { return instance_->db->catalog; }
   static ObjectStore& store() { return *instance_->store; }
 
-  struct Planned {
-    QueryContext ctx;
-    LogicalExprPtr logical;
-    PlanNodePtr plan;
-  };
+  using Planned = PlannedQuery;
 
-  /// Parses, simplifies and optimizes `text` (ORDER BY / LIMIT become the
-  /// required root properties) with the plan verifier on.
-  static Planned Plan(const std::string& text, int max_dop = 1);
+  /// PlanQuery over the suite's catalog.
+  static Planned Plan(const std::string& text, int max_dop = 1) {
+    return PlanQuery(&catalog(), text, max_dop);
+  }
 
   /// The reference evaluator's rows for `p`, as SortedRows.
   static std::vector<std::string> Reference(const Planned& p);
