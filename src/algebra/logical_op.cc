@@ -47,7 +47,8 @@ LogicalOp LogicalOp::Get(CollectionId coll, BindingId binding) {
 LogicalOp LogicalOp::Select(ScalarExprPtr pred) {
   LogicalOp op;
   op.kind = LogicalOpKind::kSelect;
-  op.pred = std::move(pred);
+  op.pred = pred ? CanonicalConjunction(ScalarExpr::SplitConjuncts(pred))
+                 : nullptr;
   return op;
 }
 

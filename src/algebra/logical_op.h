@@ -72,6 +72,8 @@ struct LogicalOp {
   BindingId target = kInvalidBinding;
 
   static LogicalOp Get(CollectionId coll, BindingId binding);
+  /// A Select's predicate is always the CanonicalConjunction of its
+  /// conjuncts: one Select per conjunct set, whatever order built it.
   static LogicalOp Select(ScalarExprPtr pred);
   static LogicalOp Project(std::vector<ScalarExprPtr> emit);
   static LogicalOp Mat(BindingId source, FieldId field, BindingId target);

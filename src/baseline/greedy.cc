@@ -144,8 +144,9 @@ Result<OptimizedQuery> GreedyOptimizer::Optimize(const LogicalExpr& input,
         PhysicalOp op;
         op.kind = PhysOpKind::kFilter;
         op.pred = c;
-        props.card *= sel.Estimate(c);
-        Cost cost = FilterCost(cost_model_, plan->logical.card, 1.0);
+        double s = sel.Estimate(c);
+        props.card *= s;
+        Cost cost = FilterCost(cost_model_, plan->logical.card, {s});
         plan = PlanNode::Make(std::move(op), {plan}, props, plan->delivered,
                               cost);
         Erase(&q.conjuncts, c);

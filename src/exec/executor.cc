@@ -115,15 +115,14 @@ Result<ExecStats> ExecutePlan(const PlanNode& plan, ObjectStore* store,
   const bool root_fault_sites =
       env.exec_faults != nullptr &&
       (options.no_exchange || CountOps(plan, PhysOpKind::kExchange) == 0);
-  TupleBatch batch =
-      BatchPool::Instance().Take(env.num_bindings(), env.batch_size);
+  // The drain batch goes back to the pool on every exit path.
+  struct PooledBatch {
+    TupleBatch batch;
+    ~PooledBatch() { BatchPool::Instance().Return(std::move(batch)); }
+  } drain{BatchPool::Instance().Take(env.num_bindings(), env.batch_size)};
+  TupleBatch& batch = drain.batch;
   while (true) {
-    Result<size_t> next = root->Next(&batch);
-    if (!next.ok()) {
-      BatchPool::Instance().Return(std::move(batch));
-      return next.status();
-    }
-    size_t n = *next;
+    OODB_ASSIGN_OR_RETURN(size_t n, root->Next(&batch));
     if (n == 0) break;
     if (root_fault_sites) {
       ExecFaultInjector::Action act =
@@ -133,10 +132,7 @@ Result<ExecStats> ExecutePlan(const PlanNode& plan, ObjectStore* store,
         std::this_thread::sleep_for(
             std::chrono::duration<double, std::milli>(act.sleep_ms));
       }
-      if (!act.status.ok()) {
-        BatchPool::Instance().Return(std::move(batch));
-        return act.status;
-      }
+      OODB_RETURN_IF_ERROR(act.status);
     }
     stats.rows += static_cast<int64_t>(n);
     if (options.governor != nullptr) {
@@ -161,7 +157,6 @@ Result<ExecStats> ExecutePlan(const PlanNode& plan, ObjectStore* store,
     }
   }
   root->Close();
-  BatchPool::Instance().Return(std::move(batch));
 
   stats.sim_io_s = store->clock().io_s;
   stats.sim_cpu_s = store->clock().cpu_s;

@@ -21,18 +21,17 @@ namespace {
 // ---------------------------------------------------------------------------
 class FileScanExec : public ExecNode {
  public:
-  /// A specialized `filter` (with `fused_pred` keeping its constants alive
-  /// and `conjuncts` counting its terms for cost charging) runs inside the
-  /// scan loop: objects are tested straight off the storage pointer and
-  /// rejected rows are never materialized into the batch — no slot writes,
-  /// no separate filter pass, no compaction. Sim-clock charges are the same
-  /// as a scan feeding a FilterExec, so only wall time changes.
+  /// A specialized `filter` (with `fused_pred` keeping its constants alive)
+  /// runs inside the scan loop: objects are tested straight off the storage
+  /// pointer and rejected rows are never materialized into the batch — no
+  /// slot writes, no separate filter pass, no compaction. Sim-clock charges
+  /// are the same as a scan feeding a FilterExec, so only wall time
+  /// changes.
   FileScanExec(ExecEnv env, const PhysicalOp& op, bool partitioned,
                FilterProgram filter = FilterProgram(),
-               ScalarExprPtr fused_pred = nullptr, double conjuncts = 0)
+               ScalarExprPtr fused_pred = nullptr)
       : env_(env), op_(op), partitioned_(partitioned),
-        filter_(std::move(filter)), fused_pred_(std::move(fused_pred)),
-        conjuncts_(conjuncts) {}
+        filter_(std::move(filter)), fused_pred_(std::move(fused_pred)) {}
 
   Status Open() override {
     OODB_ASSIGN_OR_RETURN(members_, env_.store->CollectionMembers(op_.coll));
@@ -68,6 +67,7 @@ class FileScanExec : public ExecNode {
     out->Clear();
     const bool fused = filter_.specialized();
     double cpu = 0.0;
+    size_t evals = 0;
     // Resolve OIDs in scan order with one batched storage call per chunk:
     // the chunk is a contiguous slice of the member vector (no gather
     // copy), and members are in page order, so ReadMany charges one buffer
@@ -81,14 +81,11 @@ class FileScanExec : public ExecNode {
       pos_ += n;
       scratch_objs_.resize(n);
       OODB_RETURN_IF_ERROR(env_.store->ReadMany(oids, n, scratch_objs_.data()));
-      cpu += static_cast<double>(n) *
-             (env_.timing().cpu_scan_tuple_s +
-              conjuncts_ * env_.timing().cpu_pred_s);
+      cpu += static_cast<double>(n) * env_.timing().cpu_scan_tuple_s;
       if (vectorized_) {
         scratch_sel_.resize(n);
         size_t cnt =
-            filter_.ScanSelect(oids, n, projs_,
-                               scratch_sel_.data());
+            filter_.ScanSelect(oids, n, projs_, scratch_sel_.data(), &evals);
         for (size_t k = 0; k < cnt; ++k) {
           size_t i = scratch_sel_[k];
           out->AppendRow().slot(op_.binding) = {oids[i], scratch_objs_[i]};
@@ -101,12 +98,13 @@ class FileScanExec : public ExecNode {
           // advance; request row i+16's predicate fields now so their miss
           // resolves before its conjuncts run.
           if (i + 16 < n) filter_.PrefetchFields(*scratch_objs_[i + 16]);
-          if (!filter_.EvalSteps(*scratch_objs_[i])) continue;
+          if (!filter_.EvalSteps(*scratch_objs_[i], &evals)) continue;
         }
         out->AppendRow().slot(op_.binding) = {oids[i], scratch_objs_[i]};
       }
     }
-    env_.clock().cpu_s += cpu;
+    env_.clock().cpu_s +=
+        cpu + static_cast<double>(evals) * env_.timing().cpu_pred_s;
     return out->size();
   }
 
@@ -118,7 +116,6 @@ class FileScanExec : public ExecNode {
   bool partitioned_;
   FilterProgram filter_;
   ScalarExprPtr fused_pred_;
-  double conjuncts_;
   const std::vector<Oid>* members_ = nullptr;
   size_t pos_ = 0;
   size_t end_ = 0;
@@ -135,7 +132,8 @@ class FileScanExec : public ExecNode {
 class IndexScanExec : public ExecNode {
  public:
   IndexScanExec(ExecEnv env, const PhysicalOp& op, bool partitioned)
-      : env_(env), op_(op), partitioned_(partitioned) {}
+      : env_(env), op_(op), partitioned_(partitioned),
+        residual_(ScalarExpr::SplitConjuncts(op_.pred)) {}
 
   Status Open() override {
     OODB_ASSIGN_OR_RETURN(const StoredIndex* idx,
@@ -173,20 +171,17 @@ class IndexScanExec : public ExecNode {
   Result<size_t> Next(TupleBatch* out) override {
     OODB_RETURN_IF_ERROR(env_.Tick());
     out->Clear();
-    double cpu = 0.0;
+    size_t evals = 0;  // residual conjunct evaluations
     while (!out->full() && pos_ < end_) {
       Oid oid = matches_[pos_++];
       OODB_ASSIGN_OR_RETURN(const ObjectData* obj, env_.store->Read(oid));
       TupleRow row = out->AppendRow();
       row.slot(op_.binding) = {oid, obj};
-      if (op_.pred) {
-        cpu += env_.timing().cpu_pred_s;
-        OODB_ASSIGN_OR_RETURN(bool pass,
-                              EvalPredicate(op_.pred, row, *env_.ctx));
-        if (!pass) out->Truncate(out->size() - 1);
-      }
+      OODB_ASSIGN_OR_RETURN(bool pass,
+                            EvalConjuncts(residual_, row, *env_.ctx, &evals));
+      if (!pass) out->Truncate(out->size() - 1);
     }
-    env_.clock().cpu_s += cpu;
+    env_.clock().cpu_s += static_cast<double>(evals) * env_.timing().cpu_pred_s;
     // A fully filtered batch must not read as EOS: keep pulling.
     if (out->empty() && pos_ < end_) return Next(out);
     return out->size();
@@ -198,6 +193,7 @@ class IndexScanExec : public ExecNode {
   ExecEnv env_;
   PhysicalOp op_;
   bool partitioned_;
+  std::vector<ScalarExprPtr> residual_;
   std::vector<Oid> matches_;
   size_t pos_ = 0;
   size_t end_ = 0;
@@ -211,8 +207,7 @@ class FilterExec : public ExecNode {
  public:
   FilterExec(ExecEnv env, const PhysicalOp& op, std::unique_ptr<ExecNode> child)
       : env_(env), op_(op), child_(std::move(child)),
-        conjuncts_(static_cast<double>(
-            ScalarExpr::SplitConjuncts(op_.pred).size())) {}
+        conjuncts_(ScalarExpr::SplitConjuncts(op_.pred)) {}
 
   Status Open() override { return child_->Open(); }
 
@@ -223,7 +218,8 @@ class FilterExec : public ExecNode {
   /// Falls back to per-row evaluation — still selection-marking, so
   /// downstream sees one shape — when the batch is too small to amortize
   /// extraction (FilterProgram::kMinExtractRows), when a column can't be
-  /// typed, or when the predicate didn't specialize.
+  /// typed, or when the predicate didn't specialize. Conjuncts run in plan
+  /// order; each charges one predicate evaluation per row that reaches it.
   Result<size_t> Next(TupleBatch* out) override {
     OODB_RETURN_IF_ERROR(env_.Tick());
     // Kernel path: batches big enough to amortize predicate analysis run
@@ -236,15 +232,16 @@ class FilterExec : public ExecNode {
       analyzed_ = true;
     }
     kernel = kernel && program_.specialized();
+    const double pred_s = env_.timing().cpu_pred_s;
     while (true) {
       OODB_ASSIGN_OR_RETURN(size_t n, child_->Next(out));
       if (n == 0) return 0;
-      env_.clock().cpu_s +=
-          conjuncts_ * env_.timing().cpu_pred_s * static_cast<double>(n);
+      size_t evals = 0;
       if (kernel && n >= FilterProgram::kMinExtractRows) {
-        OODB_ASSIGN_OR_RETURN(
-            bool ran, program_.EvalBatchColumnar(out, projs_, *env_.ctx));
+        OODB_ASSIGN_OR_RETURN(bool ran, program_.EvalBatchColumnar(
+                                            out, projs_, *env_.ctx, &evals));
         if (ran) {
+          env_.clock().cpu_s += static_cast<double>(evals) * pred_s;
           if (out->active() > 0) return out->active();
           continue;  // all rows filtered: pull the next child batch
         }
@@ -256,15 +253,11 @@ class FilterExec : public ExecNode {
       size_t kept = 0;
       for (size_t k = 0; k < n; ++k) {
         size_t i = had_sel ? sel[k] : k;
-        bool pass;
-        if (kernel) {
-          OODB_ASSIGN_OR_RETURN(pass, program_.Eval(out->ref(i), *env_.ctx));
-        } else {
-          OODB_ASSIGN_OR_RETURN(
-              pass, EvalPredicate(op_.pred, out->ref(i), *env_.ctx));
-        }
+        OODB_ASSIGN_OR_RETURN(bool pass, EvalConjuncts(conjuncts_, out->ref(i),
+                                                       *env_.ctx, &evals));
         if (pass) sel[kept++] = static_cast<uint16_t>(i);
       }
+      env_.clock().cpu_s += static_cast<double>(evals) * pred_s;
       out->SetSelection(kept);
       if (kept > 0) return kept;  // never a pre-EOS empty batch
     }
@@ -276,7 +269,7 @@ class FilterExec : public ExecNode {
   ExecEnv env_;
   PhysicalOp op_;
   std::unique_ptr<ExecNode> child_;
-  double conjuncts_;
+  std::vector<ScalarExprPtr> conjuncts_;
   FilterProgram program_;
   bool analyzed_ = false;
   // Per-step store projections, resolved with the program (null entries
@@ -1744,14 +1737,14 @@ std::unique_ptr<ExecNode> MaybeDriftCheck(const ExecEnv& env,
 /// BuildExecNode so children get their own stats decorators when profiling.
 Result<std::unique_ptr<ExecNode>> BuildExecNodeImpl(const ExecEnv& env,
                                                     const PlanNode& plan) {
-  // The optimizer cascades one Filter node per pushed-down conjunct; running
-  // them as separate operators costs a full batch pass (and a virtual Next
-  // per batch) per conjunct. Execution collapses a chain of consecutive
-  // Filters into one combined conjunction, then either fuses it into the
-  // file scan below (when the batch kernel applies and every conjunct reads
-  // the scan's binding) or runs it as a single FilterExec pass. The chain's
-  // input is built from the first non-Filter descendant, so a
-  // partition_node match on the scan below still fires.
+  // Running consecutive Filters as separate operators costs a full batch
+  // pass (and a virtual Next per batch) per Filter. Execution collapses a
+  // chain of them into one combined conjunction — the lowest Filter's
+  // conjuncts first, the order the stack evaluates them in — then either
+  // fuses it into the file scan below (when the batch kernel applies and
+  // every conjunct reads the scan's binding) or runs it as a single
+  // FilterExec pass. The chain's input is built from the first non-Filter
+  // descendant, so a partition_node match on the scan below still fires.
   // Degradation-ladder "serial" step: an Exchange that keeps faulting is
   // bypassed entirely — its child runs unpartitioned on the consumer
   // thread, no worker pool, no cross-thread queue.
@@ -1759,16 +1752,17 @@ Result<std::unique_ptr<ExecNode>> BuildExecNodeImpl(const ExecEnv& env,
     return BuildExecNode(env, *plan.children[0]);
   }
   if (plan.op.kind == PhysOpKind::kFilter && plan.op.pred != nullptr) {
-    std::vector<ScalarExprPtr> conjuncts;
     std::vector<ScalarExprPtr> chain_preds;
     const PlanNode* node = &plan;
     while (node->op.kind == PhysOpKind::kFilter && node->op.pred != nullptr) {
       chain_preds.push_back(node->op.pred);
-      std::vector<ScalarExprPtr> cs = ScalarExpr::SplitConjuncts(node->op.pred);
-      conjuncts.insert(conjuncts.end(), cs.begin(), cs.end());
       node = node->children[0].get();
     }
-    double ncon = static_cast<double>(conjuncts.size());
+    std::vector<ScalarExprPtr> conjuncts;
+    for (auto it = chain_preds.rbegin(); it != chain_preds.rend(); ++it) {
+      std::vector<ScalarExprPtr> cs = ScalarExpr::SplitConjuncts(*it);
+      conjuncts.insert(conjuncts.end(), cs.begin(), cs.end());
+    }
     ScalarExprPtr combined = ScalarExpr::CombineConjuncts(std::move(conjuncts));
     // The fusion must preserve the chain's conjunct multiset exactly: a
     // dropped or rewritten term silently changes query results.
@@ -1786,7 +1780,7 @@ Result<std::unique_ptr<ExecNode>> BuildExecNodeImpl(const ExecEnv& env,
             VerifyFusedConjuncts(chain_preds, prog.ReconstructedPredicate()));
         bool part = env.partition_node == node && env.partition_count > 1;
         return std::unique_ptr<ExecNode>(new FileScanExec(
-            env, node->op, part, std::move(prog), combined, ncon));
+            env, node->op, part, std::move(prog), combined));
       }
     }
     OODB_ASSIGN_OR_RETURN(std::unique_ptr<ExecNode> input,

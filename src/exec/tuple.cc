@@ -203,6 +203,17 @@ Result<bool> EvalPredicate(const ScalarExprPtr& pred, TupleRef tuple,
   return v.i != 0;
 }
 
+Result<bool> EvalConjuncts(const std::vector<ScalarExprPtr>& conjuncts,
+                           TupleRef tuple, const QueryContext& ctx,
+                           size_t* evals) {
+  for (const ScalarExprPtr& c : conjuncts) {
+    ++*evals;
+    OODB_ASSIGN_OR_RETURN(Value v, EvalExpr(*c, tuple, ctx));
+    if (v.i == 0) return false;
+  }
+  return true;
+}
+
 FilterProgram FilterProgram::Analyze(const ScalarExprPtr& pred) {
   FilterProgram prog;
   if (!pred) return prog;
@@ -264,22 +275,10 @@ bool FilterProgram::SingleBinding(BindingId b) const {
   return true;
 }
 
-bool FilterProgram::EvalSteps(const ObjectData& obj) const {
+bool FilterProgram::EvalSteps(const ObjectData& obj, size_t* evals) const {
   for (const CmpStep& step : steps_) {
+    ++*evals;
     if (!StepPass(step, obj.value(step.field))) return false;
-  }
-  return true;
-}
-
-Result<bool> FilterProgram::Eval(TupleRef row, const QueryContext& ctx) const {
-  for (const CmpStep& step : steps_) {
-    const Slot& s = row.slot(step.binding);
-    if (!s.loaded()) {
-      return Status::Internal(
-          "attribute read on component not present in memory: " +
-          ctx.bindings.def(step.binding).name);
-    }
-    if (!StepPass(step, s.obj->value(step.field))) return false;
   }
   return true;
 }
@@ -428,10 +427,12 @@ bool FilterProgram::Vectorizable(
 
 size_t FilterProgram::ScanSelect(
     const Oid* oids, size_t n,
-    const std::vector<const ColumnProjection*>& projs, uint16_t* sel) const {
+    const std::vector<const ColumnProjection*>& projs, uint16_t* sel,
+    size_t* evals) const {
   size_t cnt = n;
   const uint16_t* in = nullptr;
   for (size_t s = 0; s < steps_.size() && cnt > 0; ++s) {
+    *evals += cnt;
     const ColumnProjection& p = *projs[s];
     StepKernel kern = MakeKernel(p.is_real, steps_[s].op, *steps_[s].constant);
     const int64_t* pi = p.ints.data();
@@ -450,7 +451,7 @@ size_t FilterProgram::ScanSelect(
 
 Result<bool> FilterProgram::EvalBatchColumnar(
     TupleBatch* batch, const std::vector<const ColumnProjection*>& projs,
-    const QueryContext& ctx) const {
+    const QueryContext& ctx, size_t* evals) const {
   if (!specialized_) return false;
   const size_t num_steps = steps_.size();
   // Extract every referenced column before touching the selection, so a
@@ -472,6 +473,7 @@ Result<bool> FilterProgram::EvalBatchColumnar(
   uint16_t* sel = batch->MutableSelection();
   size_t cnt = had_sel ? batch->active() : batch->size();
   for (size_t s = 0; s < num_steps && cnt > 0; ++s) {
+    *evals += cnt;
     const ColumnView& col = *colp[s];
     const uint16_t* in = (s == 0 && !had_sel) ? nullptr : sel;
     if (!col.all_loaded) {

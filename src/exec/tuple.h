@@ -295,12 +295,18 @@ Result<Value> EvalExpr(const ScalarExpr& expr, TupleRef tuple,
 Result<bool> EvalPredicate(const ScalarExprPtr& pred, TupleRef tuple,
                            const QueryContext& ctx);
 
+/// Evaluates `conjuncts` against `tuple` in order, stopping at the first
+/// that fails, and adds the number evaluated to `evals`.
+Result<bool> EvalConjuncts(const std::vector<ScalarExprPtr>& conjuncts,
+                           TupleRef tuple, const QueryContext& ctx,
+                           size_t* evals);
+
 /// A predicate specialized for tight-loop batch evaluation. Analyze()
 /// recognizes conjunctions of `attr <cmp> const` conjuncts and compiles
 /// them to direct slot/field comparisons against the stored Value —
 /// no interpreter recursion, no Result/Value copies per conjunct. Any
 /// other shape yields specialized() == false and callers fall back to
-/// EvalPredicate row by row.
+/// EvalConjuncts row by row.
 ///
 /// Analysis walks the expression and allocates the step vector, which
 /// costs about as much as interpreting the predicate once — it only pays
@@ -309,18 +315,18 @@ Result<bool> EvalPredicate(const ScalarExprPtr& pred, TupleRef tuple,
 /// tuple-at-a-time degeneration) interpretation is the faster plan and
 /// callers should not analyze at all.
 ///
-/// On top of the per-row paths, a specialized program can run *columnar*:
+/// On top of the per-row path, a specialized program can run *columnar*:
 /// each conjunct becomes one branchless compare-and-select pass over a
 /// typed column, chained by refining the batch's selection vector
 /// (ScanSelect for the fused-scan case, EvalBatchColumnar for batches).
 /// Per-conjunct refinement does exactly the comparisons per row that the
-/// short-circuiting row loop does, so simulated CPU charges are unchanged;
-/// only wall-clock time differs.
+/// short-circuiting row loop does, and every path adds them to `evals`
+/// (simulated CPU's unit), so only wall-clock time differs.
 class FilterProgram {
  public:
   static constexpr size_t kMinKernelRows = 8;
   /// Smallest batch (live rows) worth extracting typed column views for;
-  /// smaller batches take the per-row Eval path. Wall-clock tuning only —
+  /// smaller batches take the per-row path. Wall-clock tuning only —
   /// simulated charges don't depend on it.
   static constexpr size_t kMinExtractRows = 16;
 
@@ -341,7 +347,7 @@ class FilterProgram {
   /// Evaluates the compiled conjuncts directly against one loaded object —
   /// the scan-fusion path, where rows are filtered before they are ever
   /// materialized into a batch. No error case: the object is in hand.
-  bool EvalSteps(const ObjectData& obj) const;
+  bool EvalSteps(const ObjectData& obj, size_t* evals) const;
 
   /// Requests the exact cache lines EvalSteps will read from `obj` — one
   /// per step field. Each object's field array is its own heap block, so
@@ -352,10 +358,6 @@ class FilterProgram {
       __builtin_prefetch(&obj.value(step.field));
     }
   }
-
-  /// Evaluates the compiled conjuncts against `row`. Mirrors EvalPredicate
-  /// exactly, including the loud Internal error on an unloaded component.
-  Result<bool> Eval(TupleRef row, const QueryContext& ctx) const;
 
   /// Resolves each step's dense store projection (null entries where the
   /// field isn't projectable), aligned with the compiled steps — the input
@@ -375,7 +377,7 @@ class FilterProgram {
   /// bit for bit. Requires Vectorizable(projs).
   size_t ScanSelect(const Oid* oids, size_t n,
                     const std::vector<const ColumnProjection*>& projs,
-                    uint16_t* sel) const;
+                    uint16_t* sel, size_t* evals) const;
 
   /// Columnar selection over a batch: extracts each step's typed column
   /// (once per batch) and refines the batch's selection vector with one
@@ -385,7 +387,7 @@ class FilterProgram {
   /// among rows still alive when its conjunct runs).
   Result<bool> EvalBatchColumnar(
       TupleBatch* batch, const std::vector<const ColumnProjection*>& projs,
-      const QueryContext& ctx) const;
+      const QueryContext& ctx, size_t* evals) const;
 
  private:
   struct CmpStep {

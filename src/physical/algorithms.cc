@@ -14,8 +14,18 @@ Cost FileScanCost(const CostModel& cm, const Catalog& catalog,
   return c;
 }
 
+double ConjunctEvaluations(const std::vector<double>& sels) {
+  double evals = 0.0;
+  double reach = 1.0;
+  for (double s : sels) {
+    evals += reach;
+    reach *= s;
+  }
+  return evals;
+}
+
 Cost IndexScanCost(const CostModel& cm, double matches, bool clustered,
-                   double residual_conjuncts, const Catalog& catalog,
+                   double residual_evals, const Catalog& catalog,
                    TypeId root_type) {
   Cost c = Cost::Cpu(cm.opts().index_probe_s);
   c += Cost::Cpu(matches * cm.opts().index_leaf_s);
@@ -24,12 +34,13 @@ Cost IndexScanCost(const CostModel& cm, double matches, bool clustered,
   } else {
     c += cm.RandomRead(matches);
   }
-  c += Cost::Cpu(matches * residual_conjuncts * cm.opts().cpu_pred_s);
+  c += Cost::Cpu(matches * residual_evals * cm.opts().cpu_pred_s);
   return c;
 }
 
-Cost FilterCost(const CostModel& cm, double in_card, double conjuncts) {
-  return Cost::Cpu(in_card * std::max(1.0, conjuncts) * cm.opts().cpu_pred_s);
+Cost FilterCost(const CostModel& cm, double in_card,
+                const std::vector<double>& sels) {
+  return Cost::Cpu(in_card * ConjunctEvaluations(sels) * cm.opts().cpu_pred_s);
 }
 
 Cost HybridHashJoinCost(const CostModel& cm, double build_card,

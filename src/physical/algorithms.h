@@ -4,6 +4,8 @@
 #ifndef OODB_PHYSICAL_ALGORITHMS_H_
 #define OODB_PHYSICAL_ALGORITHMS_H_
 
+#include <vector>
+
 #include "src/algebra/logical_props.h"
 #include "src/cost/cost_model.h"
 #include "src/physical/physical_op.h"
@@ -14,15 +16,23 @@ namespace oodb {
 Cost FileScanCost(const CostModel& cm, const Catalog& catalog,
                   const CollectionInfo& coll);
 
+/// Conjunct evaluations per input row of a conjunction whose conjuncts,
+/// of selectivities `sels`, run in that order, each on the rows the earlier
+/// ones kept: the sum over i of the product of sels[0..i).
+double ConjunctEvaluations(const std::vector<double>& sels);
+
 /// (Path-)index scan: B-tree descent, per-match leaf entries, per-match
 /// random fetch of the (unclustered) root objects, and residual predicate
-/// CPU over the fetched matches.
+/// CPU over the fetched matches (`residual_evals` conjunct evaluations per
+/// match, see ConjunctEvaluations).
 Cost IndexScanCost(const CostModel& cm, double matches, bool clustered,
-                   double residual_conjuncts, const Catalog& catalog,
+                   double residual_evals, const Catalog& catalog,
                    TypeId root_type);
 
-/// Filter: predicate CPU over the input.
-Cost FilterCost(const CostModel& cm, double in_card, double conjuncts);
+/// Filter: ConjunctEvaluations(sels) predicate evaluations per input row;
+/// in ascending order, the cost of the cheapest stack of 1-conjunct Filters.
+Cost FilterCost(const CostModel& cm, double in_card,
+                const std::vector<double>& sels);
 
 /// Hybrid hash join: build + probe CPU, overflow I/O beyond memory.
 Cost HybridHashJoinCost(const CostModel& cm, double build_card,

@@ -17,6 +17,21 @@ double GroupCard(OptContext& ctx, GroupId g) {
   return ctx.memo->group(g).props.card;
 }
 
+/// Orders `conjuncts` by ascending estimated selectivity (ties by hash),
+/// the order their operator evaluates them in; returns the selectivities.
+std::vector<double> OrderBySelectivity(OptContext& ctx,
+                                       std::vector<ScalarExprPtr>* conjuncts) {
+  SelectivityEstimator est(ctx.qctx);
+  auto key = [&](const ScalarExprPtr& c) {
+    return std::make_pair(est.Estimate(c), c->Hash());
+  };
+  std::sort(conjuncts->begin(), conjuncts->end(),
+            [&](const auto& a, const auto& b) { return key(a) < key(b); });
+  std::vector<double> sels;
+  for (const ScalarExprPtr& c : *conjuncts) sels.push_back(est.Estimate(c));
+  return sels;
+}
+
 // ---------------------------------------------------------------------------
 // Get -> File Scan
 // ---------------------------------------------------------------------------
@@ -61,14 +76,15 @@ class SelectToFilter : public ImplRule {
     // Filter preserves order but discards rows: a required limit cannot be
     // pushed below it (the first k input rows are not the first k outputs).
     child_req.limit = 0;
+    std::vector<ScalarExprPtr> conjuncts =
+        ScalarExpr::SplitConjuncts(mexpr.op.pred);
+    std::vector<double> sels = OrderBySelectivity(ctx, &conjuncts);
     PhysAlternative alt;
     alt.op.kind = PhysOpKind::kFilter;
-    alt.op.pred = mexpr.op.pred;
+    alt.op.pred = ScalarExpr::CombineConjuncts(std::move(conjuncts));
     alt.inputs = {{child, child_req}};
     alt.delivered = child_req;
-    double conjuncts =
-        static_cast<double>(ScalarExpr::SplitConjuncts(mexpr.op.pred).size());
-    alt.local_cost = FilterCost(*ctx.cost_model, GroupCard(ctx, child), conjuncts);
+    alt.local_cost = FilterCost(*ctx.cost_model, GroupCard(ctx, child), sels);
     out->push_back(std::move(alt));
     return Status::OK();
   }
@@ -176,7 +192,9 @@ class CollapseToIndexScan : public ImplRule {
     alt.op.binding = root;
     alt.op.index_name = idx.name;
     alt.op.index_pred = key_conjunct;
+    double residual_evals = 0.0;
     if (!residual.empty()) {
+      residual_evals = ConjunctEvaluations(OrderBySelectivity(ctx, &residual));
       alt.op.pred = ScalarExpr::CombineConjuncts(std::move(residual));
     }
     alt.delivered.in_memory = BindingSet::Of(root);
@@ -186,11 +204,8 @@ class CollapseToIndexScan : public ImplRule {
       // value, which is not an attribute of the delivered root).
       alt.delivered.sort = SortSpec{root, key_field};
     }
-    double residual_count = alt.op.pred
-        ? static_cast<double>(ScalarExpr::SplitConjuncts(alt.op.pred).size())
-        : 0.0;
     alt.local_cost =
-        IndexScanCost(*ctx.cost_model, matches, idx.clustered, residual_count,
+        IndexScanCost(*ctx.cost_model, matches, idx.clustered, residual_evals,
                       *ctx.qctx->catalog, chain.get_op.coll.type);
     out->push_back(std::move(alt));
   }

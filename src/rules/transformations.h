@@ -16,10 +16,6 @@ namespace oodb {
 /// Builds the full default transformation rule set.
 std::vector<std::unique_ptr<TransformationRule>> MakeDefaultTransformations();
 
-/// Canonical conjunction: conjuncts sorted by hash so equivalent predicates
-/// hash identically in the memo.
-ScalarExprPtr CanonicalConjunction(std::vector<ScalarExprPtr> conjuncts);
-
 }  // namespace oodb
 
 #endif  // OODB_RULES_TRANSFORMATIONS_H_

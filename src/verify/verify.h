@@ -40,6 +40,8 @@ inline constexpr const char* kMemoScopeDrift = "memo-scope-drift";
 inline constexpr const char* kMemoCardDrift = "memo-card-drift";
 inline constexpr const char* kMemoCard = "memo-card-invalid";
 inline constexpr const char* kMemoOpInvalid = "memo-op-invalid";
+/// A Select over a Select-only group, or a non-canonical Select predicate.
+inline constexpr const char* kMemoSelectCanonical = "select-canonical";
 inline constexpr const char* kMemoWinnerInProgress = "memo-winner-in-progress";
 inline constexpr const char* kMemoWinnerProps = "memo-winner-props-unsatisfied";
 inline constexpr const char* kMemoWinnerCost = "memo-winner-cost";

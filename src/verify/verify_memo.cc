@@ -62,6 +62,28 @@ void CheckWinnerPlan(const PlanNode& plan, const std::string& path,
   }
 }
 
+/// Canonical Select: its predicate is the canonical conjunction of its
+/// distinct conjuncts, and it never sits over a group whose only
+/// expressions are Selects (two stacked Selects are one). A group that
+/// also holds other operators may hold a Select too: mat-select-commute
+/// lifts one into a Mat group that a partitioned Select sits over.
+void CheckSelect(const Memo& memo, const LogicalMExpr& m,
+                 const std::string& path, VerifyReport* report) {
+  if (!ExprPtrEquals(m.op.pred, CanonicalConjunction(
+                                    ScalarExpr::SplitConjuncts(m.op.pred)))) {
+    report->Add(invariant::kMemoSelectCanonical, path,
+                "Select predicate is not the canonical conjunction of its "
+                "distinct conjuncts");
+  }
+  const Group& child = memo.group(m.children[0]);
+  for (MExprId c : child.mexprs) {
+    if (memo.mexpr(c).op.kind != LogicalOpKind::kSelect) return;
+  }
+  report->Add(invariant::kMemoSelectCanonical, path,
+              "Select over " + GroupPath(memo.Find(m.children[0])) +
+                  ", whose only expressions are Selects");
+}
+
 }  // namespace
 
 VerifyReport VerifyMemoReport(const Memo& memo, const VerifyOptions& opts) {
@@ -127,7 +149,11 @@ VerifyReport VerifyMemoReport(const Memo& memo, const VerifyOptions& opts) {
       }
       child_scopes.push_back(child.props.scope);
     }
-    if (!children_ok || ctx == nullptr) continue;
+    if (!children_ok) continue;
+    if (m.op.kind == LogicalOpKind::kSelect) {
+      CheckSelect(memo, m, path, &report);
+    }
+    if (ctx == nullptr) continue;
     if (Status st = m.op.Validate(*ctx, child_scopes); !st.ok()) {
       report.Add(invariant::kMemoOpInvalid, path, st.message());
       continue;

@@ -228,6 +228,33 @@ TEST_F(ChaosTest, RecoveredRunsKeepBatchPoolSteadyState) {
   }
 }
 
+TEST_F(ChaosTest, RowBudgetTripReturnsTheDrainBatch) {
+  // A governed serial execution that trips its row budget in the drain
+  // loop gives the drain batch back to the pool like a clean run does.
+  MetricsRegistry& metrics = MetricsRegistry::Global();
+  Counter* hits = metrics.counter("oodb_batch_pool_hits_total");
+  Counter* misses = metrics.counter("oodb_batch_pool_misses_total");
+  Counter* recycled = metrics.counter("oodb_batch_pool_recycled_total");
+  Counter* dropped = metrics.counter("oodb_batch_pool_dropped_total");
+  Planned p = Plan(kParallelQuery, /*max_dop=*/1);
+  for (int run = 0; run < 3; ++run) {
+    GovernorOptions budget;
+    budget.max_exec_rows = 5;
+    QueryGovernor governor(budget);
+    ExecOptions eo;
+    eo.governor = &governor;
+    const int64_t taken = hits->value() + misses->value();
+    const int64_t returned = recycled->value() + dropped->value();
+    auto stats = ExecutePlan(*p.plan, &store(), &p.ctx, eo);
+    ASSERT_FALSE(stats.ok());
+    EXPECT_EQ(stats.status().code(), StatusCode::kBudgetExhausted)
+        << stats.status();
+    EXPECT_EQ(hits->value() + misses->value() - taken,
+              recycled->value() + dropped->value() - returned)
+        << "run " << run << ": a budget trip leaked the drain batch";
+  }
+}
+
 // --- randomized sweep: ExecutePlan level ---
 
 TEST_P(ChaosTest, SweepFaultKindsAcrossEnginesAndDop) {

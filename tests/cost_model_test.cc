@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "src/catalog/paper_catalog.h"
 #include "src/cost/cost_model.h"
 #include "src/physical/algorithms.h"
@@ -124,6 +127,33 @@ TEST(AlgorithmCostTest, ClusteredIndexScanCheaper) {
   Cost unclustered = IndexScanCost(cm, 100, false, 0, db.catalog, db.city);
   Cost clustered = IndexScanCost(cm, 100, true, 0, db.catalog, db.city);
   EXPECT_LT(clustered.total(), unclustered.total());
+}
+
+TEST(AlgorithmCostTest, FilterCostsTheCheapestStackOfItsConjuncts) {
+  // A k-conjunct Filter in ascending selectivity order costs what the
+  // cheapest stack of single-conjunct Filters over the same input costs:
+  // each conjunct is charged on the rows the ones before it kept.
+  CostModel cm;
+  const double card = 50000;
+  std::vector<double> sels = {0.9, 0.1, 0.5};
+  double cheapest_stack = Cost::Infinite().total();
+  std::sort(sels.begin(), sels.end());
+  std::vector<double> cheapest_order;
+  do {
+    double in = card;
+    double stack = 0.0;
+    for (double s : sels) {
+      stack += FilterCost(cm, in, {s}).total();
+      in *= s;
+    }
+    if (stack < cheapest_stack) {
+      cheapest_stack = stack;
+      cheapest_order = sels;
+    }
+  } while (std::next_permutation(sels.begin(), sels.end()));
+  EXPECT_EQ(cheapest_order, (std::vector<double>{0.1, 0.5, 0.9}));
+  EXPECT_NEAR(FilterCost(cm, card, {0.1, 0.5, 0.9}).total(), cheapest_stack,
+              1e-12 * cheapest_stack);
 }
 
 TEST(AlgorithmCostTest, WarmStartBeatsFaultingForDenseAccess) {

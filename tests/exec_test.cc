@@ -366,6 +366,50 @@ TEST_F(ExecTest, AssembledFilterMatchesPerRowFallback) {
   EXPECT_GT(stats.rows, 0);
 }
 
+TEST_F(ExecTest, StackedFiltersChargeLikeOneFilterInTheSameOrder) {
+  // One k-conjunct Filter charges one predicate evaluation per row that
+  // reaches each conjunct, so it bills exactly what the stack of
+  // single-conjunct Filters with its conjuncts in the same order (lowest
+  // first) bills — fused into the scan at batch 1024, per row at batch 1.
+  QueryContext ctx;
+  ctx.catalog = &db_.catalog;
+  auto logical = ParseAndSimplify(
+      "SELECT e.name FROM Employee e IN Employees "
+      "WHERE e.age >= 30 && e.age <= 60 && e.name != \"Fred\";",
+      &ctx);
+  ASSERT_TRUE(logical.ok()) << logical.status();
+  auto planned = Optimizer(&db_.catalog).Optimize(**logical, &ctx);
+  ASSERT_TRUE(planned.ok()) << planned.status();
+  const PlanNode& project = *planned->plan;
+  const PlanNode& filter = *project.children[0];
+  ASSERT_EQ(filter.op.kind, PhysOpKind::kFilter) << PrintPlan(project, ctx);
+  std::vector<ScalarExprPtr> conjuncts =
+      ScalarExpr::SplitConjuncts(filter.op.pred);
+  ASSERT_EQ(conjuncts.size(), 3u);
+  PlanNodePtr stack = filter.children[0];
+  for (const ScalarExprPtr& c : conjuncts) {
+    PhysicalOp op = filter.op;
+    op.pred = c;
+    stack = PlanNode::Make(op, {stack}, filter.logical, filter.delivered,
+                           filter.local_cost);
+  }
+  PlanNodePtr stacked = PlanNode::Make(project.op, {stack}, project.logical,
+                                       project.delivered, project.local_cost);
+  for (int batch : {1024, 1}) {
+    ExecOptions eo;
+    eo.batch_size = batch;
+    auto one = ExecutePlan(project, &store_, &ctx, eo);
+    auto many = ExecutePlan(*stacked, &store_, &ctx, eo);
+    ASSERT_TRUE(one.ok()) << one.status();
+    ASSERT_TRUE(many.ok()) << many.status();
+    EXPECT_GT(one->rows, 0);
+    EXPECT_EQ(one->rows, many->rows);
+    EXPECT_NEAR(one->sim_cpu_s, many->sim_cpu_s, 1e-9 * one->sim_cpu_s)
+        << "batch " << batch;
+    EXPECT_EQ(one->sim_io_s, many->sim_io_s);
+  }
+}
+
 TEST_F(ExecTest, IntFieldAgainstRealConstantMatchesPerRowFallback) {
   // An int column compared with a real constant runs the kernels' double
   // mode, which must promote the column's values: once through the fused

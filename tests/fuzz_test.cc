@@ -130,8 +130,8 @@ class QueryGen {
   OptimizerOptions RandomConfig() {
     static const char* kToggles[] = {
         kRuleJoinCommute,  kRuleJoinAssoc,        kRuleMatToJoin,
-        kRuleMatMatCommute, kRuleSelectMatCommute, kRuleSelectSplit,
-        kRuleSelectJoinPush, kRuleSelectJoinAbsorb, kImplIndexScan,
+        kRuleMatMatCommute, kRuleSelectMatCommute, kRuleSelectJoinPush,
+        kRuleSelectJoinAbsorb, kImplIndexScan,
         kImplHybridHashJoin, kImplPointerJoin,
     };
     OptimizerOptions opts;

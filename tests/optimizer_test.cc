@@ -323,9 +323,9 @@ INSTANTIATE_TEST_SUITE_P(
     AllRules, RuleAblationTest,
     ::testing::Values(kRuleJoinCommute, kRuleJoinAssoc, kRuleMatToJoin,
                       kRuleMatMatCommute, kRuleSelectMatCommute,
-                      kRuleMatSelectCommute, kRuleSelectSplit, kRuleSelectMerge,
-                      kRuleSelectUnnestCommute, kRuleMatUnnestCommute,
-                      kRuleUnnestMatCommute, kRuleSelectJoinPush,
+                      kRuleMatSelectCommute, kRuleSelectUnnestCommute,
+                      kRuleMatUnnestCommute, kRuleUnnestMatCommute,
+                      kRuleSelectJoinPush,
                       kRuleSelectJoinAbsorb, kRuleMatJoinPush, kRuleMatJoinPull,
                       kImplIndexScan, kImplPointerJoin, kImplHybridHashJoin,
                       kEnforcerAssembly));

@@ -353,6 +353,46 @@ TEST_F(TraceTest, AnalyzeRendersPerOperatorCounters) {
   EXPECT_NE(render.find(", buf "), std::string::npos) << render;
 }
 
+TEST_F(TraceTest, IndexScanResidualChargedPerSurvivingRow) {
+  // The index scan's residual conjuncts run in selectivity order, each on
+  // the matches the earlier ones kept — in the cost model and in the
+  // executor alike, so estimated and simulated CPU agree as closely as the
+  // selectivity estimates do.
+  OptimizerOptions idx;
+  idx.disabled_rules = {kImplFileScan};
+  Planned p = Plan(
+      "SELECT b.id FROM BaseAssembly b IN BaseAssemblies "
+      "WHERE b.buildDate == 7 && b.id >= 0 && b.buildDate >= 0;",
+      idx);
+  const PlanNode* scan = p.plan.get();
+  while (scan->op.kind != PhysOpKind::kIndexScan && !scan->children.empty()) {
+    scan = scan->children[0].get();
+  }
+  ASSERT_EQ(scan->op.kind, PhysOpKind::kIndexScan)
+      << PrintPlan(*p.plan, p.ctx);
+  ASSERT_EQ(ScalarExpr::SplitConjuncts(scan->op.pred).size(), 2u)
+      << PrintPlan(*p.plan, p.ctx);
+  auto stats = Analyze(p);
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  const OpProfile* prof = stats->profile->Find(scan);
+  ASSERT_NE(prof, nullptr);
+  // Both residual conjuncts keep every match (estimated and actual), so
+  // the estimate re-priced at the actual match count is exact: index
+  // probe, then per match one leaf entry and two residual evaluations.
+  const CollectionInfo* coll = *db().catalog.FindCollection(scan->op.coll);
+  double est_matches = static_cast<double>(coll->cardinality) /
+                       TraceConfig().num_build_dates;
+  EXPECT_DOUBLE_EQ(scan->logical.card, est_matches);
+  CostModel cm;
+  double probe = cm.opts().index_probe_s;
+  double per_match = (scan->local_cost.cpu_s - probe) / est_matches;
+  EXPECT_NEAR(per_match, cm.opts().index_leaf_s + 2 * cm.opts().cpu_pred_s,
+              1e-9 * per_match);
+  ASSERT_GT(prof->rows, 0);
+  EXPECT_NEAR(prof->cpu_s, probe + per_match * prof->rows,
+              1e-9 * prof->cpu_s);
+}
+
 TEST_F(TraceTest, FusedFilterChainAnnotated) {
   Planned p = Plan(Oo7QueryByDocTitle("Doc1"));
   auto stats = Analyze(p);

@@ -7,6 +7,7 @@
 // false-positive probe.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/exec/tuple.h"
@@ -674,6 +675,42 @@ TEST_F(MemoMutationTest, GroupCardinalityDriftIsRejected) {
   Search(4);
   memo().mutable_group(0).props.card *= 2.0;
   ExpectMemoViolation(invariant::kMemoCardDrift);
+}
+
+TEST_F(MemoMutationTest, SelectOverSelectIsRejected) {
+  // Q4 filters both ranges: its memo has groups whose only expression is
+  // a Select. Re-pointing another Select at one plants a two-Select stack.
+  Search(4);
+  GroupId selects_only = kInvalidGroup;
+  MExprId other = kInvalidMExpr;
+  for (MExprId id = 0; id < memo().num_mexprs(); ++id) {
+    const LogicalMExpr& m = memo().mexpr(id);
+    if (m.op.kind != LogicalOpKind::kSelect) continue;
+    const Group& g = memo().group(m.group);
+    bool only = std::all_of(g.mexprs.begin(), g.mexprs.end(), [&](MExprId x) {
+      return memo().mexpr(x).op.kind == LogicalOpKind::kSelect;
+    });
+    if (only && selects_only == kInvalidGroup) {
+      selects_only = memo().Find(m.group);
+    } else if (!only) {
+      other = id;
+    }
+  }
+  ASSERT_NE(selects_only, kInvalidGroup);
+  ASSERT_NE(other, kInvalidMExpr);
+  memo().mutable_mexpr(other).children[0] = selects_only;
+  ExpectMemoViolation(invariant::kMemoSelectCanonical);
+}
+
+TEST_F(MemoMutationTest, RepeatedSelectConjunctIsRejected) {
+  Search(4);
+  for (MExprId id = 0; id < memo().num_mexprs(); ++id) {
+    LogicalMExpr& m = memo().mutable_mexpr(id);
+    if (m.op.kind != LogicalOpKind::kSelect) continue;
+    m.op.pred = ScalarExpr::And({m.op.pred, m.op.pred});
+    break;
+  }
+  ExpectMemoViolation(invariant::kMemoSelectCanonical);
 }
 
 TEST_F(MemoMutationTest, NegativeCardinalityIsRejected) {
