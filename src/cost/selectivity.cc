@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <vector>
 
+#include "src/algebra/expr.h"
 #include "src/algebra/logical_props.h"
-#include "src/rules/expr_rewrites.h"
 #include "src/trace/card_feedback.h"
 
 namespace oodb {

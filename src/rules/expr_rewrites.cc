@@ -118,14 +118,4 @@ ScalarExprPtr NormalizeExpr(const ScalarExprPtr& expr) {
   return Normalize(expr, /*negated=*/false);
 }
 
-bool IsConstTrue(const ScalarExprPtr& expr) {
-  return expr && expr->kind() == ScalarExpr::Kind::kConst &&
-         expr->value().kind == Value::Kind::kInt && expr->value().i != 0;
-}
-
-bool IsConstFalse(const ScalarExprPtr& expr) {
-  return expr && expr->kind() == ScalarExpr::Kind::kConst &&
-         expr->value().kind == Value::Kind::kInt && expr->value().i == 0;
-}
-
 }  // namespace oodb

@@ -26,10 +26,6 @@ namespace oodb {
 /// pass through unchanged). Null stays null.
 ScalarExprPtr NormalizeExpr(const ScalarExprPtr& expr);
 
-/// True if the expression is the literal constant true/false.
-bool IsConstTrue(const ScalarExprPtr& expr);
-bool IsConstFalse(const ScalarExprPtr& expr);
-
 }  // namespace oodb
 
 #endif  // OODB_RULES_EXPR_REWRITES_H_

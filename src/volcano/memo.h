@@ -38,8 +38,9 @@ struct Winner {
   /// True when the search for this (group, properties) pair was not cut off
   /// by a branch-and-bound cost limit: `plan` (or its absence) is definitive.
   bool complete = true;
-  /// When !complete and plan == null: no plan with cost <= lower_bound
-  /// exists (the search was abandoned at that limit).
+  /// When !complete and plan == null: every plan costs at least
+  /// lower_bound (the cheapest any alternative cut by the search's cost
+  /// limit could cost), so only a limit of at least this re-runs it.
   double lower_bound = 0.0;
 };
 

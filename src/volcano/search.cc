@@ -1,5 +1,6 @@
 #include "src/volcano/search.h"
 
+#include <algorithm>
 #include <chrono>
 #include <limits>
 #include <utility>
@@ -102,6 +103,9 @@ Status SearchEngine::Explore() {
             if (stats_ != nullptr) ++stats_->duplicates;
             continue;
           }
+          if (rule.self_inverse()) {
+            memo_.mutable_mexpr(inserted).applied_rules |= bit;
+          }
           changed = true;
           if (opts_->trace_sink != nullptr) {
             // Rule firings dominate the event stream; the (group, mexpr)
@@ -130,7 +134,9 @@ Status SearchEngine::Explore() {
 }
 
 Result<PlanNodePtr> SearchEngine::OptimizeGroup(GroupId g, PhysProps required,
-                                                int depth, double limit) {
+                                                int depth, double limit,
+                                                double* bound) {
+  *bound = kNoLimit;
   if (depth > 100) return Status::PlanError("optimization recursion too deep");
   if (opts_->governor != nullptr) {
     OODB_RETURN_IF_ERROR(opts_->governor->CheckOptimizeEntry());
@@ -155,7 +161,8 @@ Result<PlanNodePtr> SearchEngine::OptimizeGroup(GroupId g, PhysProps required,
       }
       // Search was abandoned under a cost limit; re-run only if the new
       // limit can reveal something the old one could not.
-      if (limit <= w.lower_bound) {
+      if (limit < w.lower_bound) {
+        *bound = w.lower_bound;
         return Status::PlanError("pruned: no plan within cost limit");
       }
       grp.winners.erase(it);
@@ -174,6 +181,11 @@ Result<PlanNodePtr> SearchEngine::OptimizeGroup(GroupId g, PhysProps required,
   // not interesting (either over the caller's limit or beaten by `best`).
   double upper = limit;
   PlanNodePtr best;
+  // The cheapest any alternative cut by the bound could cost. While no plan
+  // is found, `upper` is the caller's limit, so this is a lower bound on
+  // every plan of the group.
+  double floor = kNoLimit;
+  auto cut = [&](double lower) { floor = std::min(floor, lower); };
   // `what` renders the pruned operator; it runs only when a sink records
   // the event, so untraced searches never pay for expression rendering.
   auto trace_prune = [&](const char* rule_name, double cost, auto&& what) {
@@ -188,6 +200,7 @@ Result<PlanNodePtr> SearchEngine::OptimizeGroup(GroupId g, PhysProps required,
   };
   auto consider = [&](PlanNodePtr node) {
     if (node->total_cost.total() > upper) {
+      cut(node->total_cost.total());
       trace_prune(nullptr, node->total_cost.total(), [&] {
         return node->op.ToString(*qctx_) + " over bound " +
                FormatDouble(upper, 6);
@@ -209,6 +222,15 @@ Result<PlanNodePtr> SearchEngine::OptimizeGroup(GroupId g, PhysProps required,
     best = std::move(node);
   };
 
+  // Every implementation alternative of the group's m-exprs. Under a cost
+  // limit the cheapest by local cost are costed first: an early cheap plan
+  // tightens the bound before the expensive alternatives (cartesian joins,
+  // say) would search their inputs.
+  struct Candidate {
+    PhysAlternative alt;
+    const char* rule;
+  };
+  std::vector<Candidate> candidates;
   const std::vector<MExprId> mexprs = memo_.group(g).mexprs;  // copy: stable
   for (MExprId mid : mexprs) {
     const LogicalMExpr& m = memo_.mexpr(mid);
@@ -224,45 +246,57 @@ Result<PlanNodePtr> SearchEngine::OptimizeGroup(GroupId g, PhysProps required,
           OODB_RETURN_IF_ERROR(opts_->governor->ChargeAlternative());
         }
         if (!alt.delivered.Satisfies(required)) continue;
-        double spent = alt.local_cost.total();
-        if (spent > upper) {
-          trace_prune(rule->name(), spent, [&] {
-            return alt.op.ToString(*qctx_) + " local cost over bound";
-          });
-          continue;
-        }
-        std::vector<PlanNodePtr> children;
-        bool ok = true;
-        for (const PhysInput& in : alt.inputs) {
-          Result<PlanNodePtr> child =
-              OptimizeGroup(in.group, in.required, depth + 1, upper - spent);
-          if (!child.ok()) {
-            // Ordinary failures ("no plan under this limit") just discard
-            // the alternative; a governor trip must abort the whole search.
-            if (IsGovernorStatus(child.status().code())) {
-              return child.status();
-            }
-            ok = false;
-            break;
-          }
-          spent += (*child)->total_cost.total();
-          if (spent > upper) {
-            trace_prune(rule->name(), spent, [&] {
-              return alt.op.ToString(*qctx_) +
-                     " children exceed bound after " +
-                     std::to_string(children.size() + 1) + " inputs";
-            });
-            ok = false;
-            break;
-          }
-          children.push_back(std::move(child).value());
-        }
-        if (!ok) continue;
-        consider(PlanNode::Make(std::move(alt.op), std::move(children),
-                                memo_.group(g).props, alt.delivered,
-                                alt.local_cost));
+        candidates.push_back(Candidate{std::move(alt), rule->name()});
       }
     }
+  }
+  if (opts_->enable_pruning) {
+    std::stable_sort(candidates.begin(), candidates.end(),
+                     [](const Candidate& a, const Candidate& b) {
+                       return a.alt.local_cost.total() <
+                              b.alt.local_cost.total();
+                     });
+  }
+  for (Candidate& cand : candidates) {
+    PhysAlternative& alt = cand.alt;
+    double spent = alt.local_cost.total();
+    if (spent > upper) {
+      cut(spent);
+      trace_prune(cand.rule, spent, [&] {
+        return alt.op.ToString(*qctx_) + " local cost over bound";
+      });
+      continue;
+    }
+    std::vector<PlanNodePtr> children;
+    bool ok = true;
+    for (const PhysInput& in : alt.inputs) {
+      double child_bound;
+      Result<PlanNodePtr> child = OptimizeGroup(
+          in.group, in.required, depth + 1, upper - spent, &child_bound);
+      if (!child.ok()) {
+        // Ordinary failures ("no plan under this limit") just discard the
+        // alternative; a governor trip must abort the whole search.
+        if (IsGovernorStatus(child.status().code())) return child.status();
+        cut(spent + child_bound);
+        ok = false;
+        break;
+      }
+      spent += (*child)->total_cost.total();
+      if (spent > upper) {
+        cut(spent);
+        trace_prune(cand.rule, spent, [&] {
+          return alt.op.ToString(*qctx_) + " children exceed bound after " +
+                 std::to_string(children.size() + 1) + " inputs";
+        });
+        ok = false;
+        break;
+      }
+      children.push_back(std::move(child).value());
+    }
+    if (!ok) continue;
+    consider(PlanNode::Make(std::move(alt.op), std::move(children),
+                            memo_.group(g).props, alt.delivered,
+                            alt.local_cost));
   }
 
   for (const std::unique_ptr<Enforcer>& enf : enforcers_) {
@@ -278,15 +312,19 @@ Result<PlanNodePtr> SearchEngine::OptimizeGroup(GroupId g, PhysProps required,
       if (alt.child_required == required) continue;  // no progress
       if (!alt.delivered.Satisfies(required)) continue;
       if (alt.local_cost.total() > upper) {
+        cut(alt.local_cost.total());
         trace_prune(enf->name(), alt.local_cost.total(), [&] {
           return alt.op.ToString(*qctx_) + " local cost over bound";
         });
         continue;
       }
-      Result<PlanNodePtr> child = OptimizeGroup(
-          g, alt.child_required, depth + 1, upper - alt.local_cost.total());
+      double child_bound;
+      Result<PlanNodePtr> child =
+          OptimizeGroup(g, alt.child_required, depth + 1,
+                        upper - alt.local_cost.total(), &child_bound);
       if (!child.ok()) {
         if (IsGovernorStatus(child.status().code())) return child.status();
+        cut(alt.local_cost.total() + child_bound);
         continue;
       }
       if (opts_->trace_sink != nullptr) {
@@ -308,16 +346,17 @@ Result<PlanNodePtr> SearchEngine::OptimizeGroup(GroupId g, PhysProps required,
     Winner w;
     w.plan = best;
     if (!best) {
-      // Definitive only if no limit could have cut a branch. The lower
-      // bound is meaningful (and read) only for an abandoned search; a
-      // definitive no-plan verdict keeps it finite so the memo verifier's
-      // cost invariants hold for every stored winner.
-      w.complete = limit >= kNoLimit;
-      w.lower_bound = w.complete ? 0.0 : limit;
+      // Definitive only if the limit cut no branch. The lower bound is
+      // meaningful (and read) only for an abandoned search; a definitive
+      // no-plan verdict keeps it finite so the memo verifier's cost
+      // invariants hold for every stored winner.
+      w.complete = floor >= kNoLimit;
+      w.lower_bound = w.complete ? 0.0 : floor;
     }
     memo_.mutable_group(g).winners[required] = std::move(w);
   }
   if (!best) {
+    *bound = floor;
     return Status::PlanError("no plan found for group " + std::to_string(g));
   }
   return best;
@@ -330,7 +369,8 @@ Result<PlanNodePtr> SearchEngine::Optimize(const LogicalExpr& input,
   auto start = std::chrono::steady_clock::now();
   OODB_ASSIGN_OR_RETURN(GroupId root, memo_.InsertTree(input));
   OODB_RETURN_IF_ERROR(Explore());
-  Result<PlanNodePtr> plan = OptimizeGroup(root, required, 0, kNoLimit);
+  double bound;
+  Result<PlanNodePtr> plan = OptimizeGroup(root, required, 0, kNoLimit, &bound);
   auto end = std::chrono::steady_clock::now();
   if (stats_ != nullptr) {
     stats_->groups = memo_.num_groups();

@@ -43,8 +43,12 @@ class SearchEngine {
   /// Applies transformation rules to fixpoint over the whole memo.
   Status Explore();
 
+  /// The optimal plan for `g` under `required` if one costs at most
+  /// `limit`. On failure `*bound` is a lower bound on the cost of every plan
+  /// (infinite when there is none), so a caller knows which larger limits
+  /// could succeed.
   Result<PlanNodePtr> OptimizeGroup(GroupId g, PhysProps required, int depth,
-                                    double limit);
+                                    double limit, double* bound);
 
   QueryContext* qctx_;
   const CostModel* cost_model_;
