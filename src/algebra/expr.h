@@ -48,9 +48,12 @@ struct Value {
   /// Three-way comparison for ordering; kinds must match (int/double mix ok).
   int Compare(const Value& o) const;
   std::string ToString() const;
-  /// Exact, collision-free encoding for hash keys (ToString rounds doubles
-  /// for display; this must not). Ints and doubles encode to the same key
-  /// when numerically equal, matching operator==.
+  /// Exact encoding of one value (ToString rounds doubles for display; this
+  /// must not). Ints and doubles encode alike when numerically equal, as
+  /// operator== compares them, but every NaN encodes alike though NaN is
+  /// unequal to itself, and a concatenation of encodings is ambiguous (a
+  /// string may contain any separator), so equal encodings do not imply
+  /// equal values. Joins match with operator==.
   std::string KeyString() const;
   size_t Hash() const;
 };

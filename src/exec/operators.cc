@@ -1,6 +1,7 @@
 #include "src/exec/operators.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <map>
 #include <optional>
@@ -280,122 +281,134 @@ class FilterExec : public ExecNode {
 // ---------------------------------------------------------------------------
 // Hybrid Hash Join (build on the left input)
 // ---------------------------------------------------------------------------
+
+/// One side of one hash-join key conjunct, read in place where its shape
+/// allows (`b.f` as the stored Value, `b` as the slot's ref into `scratch`);
+/// any other shape is evaluated into `scratch`.
+struct JoinKey {
+  enum class Shape { kAttr, kSelf, kEval };
+
+  explicit JoinKey(ScalarExprPtr e) : expr(std::move(e)) {
+    if (expr->kind() == ScalarExpr::Kind::kAttr) shape = Shape::kAttr;
+    if (expr->kind() == ScalarExpr::Kind::kSelf) shape = Shape::kSelf;
+    if (shape != Shape::kEval) binding = expr->binding();
+    if (shape == Shape::kAttr) field = expr->field();
+  }
+
+  /// kAttr or kSelf key of a row whose key component is loaded.
+  const Value* InPlace(TupleRef t, Value* scratch) const {
+    const Slot& s = t.slot(binding);
+    if (shape == Shape::kAttr) return &s.obj->value(field);
+    *scratch = Value::Int(s.ref);
+    return scratch;
+  }
+
+  Result<const Value*> Read(TupleRef t, const QueryContext& ctx,
+                            Value* scratch) const {
+    if (shape == Shape::kEval) {
+      OODB_ASSIGN_OR_RETURN(*scratch, EvalExpr(*expr, t, ctx));
+      return scratch;
+    }
+    if (shape == Shape::kAttr && !t.slot(binding).loaded()) {
+      return Status::Internal(
+          "attribute read on component not present in memory: " +
+          ctx.bindings.def(binding).name);
+    }
+    return InPlace(t, scratch);
+  }
+
+  ScalarExprPtr expr;
+  Shape shape = Shape::kEval;
+  BindingId binding = kInvalidBinding;
+  FieldId field = kInvalidField;
+  size_t eval_col = 0;  ///< build side, kEval: column in build_vals_
+};
+
+/// One open-addressing table serves every key kind and count. Build rows
+/// live in one slot arena (zero per-row allocations); the table maps a key
+/// tag to the head of a build_next_ chain kept in build order. If every
+/// build row has one exact-integer key, the tag is that int64, a tag match
+/// is a match, and the probe gathers typed key columns a batch at a time.
+/// Otherwise the tag is the keys' combined Value::Hash and the drain checks
+/// each chained row with Value::operator==, as EvalExpr would.
 class HashJoinExec : public ExecNode {
  public:
   HashJoinExec(ExecEnv env, const PhysicalOp& op, BindingSet left_scope,
                std::unique_ptr<ExecNode> left, std::unique_ptr<ExecNode> right)
-      : env_(env), op_(op), left_scope_(left_scope), left_(std::move(left)),
-        right_(std::move(right)),
+      : env_(env), left_(std::move(left)), right_(std::move(right)),
         probe_batch_(env_.num_bindings(), env_.batch_size) {
     // Split each equality conjunct into (build-side expr, probe-side expr).
-    for (const ScalarExprPtr& c : ScalarExpr::SplitConjuncts(op_.pred)) {
+    for (const ScalarExprPtr& c : ScalarExpr::SplitConjuncts(op.pred)) {
       const ScalarExprPtr& l = c->children()[0];
       const ScalarExprPtr& r = c->children()[1];
-      if (left_scope_.ContainsAll(l->ReferencedBindings())) {
-        build_keys_.push_back(l);
-        probe_keys_.push_back(r);
-      } else {
-        build_keys_.push_back(r);
-        probe_keys_.push_back(l);
+      bool l_builds = left_scope.ContainsAll(l->ReferencedBindings());
+      build_keys_.emplace_back(l_builds ? l : r);
+      probe_keys_.emplace_back(l_builds ? r : l);
+      if (build_keys_.back().shape == JoinKey::Shape::kEval) {
+        build_keys_.back().eval_col = num_eval_++;
       }
     }
-    // Single-key joins get a direct probe extractor: the two shapes the
-    // simplified algebra produces are b.f (attr) and b (identity).
-    if (probe_keys_.size() == 1) {
-      const ScalarExpr& p = *probe_keys_[0];
-      if (p.kind() == ScalarExpr::Kind::kAttr) {
-        probe_kind_ = ProbeKind::kAttrField;
-        probe_binding_ = p.binding();
-        probe_field_ = p.field();
-      } else if (p.kind() == ScalarExpr::Kind::kSelf) {
-        probe_kind_ = ProbeKind::kSelfRef;
-        probe_binding_ = p.binding();
-      }
-    }
+    probe_vals_.resize(probe_keys_.size());
+    probe_scratch_.resize(probe_keys_.size());
   }
 
   Status Open() override {
     OODB_RETURN_IF_ERROR(left_->Open());
     BatchReader reader(left_.get(), env_.num_bindings(), env_.batch_size);
-    TupleRef t;
-    // Single-key build sides are buffered with their key Values first; if
-    // every key is numerically integral the table is rebuilt as an
-    // open-addressing int64 map (no per-probe string materialization).
-    // KeyString() gives ints and integral doubles the same encoding and
-    // null/string keys distinct prefixes, so the int table preserves the
-    // string table's match semantics exactly.
-    bool single = build_keys_.size() == 1;
-    bool all_int = single;
     build_width_ = static_cast<size_t>(env_.num_bindings());
-    std::vector<Value> vals;
+    // Per build row: the keys' combined hash and, while every key so far is
+    // one exactly-integral number, the int key.
+    std::vector<uint64_t> hashes;
+    std::vector<int64_t> ints;
+    int_keys_ = build_keys_.size() == 1;
+    Value scratch;
+    TupleRef t;
     while (true) {
-      // Single-key rows are buffered straight off the child batch view into
-      // one contiguous slot arena — one width-sized copy, zero per-row
-      // allocations (an owning Tuple per row costs a heap block each; see
-      // DESIGN "Columnar execution" for the measured build-side effect).
       OODB_ASSIGN_OR_RETURN(bool more, reader.NextRef(&t));
       if (!more) break;
-      if (single) {
-        OODB_ASSIGN_OR_RETURN(Value v, EvalExpr(*build_keys_[0], t, *env_.ctx));
-        env_.clock().cpu_s += env_.timing().cpu_hash_build_s;
-        OODB_RETURN_IF_ERROR(env_.ChargeBuffered());
-        int64_t unused;
-        all_int = all_int && AsIntKey(v, &unused);
-        vals.push_back(std::move(v));
-        build_slots_.insert(build_slots_.end(), t.slots,
-                            t.slots + build_width_);
-      } else {
-        OODB_ASSIGN_OR_RETURN(std::string key, KeyOf(build_keys_, t));
-        env_.clock().cpu_s += env_.timing().cpu_hash_build_s;
-        OODB_RETURN_IF_ERROR(env_.ChargeBuffered());
-        table_[key].emplace_back(t);
+      uint64_t h = 0;
+      for (const JoinKey& key : build_keys_) {
+        OODB_ASSIGN_OR_RETURN(const Value* v,
+                              key.Read(t, *env_.ctx, &scratch));
+        h = CombineHash(h, v->Hash());
+        int64_t k = 0;
+        int_keys_ = int_keys_ && ExactInt(*v, &k);
+        if (int_keys_) ints.push_back(k);
+        if (key.shape == JoinKey::Shape::kEval) build_vals_.push_back(*v);
       }
+      hashes.push_back(h);
+      env_.clock().cpu_s += env_.timing().cpu_hash_build_s;
+      OODB_RETURN_IF_ERROR(env_.ChargeBuffered());
+      build_slots_.insert(build_slots_.end(), t.slots, t.slots + build_width_);
     }
     left_->Close();
-    if (single) {
-      const size_t nrows = vals.size();
-      if (all_int) {
-        size_t cap = 16;
-        while (cap * 7 < nrows * 10 + 10) cap <<= 1;  // load <= ~0.7
-        int_keys_.assign(cap, 0);
-        int_slot_.assign(cap, -1);
-        int_mask_ = cap - 1;
-        build_next_.assign(nrows, -1);
-        // Rows of one key form a head/next chain through the arena instead
-        // of a per-bucket vector. Inserting in reverse build order makes
-        // each head-prepend leave the chain in forward build order, so the
-        // drain emits matches in exactly the old bucket order.
-        for (size_t r = nrows; r > 0; --r) {
-          size_t i = r - 1;
-          int64_t k = 0;
-          AsIntKey(vals[i], &k);
-          size_t pos = IntHash(k) & int_mask_;
-          while (int_slot_[pos] != -1 && int_keys_[pos] != k) {
-            pos = (pos + 1) & int_mask_;
-          }
-          build_next_[i] = int_slot_[pos];
-          int_slot_[pos] = static_cast<int32_t>(i);
-          int_keys_[pos] = k;
-        }
-        int_mode_ = true;
-      } else {
-        for (size_t r = 0; r < nrows; ++r) {
-          table_[vals[r].KeyString() + "|"].push_back(
-              Tuple(ArenaRef(static_cast<int32_t>(r))));
-        }
+    const size_t nrows = hashes.size();
+    size_t cap = 16;
+    while (cap * 7 < nrows * 10 + 10) cap <<= 1;  // load <= ~0.7
+    table_.assign(cap, Entry{});
+    mask_ = cap - 1;
+    build_next_.assign(nrows, -1);
+    // Inserting in reverse build order makes each head-prepend leave the
+    // chain in forward build order, so matches come out in build order.
+    for (size_t r = nrows; r > 0; --r) {
+      const size_t i = r - 1;
+      const uint64_t tag = int_keys_ ? static_cast<uint64_t>(ints[i])
+                                     : hashes[i];
+      size_t pos = Mix(tag) & mask_;
+      while (table_[pos].head != -1 && table_[pos].tag != tag) {
+        pos = (pos + 1) & mask_;
       }
+      build_next_[i] = table_[pos].head;
+      table_[pos] = Entry{tag, static_cast<int32_t>(i)};
     }
-    // Batch probe: per refilled batch, gather the key column, hash every
-    // live probe row, and resolve its bucket up front — the march loop then
-    // walks a precomputed pointer array. Int tables with a direct-extractor
-    // probe shape only; the generic evaluator and the string-key table stay
-    // per-row.
-    if (int_mode_ && probe_kind_ != ProbeKind::kGeneric) {
-      vectorized_probe_ = true;
-      if (probe_kind_ == ProbeKind::kAttrField) {
-        probe_proj_ = env_.store->Projection(
-            env_.ctx->bindings.def(probe_binding_).type, probe_field_);
-      }
+    // Batch probe: an int table probed by a direct extractor (`b` or `b.f`)
+    // gathers each refilled batch's key column and resolves every live
+    // row's chain head up front.
+    batch_probe_ = int_keys_ && probe_keys_[0].shape != JoinKey::Shape::kEval;
+    if (batch_probe_ && probe_keys_[0].shape == JoinKey::Shape::kAttr) {
+      const JoinKey& pk = probe_keys_[0];
+      probe_proj_ = env_.store->Projection(
+          env_.ctx->bindings.def(pk.binding).type, pk.field);
     }
     return right_->Open();
   }
@@ -406,33 +419,22 @@ class HashJoinExec : public ExecNode {
     double cpu = 0.0;
     const size_t out_width = static_cast<size_t>(out->width());
     while (!out->full()) {
-      // Drain pending matches of the current probe row first — also the
-      // resume point when the previous call filled up mid-bucket.
+      // Drain the current probe row's chain first — also the resume point
+      // when the previous call filled up mid-chain. Arena rows span every
+      // binding, so the CopyFrom overwrites the whole row and the AppendRow
+      // clear is redundant.
       if (build_row_ >= 0) {
-        // Int mode: walk the arena chain. Arena rows span every binding,
-        // so the CopyFrom overwrites the whole row and the AppendRow clear
-        // is redundant.
         while (build_row_ >= 0 && !out->full()) {
-          TupleRef bt = ArenaRef(build_row_);
+          const int32_t r = build_row_;
+          build_row_ = build_next_[static_cast<size_t>(r)];
+          if (!int_keys_ && !KeysMatch(r)) continue;
+          TupleRef bt = ArenaRef(r);
           TupleRow row = bt.width >= out_width ? out->AppendRowRaw()
                                                : out->AppendRow();
           row.CopyFrom(bt);
           row.MergeFrom(probe_batch_.active_ref(probe_pos_));
-          build_row_ = build_next_[static_cast<size_t>(build_row_)];
         }
         if (build_row_ >= 0) break;  // out is full, chain not yet done
-        ++probe_pos_;
-      } else if (bucket_ != nullptr) {
-        const size_t bn = bucket_->size();
-        while (bucket_pos_ < bn && !out->full()) {
-          const Tuple& bt = (*bucket_)[bucket_pos_++];
-          TupleRow row = bt.slots.size() >= out_width ? out->AppendRowRaw()
-                                                      : out->AppendRow();
-          row.CopyFrom(bt);
-          row.MergeFrom(probe_batch_.active_ref(probe_pos_));
-        }
-        if (bucket_pos_ < bn) break;  // out is full, bucket not yet done
-        bucket_ = nullptr;
         ++probe_pos_;
       }
       // probe_pos_ walks the batch's *live* rows (the right child may hand
@@ -445,80 +447,27 @@ class HashJoinExec : public ExecNode {
           probe_eos_ = true;
           break;
         }
-        if (vectorized_probe_) {
-          Status precomputed = PrecomputeBuckets();
-          if (!precomputed.ok()) {
-            env_.clock().cpu_s += cpu;
-            return precomputed;
-          }
+        Status resolved = batch_probe_ ? ResolveHeads() : Status::OK();
+        if (!resolved.ok()) {
+          env_.clock().cpu_s += cpu;
+          return resolved;
         }
       }
-      // March probe rows until one matches; a miss costs only the probe.
+      // March probe rows until one has a chain; a miss costs only the probe.
       const size_t pn = probe_batch_.active();
-      if (have_buckets_) {
-        // Vectorized: chain heads were resolved in one batch pass at
-        // refill; the per-row probe charge still lands here, as each row
-        // marches.
-        while (probe_pos_ < pn) {
-          cpu += env_.timing().cpu_hash_probe_s;
-          build_row_ = probe_buckets_[probe_pos_];
-          if (build_row_ >= 0) break;
-          ++probe_pos_;
-        }
-        continue;
-      }
       while (probe_pos_ < pn) {
         cpu += env_.timing().cpu_hash_probe_s;
-        if (int_mode_) {
-          int64_t k = 0;
-          bool have_key = false;
-          TupleRef pr = probe_batch_.active_ref(probe_pos_);
-          switch (probe_kind_) {
-            case ProbeKind::kAttrField: {
-              // Same pointer-chase pattern as the fused scan filter: the
-              // key field lives in the probe object's own heap block, so
-              // request a row 8 ahead before reading this one.
-              if (probe_pos_ + 8 < pn) {
-                const Slot& pf =
-                    probe_batch_.active_ref(probe_pos_ + 8).slot(probe_binding_);
-                if (pf.obj != nullptr) {
-                  __builtin_prefetch(&pf.obj->value(probe_field_));
-                }
-              }
-              const Slot& s = pr.slot(probe_binding_);
-              if (!s.loaded()) {
-                env_.clock().cpu_s += cpu;
-                return Status::Internal(
-                    "attribute read on component not present in memory: " +
-                    env_.ctx->bindings.def(probe_binding_).name);
-              }
-              have_key = AsIntKey(s.obj->value(probe_field_), &k);
-              break;
-            }
-            case ProbeKind::kSelfRef:
-              k = pr.slot(probe_binding_).ref;
-              have_key = true;
-              break;
-            case ProbeKind::kGeneric: {
-              OODB_ASSIGN_OR_RETURN(Value v,
-                                    EvalExpr(*probe_keys_[0], pr, *env_.ctx));
-              have_key = AsIntKey(v, &k);
-              break;
-            }
-          }
-          build_row_ = have_key ? IntProbe(k) : -1;
-          if (build_row_ >= 0) break;
+        if (have_heads_) {
+          build_row_ = probe_heads_[probe_pos_];
         } else {
-          OODB_ASSIGN_OR_RETURN(
-              std::string key,
-              KeyOf(probe_keys_, probe_batch_.active_ref(probe_pos_)));
-          auto it = table_.find(key);
-          bucket_ = it == table_.end() ? nullptr : &it->second;
-          if (bucket_ != nullptr) {
-            bucket_pos_ = 0;
-            break;
+          Result<int32_t> head = Lookup(pn);
+          if (!head.ok()) {
+            env_.clock().cpu_s += cpu;
+            return head.status();
           }
+          build_row_ = *head;
         }
+        if (build_row_ >= 0) break;
         ++probe_pos_;
       }
     }
@@ -529,47 +478,84 @@ class HashJoinExec : public ExecNode {
   void Close() override { right_->Close(); }
 
  private:
-  enum class ProbeKind { kGeneric, kAttrField, kSelfRef };
+  struct Entry {
+    uint64_t tag = 0;
+    int32_t head = -1;  ///< -1: empty
+  };
 
-  Result<std::string> KeyOf(const std::vector<ScalarExprPtr>& exprs,
-                            TupleRef t) {
-    std::string key;
-    for (const ScalarExprPtr& e : exprs) {
-      OODB_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, t, *env_.ctx));
-      key += v.KeyString();
-      key += '|';
-    }
-    return key;
+  static uint64_t CombineHash(uint64_t h, size_t k) {
+    return (h ^ k) * 0x100000001b3ull + 0x9e3779b97f4a7c15ull;
   }
 
-  /// Numeric join-key normalization: true for ints and integral doubles
-  /// (the same values KeyString() encodes as "i<n>").
-  static bool AsIntKey(const Value& v, int64_t* out) {
-    if (v.kind == Value::Kind::kInt) {
-      *out = v.i;
-      return true;
-    }
-    if (v.kind == Value::Kind::kDouble &&
-        v.d == static_cast<double>(static_cast<int64_t>(v.d))) {
-      *out = static_cast<int64_t>(v.d);
-      return true;
-    }
-    return false;
-  }
-
-  static size_t IntHash(int64_t k) {
-    uint64_t h = static_cast<uint64_t>(k) * 0x9e3779b97f4a7c15ull;
+  static size_t Mix(uint64_t k) {
+    uint64_t h = k * 0x9e3779b97f4a7c15ull;
     return static_cast<size_t>(h ^ (h >> 32));
   }
 
-  /// Head row index of key `k`'s chain, or -1 on a miss.
-  int32_t IntProbe(int64_t k) const {
-    size_t pos = IntHash(k) & int_mask_;
-    while (int_slot_[pos] != -1) {
-      if (int_keys_[pos] == k) return int_slot_[pos];
-      pos = (pos + 1) & int_mask_;
+  /// Ints and integral doubles below 2^53 in magnitude: one exact int64
+  /// under Value::operator==, so int tags match exactly when it does.
+  static bool ExactInt(const Value& v, int64_t* out) {
+    constexpr int64_t kExact = int64_t{1} << 53;
+    *out = v.i;
+    if (v.kind == Value::Kind::kInt) return v.i > -kExact && v.i < kExact;
+    return v.kind == Value::Kind::kDouble && ExactIntOfDouble(v.d, out);
+  }
+
+  static bool ExactIntOfDouble(double d, int64_t* out) {
+    if (!(std::fabs(d) < 0x1p53) || d != std::trunc(d)) return false;  // NaN
+    *out = static_cast<int64_t>(d);
+    return true;
+  }
+
+  /// Head row of the chain tagged `tag`, or -1 on a miss.
+  int32_t Find(uint64_t tag) const {
+    size_t pos = Mix(tag) & mask_;
+    while (table_[pos].head != -1) {
+      if (table_[pos].tag == tag) return table_[pos].head;
+      pos = (pos + 1) & mask_;
     }
     return -1;
+  }
+
+  /// Reads the live probe row at probe_pos_ into probe_vals_ and returns
+  /// its chain head. An int table takes any int probe key as its tag (one
+  /// beyond 2^53 matches no build key, as operator== says).
+  Result<int32_t> Lookup(size_t pn) {
+    if (probe_keys_.size() == 1 && probe_pos_ + 8 < pn &&
+        probe_keys_[0].shape == JoinKey::Shape::kAttr) {
+      // The key field lives in the probe object's own heap block: request
+      // a row 8 ahead before reading this one.
+      const JoinKey& k0 = probe_keys_[0];
+      const Slot& s = probe_batch_.active_ref(probe_pos_ + 8).slot(k0.binding);
+      if (s.obj != nullptr) __builtin_prefetch(&s.obj->value(k0.field));
+    }
+    TupleRef pr = probe_batch_.active_ref(probe_pos_);
+    uint64_t h = 0;
+    for (size_t k = 0; k < probe_keys_.size(); ++k) {
+      OODB_ASSIGN_OR_RETURN(probe_vals_[k], probe_keys_[k].Read(
+                                                pr, *env_.ctx,
+                                                &probe_scratch_[k]));
+      h = CombineHash(h, probe_vals_[k]->Hash());
+    }
+    if (!int_keys_) return Find(h);
+    const Value& v = *probe_vals_[0];
+    int64_t k = v.i;
+    bool exact = v.kind == Value::Kind::kInt ||
+                 (v.kind == Value::Kind::kDouble && ExactIntOfDouble(v.d, &k));
+    return exact ? Find(static_cast<uint64_t>(k)) : -1;
+  }
+
+  /// Whether build row `r`'s keys equal probe_vals_ under Value::operator==.
+  bool KeysMatch(int32_t r) {
+    for (size_t k = 0; k < build_keys_.size(); ++k) {
+      const JoinKey& key = build_keys_[k];
+      const Value* b =
+          key.shape == JoinKey::Shape::kEval
+              ? &build_vals_[static_cast<size_t>(r) * num_eval_ + key.eval_col]
+              : key.InPlace(ArenaRef(r), &build_scratch_);
+      if (!(*b == *probe_vals_[k])) return false;
+    }
+    return true;
   }
 
   /// View of arena row `r` (always full binding width).
@@ -579,90 +565,80 @@ class HashJoinExec : public ExecNode {
         build_width_);
   }
 
-  /// Vectorized probe setup, once per refilled probe batch: extract the key
-  /// column (one gather pass), then hash and bucket-resolve every live row
-  /// with the next lookups' table lines prefetched — the classic
-  /// batch-hash + gather-probe split, which overlaps the table's cache
-  /// misses instead of serializing them row by row. Leaves have_buckets_
-  /// false (per-row march takes over) when the column can't be typed.
-  /// Errors on an unloaded key component among live rows, exactly as the
-  /// per-row march would when it reached that row.
-  Status PrecomputeBuckets() {
-    have_buckets_ = false;
+  /// Batch probe, once per refilled probe batch: gather the key column,
+  /// then resolve every live row's chain head with later rows' table lines
+  /// prefetched, overlapping the table's cache misses. Leaves have_heads_
+  /// false (the per-row march takes over) when the column can't be typed,
+  /// and fails on an unloaded key component among live rows, as the
+  /// per-row march would.
+  Status ResolveHeads() {
+    have_heads_ = false;
+    const JoinKey& pk = probe_keys_[0];
     const size_t pn = probe_batch_.active();
     const ColumnView* col =
-        probe_kind_ == ProbeKind::kAttrField
-            ? probe_batch_.ExtractFieldColumn(probe_binding_, probe_field_,
-                                              probe_proj_)
-            : probe_batch_.ExtractOidColumn(probe_binding_);
+        pk.shape == JoinKey::Shape::kAttr
+            ? probe_batch_.ExtractFieldColumn(pk.binding, pk.field, probe_proj_)
+            : probe_batch_.ExtractOidColumn(pk.binding);
     if (col == nullptr) return Status::OK();
-    if (probe_kind_ == ProbeKind::kAttrField && !col->all_loaded) {
+    if (pk.shape == JoinKey::Shape::kAttr && !col->all_loaded) {
       for (size_t k = 0; k < pn; ++k) {
         if (!col->loaded_at(probe_batch_.active_index(k))) {
           return Status::Internal(
               "attribute read on component not present in memory: " +
-              env_.ctx->bindings.def(probe_binding_).name);
+              env_.ctx->bindings.def(pk.binding).name);
         }
       }
     }
-    probe_buckets_.resize(pn);
+    probe_heads_.resize(pn);
     if (!col->is_real) {
       const int64_t* keys = col->ints;
       for (size_t k = 0; k < pn; ++k) {
         if (k + 8 < pn) {
-          size_t pos =
-              IntHash(keys[probe_batch_.active_index(k + 8)]) & int_mask_;
-          __builtin_prefetch(&int_slot_[pos]);
-          __builtin_prefetch(&int_keys_[pos]);
+          uint64_t ahead = static_cast<uint64_t>(
+              keys[probe_batch_.active_index(k + 8)]);
+          __builtin_prefetch(&table_[Mix(ahead) & mask_]);
         }
-        probe_buckets_[k] = IntProbe(keys[probe_batch_.active_index(k)]);
+        probe_heads_[k] =
+            Find(static_cast<uint64_t>(keys[probe_batch_.active_index(k)]));
       }
     } else {
-      // Real-valued key column: only integral doubles can match an
-      // all-integer build side (AsIntKey semantics).
       const double* keys = col->reals;
       for (size_t k = 0; k < pn; ++k) {
-        double d = keys[probe_batch_.active_index(k)];
-        int64_t v = static_cast<int64_t>(d);
-        probe_buckets_[k] = d == static_cast<double>(v) ? IntProbe(v) : -1;
+        int64_t v = 0;
+        probe_heads_[k] =
+            ExactIntOfDouble(keys[probe_batch_.active_index(k)], &v)
+                ? Find(static_cast<uint64_t>(v))
+                : -1;
       }
     }
-    have_buckets_ = true;
+    have_heads_ = true;
     return Status::OK();
   }
 
   ExecEnv env_;
-  PhysicalOp op_;
-  BindingSet left_scope_;
   std::unique_ptr<ExecNode> left_, right_;
-  std::vector<ScalarExprPtr> build_keys_, probe_keys_;
-  std::unordered_map<std::string, std::vector<Tuple>> table_;
-  // Int64 fast path (single all-integer build key): build rows live in one
-  // contiguous slot arena (build_width_ slots per row, zero per-row
-  // allocations); the open-addressing table maps key -> head row index and
-  // build_next_ chains same-key rows in build order.
-  bool int_mode_ = false;
-  std::vector<int64_t> int_keys_;
-  std::vector<int32_t> int_slot_;
-  size_t int_mask_ = 0;
+  std::vector<JoinKey> build_keys_, probe_keys_;
+  size_t num_eval_ = 0;  // build keys of shape kEval
+  bool int_keys_ = false;
+  std::vector<Entry> table_;
+  size_t mask_ = 0;
   std::vector<Slot> build_slots_;
   size_t build_width_ = 0;
   std::vector<int32_t> build_next_;
-  ProbeKind probe_kind_ = ProbeKind::kGeneric;
-  BindingId probe_binding_ = kInvalidBinding;
-  FieldId probe_field_ = kInvalidField;
+  std::vector<Value> build_vals_;  // kEval build keys, num_eval_ per row
   TupleBatch probe_batch_;
   size_t probe_pos_ = 0;
   bool probe_eos_ = false;
-  const std::vector<Tuple>* bucket_ = nullptr;  // generic-path drain state
-  size_t bucket_pos_ = 0;
-  int32_t build_row_ = -1;  // int-mode drain cursor (arena chain)
-  // Batch probe (int table + direct key extractor):
-  // probe_buckets_[k] is the resolved chain head of the k-th live row.
-  bool vectorized_probe_ = false;
-  bool have_buckets_ = false;
+  int32_t build_row_ = -1;  // drain cursor (arena chain)
+  // The current probe row's keys: in place, or in probe_scratch_.
+  std::vector<const Value*> probe_vals_;
+  std::vector<Value> probe_scratch_;
+  Value build_scratch_;
+  // Batch probe: probe_heads_[k] is the chain head of the k-th live row.
+  bool batch_probe_ = false;
+  bool have_heads_ = false;
   const ColumnProjection* probe_proj_ = nullptr;
-  std::vector<int32_t> probe_buckets_;
+  std::vector<int32_t> probe_heads_;
 };
 
 // ---------------------------------------------------------------------------

@@ -34,24 +34,41 @@ struct BufferMetrics {
 // atomic event — concurrent workers observe a consistent LRU and a
 // serializable read sequence.
 bool BufferPool::AccessLocked(PageId page) {
-  auto it = index_.find(page);
-  if (it != index_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second);
+  const size_t p = static_cast<size_t>(page);
+  if (p >= frame_of_.size()) frame_of_.resize(p + 1, -1);
+  int32_t f = frame_of_[p];
+  if (f >= 0) {
+    ToFront(f, true);
     return true;
   }
   disk_->Read(page);
-  if (static_cast<int64_t>(lru_.size()) < capacity_ || lru_.empty()) {
-    lru_.push_front(page);
+  const bool evict =
+      static_cast<int64_t>(frames_.size()) >= capacity_ && !frames_.empty();
+  if (evict) {
+    // At capacity every miss takes over the least recent page's frame.
+    f = tail_;
+    frame_of_[static_cast<size_t>(frames_[f].page)] = -1;
+    frames_[f].page = page;
   } else {
-    // At capacity every miss evicts: recycle the victim's node in place
-    // (splice tail to head, overwrite) so steady-state churn through a
-    // cold scan allocates nothing. Same eviction order as pop+push.
-    index_.erase(lru_.back());
-    lru_.splice(lru_.begin(), lru_, std::prev(lru_.end()));
-    lru_.front() = page;
+    f = static_cast<int32_t>(frames_.size());
+    frames_.push_back(Frame{page, -1, -1});
   }
-  index_[page] = lru_.begin();
+  frame_of_[p] = f;
+  ToFront(f, evict);
   return false;
+}
+
+// Links frame `f` at the most-recent end, unlinking it first if `linked`.
+void BufferPool::ToFront(int32_t f, bool linked) {
+  Frame& fr = frames_[f];
+  if (linked) {
+    (fr.prev >= 0 ? frames_[fr.prev].next : head_) = fr.next;
+    (fr.next >= 0 ? frames_[fr.next].prev : tail_) = fr.prev;
+  }
+  fr.prev = -1;
+  fr.next = head_;
+  (head_ >= 0 ? frames_[head_].prev : tail_) = f;
+  head_ = f;
 }
 
 Status BufferPool::Access(PageId page) {
@@ -96,8 +113,9 @@ Status BufferPool::AccessMany(const PageId* pages, size_t n) {
 
 void BufferPool::Reset() {
   MutexLock lock(mu_);
-  lru_.clear();
-  index_.clear();
+  frame_of_.clear();
+  frames_.clear();
+  head_ = tail_ = -1;
   hits_.store(0, std::memory_order_relaxed);
   misses_.store(0, std::memory_order_relaxed);
 }

@@ -3,8 +3,7 @@
 #define OODB_STORAGE_BUFFER_POOL_H_
 
 #include <atomic>
-#include <list>
-#include <unordered_map>
+#include <vector>
 
 #include "src/common/mutex.h"
 #include "src/common/thread_annotations.h"
@@ -14,6 +13,8 @@
 namespace oodb {
 
 /// LRU page cache: hits are free, misses hit the disk model and may evict.
+/// The LRU is flat (a page -> frame vector and linked frames recycled in
+/// place), so no access allocates or hashes once it has grown.
 /// With a fault injector attached, any access may fail with kStorageFault
 /// before touching the LRU (the page is treated as unreadable media).
 ///
@@ -43,23 +44,29 @@ class BufferPool {
   int64_t misses() const { return misses_.load(std::memory_order_relaxed); }
   int64_t resident() const {
     MutexLock lock(mu_);
-    return static_cast<int64_t>(lru_.size());
+    return static_cast<int64_t>(frames_.size());
   }
   int64_t capacity() const { return capacity_; }
 
   void Reset();
 
  private:
+  struct Frame {
+    PageId page;
+    int32_t prev, next;  // more / less recent neighbour, -1 at the ends
+  };
   bool AccessLocked(PageId page) REQUIRES(mu_);
+  void ToFront(int32_t f, bool linked) REQUIRES(mu_);
 
   DiskModel* disk_;
   int64_t capacity_;
   FaultInjector* faults_;
   mutable Mutex mu_{
-      lock_rank::kBufferPool};  ///< guards lru_ / index_ (and the miss read)
-  std::list<PageId> lru_ GUARDED_BY(mu_);  // front = most recent
-  std::unordered_map<PageId, std::list<PageId>::iterator> index_
-      GUARDED_BY(mu_);
+      lock_rank::kBufferPool};  ///< guards the LRU (and the miss read)
+  std::vector<int32_t> frame_of_ GUARDED_BY(mu_);  // page -> frame, -1 absent
+  std::vector<Frame> frames_ GUARDED_BY(mu_);
+  int32_t head_ GUARDED_BY(mu_) = -1;  // most recent frame
+  int32_t tail_ GUARDED_BY(mu_) = -1;  // least recent frame (the victim)
   std::atomic<int64_t> hits_{0};
   std::atomic<int64_t> misses_{0};
 };

@@ -395,6 +395,38 @@ TEST(WorkerPoolTest, EverySubmittedTaskGetsAThread) {
   }
 }
 
+TEST(BufferPoolParallelTest, TwoThreadAccessManyKeepsCounts) {
+  // Two scan workers share one pool, as a dop-2 Exchange's leaves do, each
+  // over its own page range: every access is counted once as a hit or a
+  // miss, every miss is one disk read, and the LRU never outgrows its
+  // capacity.
+  CostModelOptions timing;
+  SimClock clock;
+  DiskModel disk(&timing, &clock);
+  constexpr int64_t kCapacity = 64;
+  BufferPool pool(&disk, kCapacity);
+  constexpr int kCalls = 2000;
+  constexpr int kRun = 16;
+  std::atomic<bool> over_capacity{false};
+  auto scan = [&](PageId first) {
+    PageId pages[kRun];
+    for (int call = 0; call < kCalls; ++call) {
+      PageId start = first + (call * 7) % 480;
+      for (int i = 0; i < kRun; ++i) pages[i] = start + i;
+      EXPECT_TRUE(pool.AccessMany(pages, kRun).ok());
+      if (pool.resident() > kCapacity) over_capacity = true;
+    }
+  };
+  std::thread a(scan, 0), b(scan, 500);
+  a.join();
+  b.join();
+  EXPECT_EQ(pool.hits() + pool.misses(), int64_t{2} * kCalls * kRun);
+  EXPECT_GT(pool.hits(), 0);
+  EXPECT_EQ(disk.reads(), pool.misses());
+  EXPECT_FALSE(over_capacity.load());
+  EXPECT_LE(pool.resident(), kCapacity);
+}
+
 TEST_F(ExchangeTest, OidFaultParityAcrossDop) {
   // OID-targeted faults are order-independent, so serial and parallel runs
   // must agree exactly: both fail with kStorageFault (a worker trip drains

@@ -1,9 +1,13 @@
 // Per-operator execution tests over hand-built plans: edge cases that
 // whole-query tests reach only incidentally — empty inputs, duplicate join
-// keys, multi-step assembly, dangling references, warm-start pinning,
+// keys, multi-key and mixed-kind join keys against the reference
+// evaluator, multi-step assembly, dangling references, warm-start pinning,
 // merge-join equal-key runs.
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "src/exec/reference.h"
 #include "tests/test_util.h"
 
 namespace oodb {
@@ -110,6 +114,97 @@ TEST_F(OperatorTest, HashJoinEmptyBuildSide) {
   auto stats = Run(plan);
   ASSERT_TRUE(stats.ok()) << stats.status();
   EXPECT_EQ(stats->rows, 0);
+}
+
+TEST_F(OperatorTest, HashJoinMultiKeyMatchesEveryKey) {
+  // A table keyed by concatenated key encodings would see (name "q|i5|sq",
+  // floor 5) and (name "q|i5", name "q|i5") both as "sq|i5|sq|i5|"; every
+  // key must match on its own.
+  Oid d = store_.Create(db_.department);
+  store_.SetValue(d, db_.dept_name, Value::Str("q|i5|sq"));
+  store_.SetValue(d, db_.dept_floor, Value::Int(5));
+  Oid e = store_.Create(db_.employee);
+  store_.SetValue(e, db_.emp_name, Value::Str("q|i5"));
+  BindingId a = ctx_.bindings.AddGet("a", db_.department);
+  BindingId b = ctx_.bindings.AddGet("b", db_.employee);
+  PhysicalOp join;
+  join.kind = PhysOpKind::kHybridHashJoin;
+  join.pred = ScalarExpr::And(
+      {ScalarExpr::Cmp(CmpOp::kEq, ScalarExpr::Attr(a, db_.dept_name),
+                       ScalarExpr::Attr(b, db_.emp_name)),
+       ScalarExpr::Cmp(CmpOp::kEq, ScalarExpr::Attr(a, db_.dept_floor),
+                       ScalarExpr::Attr(b, db_.emp_name))});
+  BindingSet scope = BindingSet::Of(a);
+  scope.Add(b);
+  auto stats = Run(Node(join,
+                        {Scan(CollectionId::Extent(db_.department), a),
+                         Scan(CollectionId::Extent(db_.employee), b)},
+                        scope));
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  EXPECT_EQ(stats->rows, 0);
+}
+
+TEST_F(OperatorTest, HashJoinKeyKindsMatchReference) {
+  // One Department and one Employee per case, joined on a Department field
+  // against an Employee field, with either side as the build side; the
+  // hash join must agree with Value::operator== as the reference applies it.
+  struct Case {
+    const char* name;
+    FieldId dept_field, emp_field;
+    Value dept_value, emp_value;
+    int64_t rows;
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const Case cases[] = {
+      {"NaN vs NaN", db_.dept_floor, db_.emp_salary, Value::Double(nan),
+       Value::Double(nan), 0},
+      {"int 3 vs double 3.0", db_.dept_floor, db_.emp_salary, Value::Int(3),
+       Value::Double(3.0), 1},
+      {"null vs null", db_.dept_floor, db_.emp_salary, Value::Null(),
+       Value::Null(), 1},
+      {"string vs int", db_.dept_name, db_.emp_age, Value::Str("3"),
+       Value::Int(3), 0},
+  };
+  for (const Case& c : cases) {
+    for (bool dept_builds : {true, false}) {
+      SCOPED_TRACE(std::string(c.name) +
+                   (dept_builds ? ", Department builds" : ", Employee builds"));
+      ObjectStore store(&db_.catalog);
+      QueryContext ctx;
+      ctx.catalog = &db_.catalog;
+      store.SetValue(store.Create(db_.department), c.dept_field, c.dept_value);
+      store.SetValue(store.Create(db_.employee), c.emp_field, c.emp_value);
+      BindingId a = ctx.bindings.AddGet("a", db_.department);
+      BindingId b = ctx.bindings.AddGet("b", db_.employee);
+      ScalarExprPtr pred =
+          ScalarExpr::Cmp(CmpOp::kEq, ScalarExpr::Attr(a, c.dept_field),
+                          ScalarExpr::Attr(b, c.emp_field));
+      PlanNodePtr build = Scan(CollectionId::Extent(db_.department), a);
+      PlanNodePtr probe = Scan(CollectionId::Extent(db_.employee), b);
+      LogicalExprPtr left = LogicalExpr::Make(
+          LogicalOp::Get(CollectionId::Extent(db_.department), a));
+      LogicalExprPtr right = LogicalExpr::Make(
+          LogicalOp::Get(CollectionId::Extent(db_.employee), b));
+      if (!dept_builds) {
+        std::swap(build, probe);
+        std::swap(left, right);
+      }
+      PhysicalOp join;
+      join.kind = PhysOpKind::kHybridHashJoin;
+      join.pred = pred;
+      BindingSet scope = BindingSet::Of(a);
+      scope.Add(b);
+      auto stats =
+          ExecutePlan(*Node(join, {build, probe}, scope), &store, &ctx);
+      ASSERT_TRUE(stats.ok()) << stats.status();
+      auto ref = EvaluateReference(
+          *LogicalExpr::Make(LogicalOp::Join(pred), {left, right}), &store,
+          ctx);
+      ASSERT_TRUE(ref.ok()) << ref.status();
+      EXPECT_EQ(static_cast<int64_t>(ref->tuples.size()), c.rows);
+      EXPECT_EQ(stats->rows, c.rows);
+    }
+  }
 }
 
 TEST_F(OperatorTest, MultiStepAssemblyLoadsChain) {

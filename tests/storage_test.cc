@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+#include <string>
+#include <vector>
+
 #include "src/catalog/paper_catalog.h"
+#include "src/common/rng.h"
 #include "src/storage/object_store.h"
 
 namespace oodb {
@@ -190,6 +196,85 @@ TEST(BufferPoolTest, LruEviction) {
                                      // resident = {2, 3}; 1 misses.
   EXPECT_EQ(pool.misses(), 5);
   EXPECT_EQ(pool.resident(), 2);
+}
+
+/// The std::list LRU the flat pool replaced, kept as its oracle: same
+/// eviction rule (a pool of capacity 0 still holds the page just read).
+class ListLru {
+ public:
+  ListLru(DiskModel* disk, int64_t capacity)
+      : disk_(disk), capacity_(capacity) {}
+  void Access(PageId page) {
+    auto it = std::find(lru_.begin(), lru_.end(), page);
+    if (it != lru_.end()) {
+      lru_.splice(lru_.begin(), lru_, it);
+      ++hits;
+      return;
+    }
+    disk_->Read(page);
+    ++misses;
+    if (static_cast<int64_t>(lru_.size()) >= capacity_ && !lru_.empty()) {
+      lru_.pop_back();
+    }
+    lru_.push_front(page);
+  }
+  void Reset() {
+    lru_.clear();
+    hits = misses = 0;
+  }
+  int64_t resident() const { return static_cast<int64_t>(lru_.size()); }
+  int64_t hits = 0, misses = 0;
+
+ private:
+  DiskModel* disk_;
+  int64_t capacity_;
+  std::list<PageId> lru_;  // front = most recent
+};
+
+TEST(BufferPoolTest, MatchesListLruReference) {
+  CostModelOptions timing;
+  for (int64_t capacity : {0, 1, 2, 64}) {
+    SCOPED_TRACE("capacity " + std::to_string(capacity));
+    SimClock clock, ref_clock;
+    DiskModel disk(&timing, &clock), ref_disk(&timing, &ref_clock);
+    BufferPool pool(&disk, capacity);
+    ListLru ref(&ref_disk, capacity);
+    Rng rng(static_cast<uint64_t>(capacity) + 11);
+    std::vector<PageId> pages;
+    for (int step = 0; step < 4000; ++step) {
+      uint64_t op = rng.Uniform(100);
+      if (op == 0) {
+        pool.Reset();
+        ref.Reset();
+      } else if (op < 50) {
+        PageId page = static_cast<PageId>(rng.Uniform(150));
+        ASSERT_TRUE(pool.Access(page).ok());
+        ref.Access(page);
+      } else {
+        // A scan-like run: consecutive pages from a random start, with an
+        // occasional repeat or jump back, as ReadMany's page runs come.
+        pages.clear();
+        PageId page = static_cast<PageId>(rng.Uniform(150));
+        for (uint64_t n = 1 + rng.Uniform(24); n > 0; --n) {
+          pages.push_back(page);
+          page = rng.Uniform(8) == 0
+                     ? std::max<PageId>(
+                           0, page - static_cast<PageId>(rng.Uniform(20)))
+                     : page + 1;
+        }
+        ASSERT_TRUE(pool.AccessMany(pages.data(), pages.size()).ok());
+        for (PageId p : pages) ref.Access(p);
+      }
+      ASSERT_EQ(pool.hits(), ref.hits) << "step " << step;
+      ASSERT_EQ(pool.misses(), ref.misses) << "step " << step;
+      ASSERT_EQ(pool.resident(), ref.resident()) << "step " << step;
+    }
+    EXPECT_GT(ref_disk.seq_reads(), 0);
+    EXPECT_GT(ref_disk.random_reads(), 0);
+    EXPECT_EQ(disk.seq_reads(), ref_disk.seq_reads());
+    EXPECT_EQ(disk.random_reads(), ref_disk.random_reads());
+    EXPECT_EQ(clock.io_s, ref_clock.io_s);  // bit-identical
+  }
 }
 
 TEST(BufferPoolTest, ResetClears) {
