@@ -1,5 +1,6 @@
 #include "src/exec/exchange.h"
 
+#include <algorithm>
 #include <chrono>
 #include <deque>
 #include <optional>
@@ -177,7 +178,8 @@ class ExchangeExec : public ExecNode {
       }
       cursors_ = std::vector<MergeCursor>(static_cast<size_t>(dop_));
       if (env_.profile != nullptr) {
-        env_.profile->Register(plan_)->merge_streams = dop_;
+        merge_prof_ = env_.profile->Register(plan_);
+        merge_prof_->merge_streams = dop_;
       }
     } else {
       // Deep (but still bounded) buffering: 16 batches per partition.
@@ -267,6 +269,7 @@ class ExchangeExec : public ExecNode {
       wenv.partition_index = partition;
       wenv.partition_count = dop_;
     }
+    wenv.merge_sort = merge_ ? &plan_->op.sort : nullptr;
     wenv.fault_worker = partition;
     wenv.fault_attempt = env_.fault_attempt + attempt;
     return wenv;
@@ -302,28 +305,32 @@ class ExchangeExec : public ExecNode {
   // speculative rivals keep stream identity and the merged sequence is the
   // fault-free one.
   //
-  // Each popped batch is encoded once (SortKeyCodec) and the tournament
-  // compares order words.
+  // Keys: the workers' Sort/TopK attach the order words they encoded to
+  // each batch (ExecEnv::merge_sort), and SortKeyCodec::Encode serves them;
+  // a stream without them (an ordered index scan) is encoded here, once per
+  // batch. Rows: the merge copies runs, not rows. It takes the best stream
+  // head and the runner-up, finds the longest prefix of the best stream's
+  // batch that merges before the runner-up's head (exponential search over
+  // the words), and appends that prefix as one block.
 
   struct MergeCursor {
     TupleBatch batch;
     size_t pos = 0;
     bool open = false;       ///< batch holds rows (pos < batch.size())
     bool exhausted = false;  ///< stream closed and drained
-    std::vector<uint64_t> keys;  ///< encoded sort keys of the batch's rows
-    size_t encoded = 0;  ///< rows [0, encoded) have keys; the next one fails
+    std::vector<uint64_t> scratch;    ///< words encoded here, if needed
+    const uint64_t* words = nullptr;  ///< the batch's rows' order words
+    size_t encoded = 0;  ///< rows [0, encoded) have words; the next one fails
 
-    const uint64_t* key(size_t words) const {
-      return keys.data() + pos * words;
-    }
-    const Slot* row() const { return batch.ref(pos).slots; }
+    const uint64_t* key(size_t nw, size_t i) const { return words + i * nw; }
+    const Slot* row(size_t i) const { return batch.ref(i).slots; }
   };
 
-  /// Advances cursor `w` to its next row, waiting on the partition's queue
-  /// at batch boundaries and encoding each new batch's sort keys.
-  Status AdvanceCursor(int w) {
+  /// Advances cursor `w` by `n` rows, waiting on the partition's queue at
+  /// batch boundaries and taking (or encoding) each new batch's words.
+  Status AdvanceCursor(int w, size_t n) {
     MergeCursor& c = cursors_[static_cast<size_t>(w)];
-    if (c.open) ++c.pos;
+    c.pos += n;
     while (!c.exhausted && (!c.open || c.pos >= c.batch.size())) {
       TupleBatch next;
       OODB_ASSIGN_OR_RETURN(bool popped,
@@ -333,8 +340,15 @@ class ExchangeExec : public ExecNode {
         c.batch = std::move(next);
         c.pos = 0;
         c.open = c.batch.size() > 0;
-        c.keys.resize(c.batch.size() * codec_->words());
-        c.encoded = codec_->Encode(&c.batch, c.keys.data());
+        c.scratch.resize(c.batch.size() * codec_->words());
+        const SortKeyCodec::Encoded enc =
+            codec_->Encode(&c.batch, c.scratch.data());
+        c.words = enc.words;
+        c.encoded = enc.good;
+        if (merge_prof_ != nullptr && c.open &&
+            enc.words == c.scratch.data()) {
+          ++merge_prof_->merge_encoded;
+        }
       } else {
         c.open = false;
         c.exhausted = true;
@@ -344,43 +358,93 @@ class ExchangeExec : public ExecNode {
     return codec_->KeyError(c.batch.ref(c.pos));
   }
 
+  /// True when cursor `a`'s head merges before cursor `b`'s on the keys
+  /// alone (a tie is for the caller to break by partition index).
+  bool HeadLess(const MergeCursor& a, const MergeCursor& b) const {
+    const size_t nw = codec_->words();
+    return codec_->Compare(a.key(nw, a.pos), a.row(a.pos), b.key(nw, b.pos),
+                           b.row(b.pos)) < 0;
+  }
+
+  /// How many rows of `c`'s batch, from its head on and at most `cap`, merge
+  /// before `rival`'s head: those that compare less, and those that tie when
+  /// `c` is the lower partition. A stream is sorted, so they form a prefix,
+  /// found by exponential then binary search; the head itself always counts.
+  size_t RunLength(const MergeCursor& c, const MergeCursor& rival,
+                   bool lower, size_t cap) const {
+    const size_t nw = codec_->words();
+    const uint64_t* rival_key = rival.key(nw, rival.pos);
+    const Slot* rival_row = rival.row(rival.pos);
+    auto precedes = [&](size_t i) {
+      const size_t r = c.pos + i;
+      const int cmp =
+          codec_->Compare(c.key(nw, r), c.row(r), rival_key, rival_row);
+      return cmp < 0 || (cmp == 0 && lower);
+    };
+    // Rows [0, lo) precede; row hi (when below cap) does not.
+    size_t lo = 1, hi = cap;
+    for (size_t step = 1; lo < hi; step *= 2) {
+      const size_t probe = std::min(lo + step, hi) - 1;
+      if (!precedes(probe)) {
+        hi = probe;
+        break;
+      }
+      lo = probe + 1;
+    }
+    while (lo < hi) {
+      const size_t mid = lo + (hi - lo) / 2;
+      if (precedes(mid)) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return lo;
+  }
+
   Result<size_t> NextMerge(TupleBatch* out) {
     if (!merge_primed_) {
       merge_primed_ = true;
       for (int w = 0; w < dop_; ++w) {
-        cursors_[static_cast<size_t>(w)].pos = 0;
-        OODB_RETURN_IF_ERROR(AdvanceCursor(w));
+        OODB_RETURN_IF_ERROR(AdvanceCursor(w, 0));
       }
     }
-    const size_t words = codec_->words();
     const int64_t limit = plan_->op.limit;
     const double row_cpu_s =
         env_.timing().exchange_flow_tuple_s +
-        Log2Ceil(dop_) * env_.timing().cpu_pred_s;
+        LogCeil(static_cast<size_t>(dop_)) * env_.timing().cpu_pred_s;
     while (!out->full()) {
-      if (limit > 0 && merge_emitted_ >= limit) break;
-      // Linear tournament over the stream heads: strictly-less replaces the
-      // running best, so equal keys keep the lowest partition index.
-      int best = -1;
+      size_t room = out->capacity() - out->size();
+      if (limit > 0) {
+        if (merge_emitted_ >= limit) break;
+        room = std::min(room, static_cast<size_t>(limit - merge_emitted_));
+      }
+      // The best head and the runner-up over the open streams: strictly-less
+      // replaces, so equal keys keep the lower partition index.
+      int best = -1, second = -1;
       for (int w = 0; w < dop_; ++w) {
         const MergeCursor& c = cursors_[static_cast<size_t>(w)];
         if (c.exhausted) continue;
-        if (best < 0) {
+        if (best < 0 || HeadLess(c, cursors_[static_cast<size_t>(best)])) {
+          second = best;
           best = w;
-          continue;
-        }
-        const MergeCursor& b = cursors_[static_cast<size_t>(best)];
-        if (codec_->Compare(c.key(words), c.row(), b.key(words), b.row()) <
-            0) {
-          best = w;
+        } else if (second < 0 ||
+                   HeadLess(c, cursors_[static_cast<size_t>(second)])) {
+          second = w;
         }
       }
       if (best < 0) break;  // every stream drained
       MergeCursor& c = cursors_[static_cast<size_t>(best)];
-      out->AppendRowRaw().CopyFrom(c.batch.ref(c.pos));
-      env_.clock().cpu_s += row_cpu_s;
-      ++merge_emitted_;
-      OODB_RETURN_IF_ERROR(AdvanceCursor(best));
+      size_t n = std::min(room, c.encoded - c.pos);
+      if (second >= 0) {
+        n = RunLength(c, cursors_[static_cast<size_t>(second)],
+                      best < second, n);
+      }
+      out->AppendRows(c.batch, c.pos, n);
+      for (size_t i = 0; i < n; ++i) env_.clock().cpu_s += row_cpu_s;
+      merge_emitted_ += static_cast<int64_t>(n);
+      if (merge_prof_ != nullptr) ++merge_prof_->merge_runs;
+      OODB_RETURN_IF_ERROR(AdvanceCursor(best, n));
     }
     if (out->size() > 0) return out->size();
     // End of stream: the limit was reached or every stream drained.
@@ -388,12 +452,6 @@ class ExchangeExec : public ExecNode {
     if (limit > 0 && merge_emitted_ >= limit) StopWorkers();
     done_ = true;
     return Finish();
-  }
-
-  static double Log2Ceil(int n) {
-    double log = 1.0;
-    while ((1 << static_cast<int>(log)) < std::max(n, 2)) log += 1.0;
-    return log;
   }
 
   // ------------------------ partition attempts -----------------------
@@ -743,6 +801,7 @@ class ExchangeExec : public ExecNode {
   std::optional<SortKeyCodec> codec_;
   bool merge_primed_ = false;
   int64_t merge_emitted_ = 0;
+  OpProfile* merge_prof_ = nullptr;  ///< this node's ANALYZE row, if any
   Mutex pending_mu_{lock_rank::kExchangePending};
   CondVar pending_cv_;
   int pending_ GUARDED_BY(pending_mu_) = 0;

@@ -1187,12 +1187,21 @@ class RowArena {
   std::vector<Slot> slots_;
 };
 
-/// Comparison-count model of one sort or heap operation: ceil(log2(n)),
-/// at least 1.
-double LogCeil(size_t n) {
-  double log = 1.0;
-  while ((1ull << static_cast<unsigned>(log)) < n) log += 1.0;
-  return log;
+/// True when an order operator on `op`'s keys feeds a merging Exchange that
+/// merges on the same order: it attaches its output's order words.
+bool FeedsMergeOn(const ExecEnv& env, const PhysicalOp& op) {
+  return env.merge_sort != nullptr && env.merge_sort->keys == op.sort.keys;
+}
+
+/// Attaches to `out`, just filled by RowArena::Emit from `order`, its rows'
+/// order words under `spec`; `keys` holds spec.size() words per arena row.
+void AttachEmittedWords(TupleBatch* out, const std::vector<SortKey>& spec,
+                        const uint64_t* keys, const uint32_t* order) {
+  const size_t nw = spec.size();
+  uint64_t* dst = out->AttachSortWords(spec);
+  for (size_t i = 0; i < out->size(); ++i) {
+    std::copy_n(keys + order[i] * nw, nw, dst + i * nw);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1205,7 +1214,8 @@ double LogCeil(size_t n) {
 // on the remaining keys as it closes, so simulated CPU scales with
 // n*log(run) instead of n*log(n) — the saving PartialSortCost anticipates.
 // Flushed runs are counted on the operator's profile (sort_runs) for
-// EXPLAIN ANALYZE.
+// EXPLAIN ANALYZE. Under a merging Exchange on the same order, each emitted
+// batch carries its rows' key words (FeedsMergeOn).
 // ---------------------------------------------------------------------------
 class SortExec : public ExecNode {
  public:
@@ -1216,7 +1226,8 @@ class SortExec : public ExecNode {
         child_(std::move(child)),
         prof_(prof),
         codec_(op_.sort.keys, env_.store, env_.ctx),
-        rows_(env_.num_bindings()) {}
+        rows_(env_.num_bindings()),
+        attach_words_(FeedsMergeOn(env_, op_)) {}
 
   Status Open() override {
     OODB_RETURN_IF_ERROR(child_->Open());
@@ -1231,9 +1242,11 @@ class SortExec : public ExecNode {
       const size_t live = batch.active();
       const size_t base = rows_.size();
       keys_.resize((base + live) * nw);
-      const size_t good = codec_.Encode(&batch, keys_.data() + base * nw);
+      uint64_t* dst = keys_.data() + base * nw;
+      const SortKeyCodec::Encoded enc = codec_.Encode(&batch, dst);
+      if (enc.words != dst) std::copy_n(enc.words, enc.good * nw, dst);
       for (size_t i = 0; i < live; ++i) {
-        if (i == good) return codec_.KeyError(batch.active_ref(i));
+        if (i == enc.good) return codec_.KeyError(batch.active_ref(i));
         env_.clock().cpu_s += env_.timing().cpu_hash_probe_s;
         OODB_RETURN_IF_ERROR(env_.ChargeBuffered());
         const size_t r = base + i;
@@ -1255,7 +1268,13 @@ class SortExec : public ExecNode {
   Result<size_t> Next(TupleBatch* out) override {
     OODB_RETURN_IF_ERROR(env_.Tick());
     out->Clear();
-    return rows_.Emit(out, order_, &pos_);
+    const size_t first = pos_;
+    rows_.Emit(out, order_, &pos_);
+    if (attach_words_) {
+      AttachEmittedWords(out, op_.sort.keys, keys_.data(),
+                         order_.data() + first);
+    }
+    return out->size();
   }
 
   void Close() override {}
@@ -1291,6 +1310,7 @@ class SortExec : public ExecNode {
   std::vector<uint64_t> keys_;  ///< codec_.words() per buffered row
   std::vector<uint32_t> order_;
   size_t pos_ = 0;
+  const bool attach_words_;  ///< feeds a merge on op_.sort
 };
 
 // ---------------------------------------------------------------------------
@@ -1304,7 +1324,9 @@ class SortExec : public ExecNode {
 //     the heap root is the worst survivor, and an incoming row replaces it
 //     only when strictly better, decided by one encoded compare against the
 //     root. Ties keep the earlier row (sequence numbers make the result the
-//     stable top-k, matching what stable_sort + truncate produces).
+//     stable top-k, matching what stable_sort + truncate produces). Under a
+//     merging Exchange on the same order, each emitted batch carries its
+//     rows' key words, as Sort's do.
 // ---------------------------------------------------------------------------
 class TopKExec : public ExecNode {
  public:
@@ -1355,6 +1377,7 @@ class TopKExec : public ExecNode {
                 [this](uint32_t a, uint32_t b) { return Worse(b, a); });
       if (heap_.size() > k) heap_.resize(k);
       order_ = std::move(heap_);
+      attach_words_ = FeedsMergeOn(env_, op_);
     }
     return Status::OK();
   }
@@ -1362,7 +1385,13 @@ class TopKExec : public ExecNode {
   Result<size_t> Next(TupleBatch* out) override {
     OODB_RETURN_IF_ERROR(env_.Tick());
     out->Clear();
-    return rows_.Emit(out, order_, &pos_);
+    const size_t first = pos_;
+    rows_.Emit(out, order_, &pos_);
+    if (attach_words_) {
+      AttachEmittedWords(out, op_.sort.keys, keys_.data(),
+                         order_.data() + first);
+    }
+    return out->size();
   }
 
   void Close() override {}
@@ -1385,7 +1414,7 @@ class TopKExec : public ExecNode {
     const size_t nw = codec_.words();
     const size_t live = batch->active();
     batch_keys_.resize(live * nw);
-    const size_t good = codec_.Encode(batch, batch_keys_.data());
+    const SortKeyCodec::Encoded enc = codec_.Encode(batch, batch_keys_.data());
     // One heap operation: ~log2(k+1) comparisons.
     const double log_k = LogCeil(k + 1);
     auto worse = [this](uint32_t a, uint32_t b) {
@@ -1393,8 +1422,8 @@ class TopKExec : public ExecNode {
     };
     for (size_t i = 0; i < live; ++i) {
       env_.clock().cpu_s += env_.timing().cpu_pred_s;
-      if (i == good) return codec_.KeyError(batch->active_ref(i));
-      const uint64_t* key = batch_keys_.data() + i * nw;
+      if (i == enc.good) return codec_.KeyError(batch->active_ref(i));
+      const uint64_t* key = enc.words + i * nw;
       TupleRef t = batch->active_ref(i);
       const int64_t seq = seq_++;
       const bool full = heap_.size() >= k;
@@ -1444,6 +1473,7 @@ class TopKExec : public ExecNode {
   int64_t seq_ = 0;
   std::vector<uint32_t> order_;
   size_t pos_ = 0;
+  bool attach_words_ = false;  ///< heap regime feeding a merge on op_.sort
 };
 
 // ---------------------------------------------------------------------------

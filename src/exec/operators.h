@@ -82,6 +82,13 @@ struct ExecEnv {
   int partition_index = 0;
   int partition_count = 1;
 
+  /// The order a merging Exchange merges this worker pipeline's output on
+  /// (null in serial pipelines and under a plain Exchange). A Sort or TopK
+  /// on exactly this order attaches its emitted rows' order words to each
+  /// batch (TupleBatch::AttachSortWords), so the merge does not encode
+  /// again what the worker already encoded.
+  const SortSpec* merge_sort = nullptr;
+
   /// Exec-layer fault injection (null = off, the zero-cost default: one
   /// pointer compare per Tick). The injector lives on ExecutePlan's stack
   /// and outlives every worker of the execution.
@@ -145,6 +152,14 @@ struct ExecEnv {
                                         static_cast<int64_t>(sizeof(Slot)));
   }
 };
+
+/// Comparison-count model of one sort, heap or merge step: ceil(log2(n)),
+/// at least 1.
+inline double LogCeil(size_t n) {
+  double log = 1.0;
+  while ((1ull << static_cast<unsigned>(log)) < n) log += 1.0;
+  return log;
+}
 
 /// Adapts a batch-producing child to tuple-at-a-time consumption for
 /// blocking operators (hash build, sort, set ops) and the merge join's

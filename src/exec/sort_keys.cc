@@ -65,7 +65,7 @@ int TotalCompare(const Value& a, const Value& b) {
 
 SortKeyCodec::SortKeyCodec(const std::vector<SortKey>& keys,
                            ObjectStore* store, const QueryContext* ctx)
-    : ctx_(ctx) {
+    : spec_(keys), ctx_(ctx) {
   keys_.reserve(keys.size());
   for (const SortKey& k : keys) {
     Key key;
@@ -82,7 +82,13 @@ SortKeyCodec::SortKeyCodec(const std::vector<SortKey>& keys,
   }
 }
 
-size_t SortKeyCodec::Encode(TupleBatch* batch, uint64_t* out) const {
+SortKeyCodec::Encoded SortKeyCodec::Encode(TupleBatch* batch,
+                                           uint64_t* out) const {
+  if (!batch->has_selection()) {
+    if (const uint64_t* words = batch->SortWords(spec_)) {
+      return {words, batch->size()};
+    }
+  }
   const size_t nw = keys_.size();
   size_t good = batch->active();
   for (size_t k = 0; k < nw; ++k) {
@@ -115,7 +121,7 @@ size_t SortKeyCodec::Encode(TupleBatch* batch, uint64_t* out) const {
       dst[i * nw] = ValueWord(s.obj->value(key.field), key.text) ^ key.flip;
     }
   }
-  return good;
+  return {out, good};
 }
 
 Status SortKeyCodec::KeyError(TupleRef row) const {

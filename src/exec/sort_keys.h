@@ -52,11 +52,20 @@ class SortKeyCodec {
   /// Words per encoded row (one per key).
   size_t words() const { return keys_.size(); }
 
-  /// Encodes the keys of `batch`'s live rows, row k at out[k*words()]. Returns
+  /// The order words of a batch's live rows, row k at words[k*words()], and
   /// the live position of the first row with an unloaded key component —
-  /// rows from there on are not encoded — or batch->active() when every row
-  /// encoded.
-  size_t Encode(TupleBatch* batch, uint64_t* out) const;
+  /// rows from there on have no words — or active() when every row encoded.
+  struct Encoded {
+    const uint64_t* words = nullptr;
+    size_t good = 0;
+  };
+
+  /// Encodes the keys of `batch`'s live rows. A batch carrying words for
+  /// exactly this codec's keys (TupleBatch::SortWords: rows a Sort or TopK
+  /// on the same order emitted) and no selection is served its own words,
+  /// and `out` is left untouched; any other batch is gathered and encoded
+  /// into `out`, which must hold active() * words() words.
+  Encoded Encode(TupleBatch* batch, uint64_t* out) const;
 
   /// The status reading `row`'s keys fails with: what the row Encode stopped
   /// at reports (the attribute-read error of its first unloaded key).
@@ -113,6 +122,7 @@ class SortKeyCodec {
   /// string prefix, or the number layout's string word); nkeys if none.
   size_t FallbackKey(const uint64_t* w, size_t lo) const;
 
+  std::vector<SortKey> spec_;  ///< the keys as given: the attached-words tag
   std::vector<Key> keys_;
   const QueryContext* ctx_;
 };

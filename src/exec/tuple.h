@@ -21,6 +21,9 @@
 // bitmap, which is what the branchless filter kernels and the vectorized
 // hash-join probe loop over. Both are invisible to row-at-a-time consumers
 // (active()/active_ref() degrade to size()/ref() when no selection is set).
+// (c) A batch a Sort or TopK emitted toward a merging Exchange also carries
+// its rows' *order words* (SortKeyCodec's encoding), cached like a typed
+// column, so the merge reads them instead of gathering and encoding again.
 #ifndef OODB_EXEC_TUPLE_H_
 #define OODB_EXEC_TUPLE_H_
 
@@ -32,6 +35,7 @@
 
 #include "src/algebra/expr.h"
 #include "src/algebra/logical_op.h"
+#include "src/physical/phys_props.h"
 #include "src/storage/object.h"
 
 namespace oodb {
@@ -230,6 +234,16 @@ class TupleBatch {
     return r;
   }
 
+  /// Appends rows [first, first + n) of `src`, a batch of the same width,
+  /// as one block copy. Callers must not append past capacity().
+  void AppendRows(const TupleBatch& src, size_t first, size_t n) {
+    ++epoch_;
+    std::copy(src.slots_.data() + first * width_,
+              src.slots_.data() + (first + n) * width_,
+              slots_.data() + size_ * width_);
+    size_ += n;
+  }
+
   /// Appends a row WITHOUT clearing it — for emit paths that immediately
   /// overwrite every slot (a full-width CopyFrom). Rows are recycled across
   /// Next() calls, so skipping the clear anywhere else leaks stale slots.
@@ -252,6 +266,27 @@ class TupleBatch {
   void Truncate(size_t n) {
     size_ = n;
     ++epoch_;
+  }
+
+  // --- attached order words ---
+
+  /// A buffer of size() * keys.size() words for the caller to fill with the
+  /// rows' order words under `keys` (row-major, as SortKeyCodec::Encode
+  /// writes them), right after writing the rows. SortWords(keys) serves
+  /// them until the rows change: any row mutation, Clear or
+  /// BatchPool::Take drops them, as it drops the typed columns.
+  uint64_t* AttachSortWords(const std::vector<SortKey>& keys) {
+    sort_keys_.assign(keys.begin(), keys.end());
+    sort_words_.resize(size_ * keys.size());
+    sort_epoch_ = epoch_;
+    return sort_words_.data();
+  }
+
+  /// The attached order words of rows [0, size) when they were attached
+  /// under exactly `keys` and no row changed since; null otherwise.
+  const uint64_t* SortWords(const std::vector<SortKey>& keys) const {
+    return sort_epoch_ == epoch_ && sort_keys_ == keys ? sort_words_.data()
+                                                       : nullptr;
   }
 
  private:
@@ -283,6 +318,12 @@ class TupleBatch {
   /// ColumnView pointers stable while further columns are extracted.
   uint64_t epoch_ = 0;
   std::vector<std::unique_ptr<ColumnCache>> columns_;
+
+  /// Attached order words, valid while sort_epoch_ matches epoch_ (never,
+  /// until the first AttachSortWords).
+  std::vector<SortKey> sort_keys_;
+  std::vector<uint64_t> sort_words_;
+  uint64_t sort_epoch_ = ~uint64_t{0};
 };
 
 /// Evaluates a scalar expression against a row. Booleans are encoded as

@@ -61,7 +61,7 @@ ExchangeChoice ChooseDop(const PlanNode& plan, const PlanNode* driver,
 /// Builds the Exchange node by hand (not PlanNode::Make): its total cost is
 /// the anticipated *response time* est(dop), which is less than the child's
 /// summed work — its local cost is the (negative) speedup net of startup,
-/// flow, and (for merge) loser-tree overhead.
+/// flow, and (for merge) the merge's comparisons.
 PlanNodePtr MakeExchangeNode(PlanNodePtr child, const PlanNode* driver,
                              const ExchangeChoice& choice, bool merge) {
   double child_cpu = child->total_cost.cpu_s;
@@ -73,7 +73,7 @@ PlanNodePtr MakeExchangeNode(PlanNodePtr child, const PlanNode* driver,
   ex->delivered = child->delivered;
   if (merge) {
     // Order-preserving: every worker's contiguous partition slice arrives
-    // sorted; the consumer's loser tree merges them, and any limit is both
+    // sorted; the consumer merges them, and any limit is both
     // pushed to each producer and re-applied at the merge.
     ex->op.merge = true;
     ex->op.sort = child->delivered.sort;

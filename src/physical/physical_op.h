@@ -100,8 +100,8 @@ struct PhysicalOp {
   /// planner re-locates the scan node when building workers).
   BindingId partition_binding = kInvalidBinding;
   /// Order-preserving Exchange: each worker's partition stream arrives
-  /// sorted (per-partition sorted runs) and the consumer merges them with a
-  /// loser tree instead of interleaving, preserving `sort`.
+  /// sorted (per-partition sorted runs) and the consumer merges them run
+  /// by run instead of interleaving, preserving `sort`.
   bool merge = false;
 
   std::string ToString(const QueryContext& ctx) const;

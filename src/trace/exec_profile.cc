@@ -20,6 +20,8 @@ void OpProfile::MergeFrom(const OpProfile& other) {
   topk_heap = std::max(topk_heap, other.topk_heap);
   sort_runs += other.sort_runs;
   merge_streams += other.merge_streams;
+  merge_runs += other.merge_runs;
+  merge_encoded += other.merge_encoded;
 }
 
 OpProfile* ExecProfile::Register(const PlanNode* node) {
@@ -99,10 +101,13 @@ void RenderRec(const PlanNode& node, const QueryContext& ctx,
        << FormatDouble(p->cpu_s, 6) << "s";
     // Order-property counters, present only where they mean something:
     // heap occupancy on TopK, flushed runs on a partial Sort, interleaved
-    // streams on a merging Exchange.
+    // streams, block copies and self-encoded batches on a merging Exchange.
     if (p->topk_heap > 0) os << ", heap " << p->topk_heap;
     if (p->sort_runs > 0) os << ", runs " << p->sort_runs;
-    if (p->merge_streams > 0) os << ", merge " << p->merge_streams;
+    if (p->merge_streams > 0) {
+      os << ", merge " << p->merge_streams << ", runs " << p->merge_runs
+         << ", encoded " << p->merge_encoded;
+    }
     if (profile.io_timed()) {
       os << ", io " << FormatDouble(p->io_s, 6) << "s, pages "
          << p->pages_read << ", buf " << p->buffer_hits << "h/"

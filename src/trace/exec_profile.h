@@ -57,6 +57,11 @@ struct OpProfile {
   int64_t sort_runs = 0;
   /// Sorted per-partition streams a merging Exchange interleaved.
   int64_t merge_streams = 0;
+  /// Block copies the merge emitted (each a run of one stream's rows).
+  int64_t merge_runs = 0;
+  /// Stream batches whose sort keys the merge gathered and encoded itself
+  /// (0 when every worker's Sort/TopK attached its words).
+  int64_t merge_encoded = 0;
 
   void MergeFrom(const OpProfile& other);
 };

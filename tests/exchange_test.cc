@@ -272,19 +272,16 @@ OrderedQuery RandomOrderedQuery(Rng& rng) {
   return q;
 }
 
-TEST_P(ExchangeTest, OrderedLimitSweepMatchesReferenceSequence) {
-  Rng rng(0x0dd1 + static_cast<uint64_t>(GetParam()) * 9973);
-  OrderedQuery q = RandomOrderedQuery(rng);
-  SCOPED_TRACE(q.text);
-
-  Planned serial = Plan(q.text, /*max_dop=*/1);
-  Planned par = Plan(q.text, /*max_dop=*/4);
-
-  // Expected sequence: the reference multiset, stable-sorted on the query's
-  // keys (reference rows arrive in scan order, the same tie order the
-  // engine's stable operators see), truncated at the limit.
-  auto reference = EvaluateReference(*serial.logical, &store(), serial.ctx);
-  ASSERT_TRUE(reference.ok()) << reference.status();
+/// The exact sequence `q` must deliver: the reference multiset of `p`,
+/// stable-sorted on the query's keys (reference rows arrive in scan order,
+/// the same tie order the engine's stable operators see), truncated at the
+/// limit.
+std::vector<std::string> ExpectedSequence(const testing::PlannedQuery& p,
+                                          const OrderedQuery& q,
+                                          ObjectStore* store) {
+  auto reference = EvaluateReference(*p.logical, store, p.ctx);
+  EXPECT_TRUE(reference.ok()) << reference.status();
+  if (!reference.ok()) return {};
   std::vector<std::vector<Value>> rows = reference->rows;
   std::stable_sort(rows.begin(), rows.end(),
                    [&q](const std::vector<Value>& a,
@@ -298,7 +295,17 @@ TEST_P(ExchangeTest, OrderedLimitSweepMatchesReferenceSequence) {
   if (q.limit > 0 && static_cast<int64_t>(rows.size()) > q.limit) {
     rows.resize(static_cast<size_t>(q.limit));
   }
-  std::vector<std::string> expect = RowSeq(rows);
+  return RowSeq(rows);
+}
+
+TEST_P(ExchangeTest, OrderedLimitSweepMatchesReferenceSequence) {
+  Rng rng(0x0dd1 + static_cast<uint64_t>(GetParam()) * 9973);
+  OrderedQuery q = RandomOrderedQuery(rng);
+  SCOPED_TRACE(q.text);
+
+  Planned serial = Plan(q.text, /*max_dop=*/1);
+  Planned par = Plan(q.text, /*max_dop=*/4);
+  std::vector<std::string> expect = ExpectedSequence(serial, q, &store());
 
   struct Config {
     Planned* planned;
@@ -316,6 +323,74 @@ TEST_P(ExchangeTest, OrderedLimitSweepMatchesReferenceSequence) {
                             << PrintPlan(*c.planned->plan, c.planned->ctx);
     EXPECT_EQ(RowSeq(stats->sample_rows), expect)
         << "plan:\n" << PrintPlan(*c.planned->plan, c.planned->ctx);
+  }
+}
+
+/// `plan` with its merging Exchange run by `dop` workers; the nodes off the
+/// path to it are shared.
+PlanNodePtr WithMergeDop(const PlanNodePtr& plan, int dop) {
+  auto copy = std::make_shared<PlanNode>(*plan);
+  if (copy->op.kind == PhysOpKind::kExchange && copy->op.merge) {
+    copy->op.dop = dop;
+    return copy;
+  }
+  for (PlanNodePtr& c : copy->children) c = WithMergeDop(c, dop);
+  return copy;
+}
+
+TEST_F(ExchangeTest, RunMergeKeepsTheStableSortSequence) {
+  // The merge copies runs: the longest prefix of the best stream's batch
+  // that precedes the runner-up's head, ties to the lower partition. Ten
+  // build dates over 200 parts give long equal-key runs that straddle
+  // partitions and batches; the DESC query's LIMIT cuts inside a run. Each
+  // is held to the exact reference sequence at every batch size and dop,
+  // with every key word taken from the workers' Sort/TopK (encoded 0).
+  OrderedQuery by_date;
+  by_date.text =
+      "SELECT a.buildDate, a.id FROM AtomicPart a IN AtomicParts "
+      "WHERE a.x >= 0 ORDER BY a.buildDate;";
+  by_date.keys = {{0, false}};
+  OrderedQuery desc_limit;
+  desc_limit.text =
+      "SELECT a.buildDate, a.x, a.id FROM AtomicPart a IN AtomicParts "
+      "WHERE a.x >= 0 ORDER BY a.buildDate DESC, a.x LIMIT 37;";
+  desc_limit.keys = {{0, true}, {1, false}};
+  desc_limit.limit = 37;
+  for (const OrderedQuery* q : {&by_date, &desc_limit}) {
+    SCOPED_TRACE(q->text);
+    Planned par = Plan(q->text, /*max_dop=*/4);
+    ASSERT_NE(FindMergeExchange(*par.plan), nullptr)
+        << PrintPlan(*par.plan, par.ctx);
+    std::vector<std::string> expect = ExpectedSequence(par, *q, &store());
+    ASSERT_GT(expect.size(), 30u);
+    const PlanNodePtr planted = par.plan;
+    for (int dop = 2; dop <= 4; ++dop) {
+      par.plan = WithMergeDop(planted, dop);
+      const PlanNode* merge = FindMergeExchange(*par.plan);
+      for (int batch : {1, 7, 1024}) {
+        SCOPED_TRACE("dop=" + std::to_string(dop) +
+                     " batch=" + std::to_string(batch));
+        ExecOptions eo;
+        eo.sample_limit = 1 << 22;
+        eo.batch_size = batch;
+        eo.analyze = true;
+        auto stats = ExecutePlan(*par.plan, &store(), &par.ctx, eo);
+        ASSERT_TRUE(stats.ok()) << stats.status();
+        EXPECT_EQ(RowSeq(stats->sample_rows), expect)
+            << "plan:\n" << PrintPlan(*par.plan, par.ctx);
+        const OpProfile* prof = stats->profile->Find(merge);
+        ASSERT_NE(prof, nullptr);
+        EXPECT_EQ(prof->merge_streams, dop);
+        EXPECT_EQ(prof->merge_encoded, 0);
+        EXPECT_GT(prof->merge_runs, 0);
+        EXPECT_LE(prof->merge_runs, static_cast<int64_t>(expect.size()));
+        if (q == &by_date && batch == 1024) {
+          // Equal dates run together: far fewer copies than rows.
+          EXPECT_LT(prof->merge_runs * 4,
+                    static_cast<int64_t>(expect.size()));
+        }
+      }
+    }
   }
 }
 

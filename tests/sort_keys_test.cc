@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/exec/batch_pool.h"
 #include "src/exec/sort_keys.h"
 #include "src/storage/object_store.h"
 
@@ -178,7 +179,7 @@ class SortKeyTest : public ::testing::Test {
     SortKeyCodec codec({SortKey{binding_, f, desc}}, store_.get(), &ctx_);
     TupleBatch batch = Batch();
     std::vector<uint64_t> keys(batch.size() * codec.words());
-    ASSERT_EQ(codec.Encode(&batch, keys.data()), batch.size());
+    ASSERT_EQ(codec.Encode(&batch, keys.data()).good, batch.size());
     for (size_t i = 0; i < batch.size(); ++i) {
       for (size_t j = 0; j < batch.size(); ++j) {
         int got = codec.Compare(&keys[i], batch.ref(i).slots, &keys[j],
@@ -252,7 +253,7 @@ TEST_F(SortKeyTest, SortRowsIsTheStableSortOnEveryKeyShape) {
   for (const std::vector<SortKey>& keys : shapes) {
     SortKeyCodec codec(keys, store_.get(), &ctx_);
     std::vector<uint64_t> words(n * codec.words());
-    ASSERT_EQ(codec.Encode(&batch, words.data()), n);
+    ASSERT_EQ(codec.Encode(&batch, words.data()).good, n);
     for (size_t lo : {size_t{0}, keys.size() - 1}) {
       SCOPED_TRACE("keys " + std::to_string(keys.size()) + " from " +
                    std::to_string(lo));
@@ -281,11 +282,109 @@ TEST_F(SortKeyTest, UnloadedComponentStopsEncodingAtItsRow) {
   TupleBatch batch = Batch();
   batch.row(5).slot(binding_).obj = nullptr;  // present, not loaded
   std::vector<uint64_t> keys(batch.size());
-  EXPECT_EQ(codec.Encode(&batch, keys.data()), 5u);
+  EXPECT_EQ(codec.Encode(&batch, keys.data()).good, 5u);
   Status st = codec.KeyError(batch.ref(5));
   EXPECT_EQ(st.code(), StatusCode::kInternal);
   EXPECT_EQ(st.message(),
             "attribute read on component not present in memory: t");
+}
+
+TEST_F(SortKeyTest, AttachedWordsServeOnlyTheirOwnKeys) {
+  // Words attached under one order are served to a codec on exactly that
+  // order — even wrong words, which shows they are not re-encoded — and
+  // never to a codec on another key, direction or key count.
+  const std::vector<SortKey> spec = {{binding_, ints_, false}};
+  TupleBatch batch = Batch();
+  const size_t n = batch.size();
+  uint64_t* attached = batch.AttachSortWords(spec);
+  std::fill(attached, attached + n, uint64_t{7});
+
+  SortKeyCodec codec(spec, store_.get(), &ctx_);
+  std::vector<uint64_t> out(n);
+  SortKeyCodec::Encoded enc = codec.Encode(&batch, out.data());
+  EXPECT_EQ(enc.words, batch.SortWords(spec));
+  EXPECT_EQ(enc.good, n);
+  EXPECT_EQ(enc.words[n - 1], 7u);
+
+  const std::vector<std::vector<SortKey>> others = {
+      {{binding_, ints_, true}},
+      {{binding_, reals_, false}},
+      {{binding_, ints_, false}, {binding_, reals_, false}},
+      {},
+  };
+  for (const std::vector<SortKey>& keys : others) {
+    SCOPED_TRACE("keys " + std::to_string(keys.size()));
+    EXPECT_EQ(batch.SortWords(keys), nullptr);
+    SortKeyCodec other(keys, store_.get(), &ctx_);
+    TupleBatch fresh = Batch();
+    std::vector<uint64_t> want(n * other.words()), got(n * other.words());
+    ASSERT_EQ(other.Encode(&fresh, want.data()).good, n);
+    enc = other.Encode(&batch, got.data());
+    EXPECT_EQ(enc.words, got.data());
+    EXPECT_EQ(enc.good, n);
+    EXPECT_EQ(got, want);
+  }
+
+  // Attached words describe physical rows: a batch with a selection is
+  // encoded, live rows only.
+  batch.MutableSelection()[0] = 3;
+  batch.SetSelection(1);
+  enc = codec.Encode(&batch, out.data());
+  EXPECT_EQ(enc.words, out.data());
+  EXPECT_EQ(enc.good, 1u);
+}
+
+TEST_F(SortKeyTest, RowChangesDropAttachedWords) {
+  const std::vector<SortKey> spec = {{binding_, ints_, false}};
+  auto attached = [&] {
+    TupleBatch b = Batch();
+    b.AttachSortWords(spec);
+    EXPECT_NE(b.SortWords(spec), nullptr);
+    return b;
+  };
+  struct {
+    const char* label;
+    void (*change)(TupleBatch*);
+  } changes[] = {
+      {"CopyRow", [](TupleBatch* b) { b->CopyRow(0, 1); }},
+      {"Truncate", [](TupleBatch* b) { b->Truncate(3); }},
+      {"Compact",
+       [](TupleBatch* b) {
+         b->MutableSelection()[0] = 2;
+         b->SetSelection(1);
+         b->Compact();
+       }},
+      {"Clear", [](TupleBatch* b) { b->Clear(); }},
+      {"row", [](TupleBatch* b) { b->row(0).slot(0) = Slot{}; }},
+  };
+  for (const auto& c : changes) {
+    SCOPED_TRACE(c.label);
+    TupleBatch b = attached();
+    c.change(&b);
+    EXPECT_EQ(b.SortWords(spec), nullptr);
+  }
+
+  // Appending rows drops them too: the new rows have no words.
+  TupleBatch src = Batch();
+  TupleBatch b(1, src.size() + 1);
+  b.AppendRows(src, 0, 1);
+  b.AttachSortWords(spec);
+  b.AppendRows(src, 1, 2);
+  EXPECT_EQ(b.SortWords(spec), nullptr);
+
+  // A pooled arena comes back without them.
+  TupleBatch pooled = attached();
+  const int width = pooled.width();
+  const size_t capacity = pooled.capacity();
+  BatchPool::Instance().Return(std::move(pooled));
+  TupleBatch taken = BatchPool::Instance().Take(width, capacity);
+  EXPECT_EQ(taken.SortWords(spec), nullptr);
+
+  // Compacting a batch without a selection (the Exchange's serialization
+  // point) changes no row and keeps them.
+  TupleBatch kept = attached();
+  kept.Compact();
+  EXPECT_NE(kept.SortWords(spec), nullptr);
 }
 
 }  // namespace

@@ -453,7 +453,37 @@ TEST_F(TraceTest, OrderedOperatorCountersRenderedGolden) {
   auto mstats = Analyze(merged);
   ASSERT_TRUE(mstats.ok()) << mstats.status();
   render = RenderAnalyzedPlan(*merged.plan, merged.ctx, *mstats->profile);
-  EXPECT_NE(render.find(", merge 4"), std::string::npos) << render;
+  EXPECT_NE(render.find(", merge 4, runs 73, encoded 0"), std::string::npos)
+      << render;
+}
+
+TEST_F(TraceTest, MergedSortStreamsNeedNoConsumerEncoding) {
+  // perfbench's sort statement at dop 2: every batch the merge reads carries
+  // the order words its worker's Sort encoded, so the consumer encodes
+  // none. A silent fallback to re-encoding fails here, not only in timing.
+  OptimizerOptions par;
+  par.max_dop = 2;
+  Planned p = Plan(
+      "SELECT a.id, a.buildDate FROM AtomicPart a IN AtomicParts "
+      "WHERE a.x >= 800 ORDER BY a.buildDate, a.id;",
+      par);
+  const PlanNode* ex = FindExchange(*p.plan);
+  ASSERT_NE(ex, nullptr) << PrintPlan(*p.plan, p.ctx);
+  ASSERT_TRUE(ex->op.merge);
+  ASSERT_EQ(ex->op.dop, 2);
+  ASSERT_EQ(ex->children[0]->op.kind, PhysOpKind::kSort);
+  for (int batch : {0, 7}) {
+    SCOPED_TRACE("batch=" + std::to_string(batch));
+    auto stats = Analyze(p, batch);
+    ASSERT_TRUE(stats.ok()) << stats.status();
+    const OpProfile* prof = stats->profile->Find(ex);
+    ASSERT_NE(prof, nullptr);
+    EXPECT_GT(prof->merge_runs, 0);
+    EXPECT_EQ(prof->merge_encoded, 0);
+    std::string render = RenderAnalyzedPlan(*p.plan, p.ctx, *stats->profile);
+    EXPECT_NE(render.find(", merge 2, runs "), std::string::npos) << render;
+    EXPECT_NE(render.find(", encoded 0"), std::string::npos) << render;
+  }
 }
 
 // Instrumentation must be observationally free: the analyzed run produces
