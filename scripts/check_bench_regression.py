@@ -5,12 +5,10 @@ regression at any point.
 
 Usage: check_bench_regression.py BASELINE.json FRESH.json [--threshold 0.10]
 
-The batch/dop grid, the selective (one rate per dop) phase, the ordered
-(sort / top-k) phase, and the adaptive (static-vs-adaptive stale-stats)
-phase are checked point by point, keyed by their configuration. Grid and
-selective points are wall-clock rows/sec (higher is better); ordered and
-adaptive points are deterministic simulated seconds (lower is better), so
-the threshold flips sign for them. A point present on only one
+The ordered (sort / top-k) phase and the adaptive (static-vs-adaptive
+stale-stats) phase are checked point by point, keyed by their
+configuration. Every point is deterministic simulated seconds (lower is
+better). A point present on only one
 side fails loudly in either direction: silently dropping a measured
 configuration is itself a regression, and a configuration the bench now
 measures but the baseline doesn't is an unguarded point — the baseline must
@@ -32,14 +30,6 @@ def load(path):
 def keyed_points(doc):
     """(section, config-key) -> (value, unit, higher_is_better)."""
     points = {}
-    for entry in doc.get("grid", []):
-        points[("grid", f"batch={entry['batch']} dop={entry['dop']}")] = (
-            entry["rows_per_sec"], "rows/sec", True
-        )
-    for entry in doc.get("selective", []):
-        points[("selective", f"dop={entry['dop']}")] = (
-            entry["rows_per_sec"], "rows/sec", True
-        )
     for entry in doc.get("ordered", []):
         key = f"phase={entry['phase']} dop={entry['dop']}"
         points[("ordered", key)] = (entry["sim_s"], "sim sec", False)

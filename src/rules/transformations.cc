@@ -35,6 +35,27 @@ RuleExprPtr SelectOver(std::vector<ScalarExprPtr> conjuncts,
       {std::move(child)});
 }
 
+/// Select_{conjuncts}(g) for a group `g`. When `g` holds only Selects,
+/// the first one's conjuncts join `conjuncts` over its input instead: two
+/// stacked Selects are one (a Select-only group arises when
+/// select-join-absorb is off and a Select keeps cross conjuncts above a
+/// join).
+RuleExprPtr SelectOverGroup(const Memo& memo,
+                            std::vector<ScalarExprPtr> conjuncts, GroupId g) {
+  const Group& group = memo.group(g);
+  for (MExprId id : group.mexprs) {
+    if (memo.mexpr(id).op.kind != LogicalOpKind::kSelect) {
+      return SelectOver(std::move(conjuncts), RuleExpr::GroupLeaf(g));
+    }
+  }
+  const LogicalMExpr& sel = memo.mexpr(group.mexprs.front());
+  for (ScalarExprPtr& c : ScalarExpr::SplitConjuncts(sel.op.pred)) {
+    conjuncts.push_back(std::move(c));
+  }
+  return SelectOver(std::move(conjuncts),
+                    RuleExpr::GroupLeaf(memo.Find(sel.children[0])));
+}
+
 /// Join_{q and more}(left, right), its predicate canonical.
 RuleExprPtr JoinWith(const ScalarExprPtr& q, std::vector<ScalarExprPtr> more,
                      RuleExprPtr left, RuleExprPtr right) {
@@ -90,9 +111,9 @@ class SelectPushBelow : public TransformationRule {
         (cj.refs.Contains(u.op.target) ? above : below).push_back(cj.expr);
       }
       if (below.empty()) return;
-      RuleExprPtr input = RuleExpr::GroupLeaf(ctx.memo->Find(u.children[0]));
-      RuleExprPtr pushed =
-          RuleExpr::Op(u.op, {SelectOver(std::move(below), std::move(input))});
+      RuleExprPtr pushed = RuleExpr::Op(
+          u.op, {SelectOverGroup(*ctx.memo, std::move(below),
+                                 ctx.memo->Find(u.children[0]))});
       out->push_back(above.empty() ? pushed
                                    : SelectOver(std::move(above), pushed));
     });
@@ -306,8 +327,10 @@ class SelectJoinPush : public TransformationRule {
           if (pa.empty() && pb.empty()) return;
           RuleExprPtr left = RuleExpr::GroupLeaf(a);
           RuleExprPtr right = RuleExpr::GroupLeaf(b);
-          RuleExprPtr pushed_a = pa.empty() ? left : SelectOver(pa, left);
-          RuleExprPtr pushed_b = pb.empty() ? right : SelectOver(pb, right);
+          RuleExprPtr pushed_a =
+              pa.empty() ? left : SelectOverGroup(*ctx.memo, pa, a);
+          RuleExprPtr pushed_b =
+              pb.empty() ? right : SelectOverGroup(*ctx.memo, pb, b);
           RuleExprPtr join = RuleExpr::Op(j.op, {pushed_a, pushed_b});
           if (!rest.empty()) join = SelectOver(rest, std::move(join));
           out->push_back(join);

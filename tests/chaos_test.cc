@@ -1,73 +1,27 @@
 // Chaos suite (`ctest -L chaos`; CI repeats it under ASan and TSan with
-// pinned seeds): randomized exec-layer fault injection across DOP 1/4,
-// fault kind (deterministic kill, probabilistic kill, straggler, queue
-// stall), and seeds. The invariant under chaos: every execution either
+// pinned seeds): the differential harness's exec-fault and Session slices
+// (tests/harness.h) across DOP 1/2/4, fault kind (deterministic kill,
+// probabilistic kill, straggler, queue stall), and seeds. The invariant under chaos: every execution either
 // returns the fault-free reference result multiset bit for bit, or a clean
 // *typed* Status — never a crash, a hang, a torn batch, a duplicated or
 // missing row, or a leaked pooled arena.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "src/common/metrics.h"
-#include "src/common/rng.h"
-#include "src/exec/reference.h"
 #include "src/workloads/oo7.h"
-#include "tests/test_util.h"
+#include "tests/harness.h"
 
 namespace oodb {
 namespace {
 
 using testing::FindMergeExchange;
-using testing::RandomOo7Query;
 using testing::RowSeq;
 using testing::SortedRows;
-
-/// The typed Statuses a chaotic execution may legally end with. Anything
-/// else — in particular kInternal, which the Exchange recovery path uses to
-/// flag a duplicate partition delivery — fails the suite.
-bool IsCleanTypedFailure(StatusCode code) {
-  return code == StatusCode::kWorkerFault ||
-         code == StatusCode::kStorageFault ||
-         code == StatusCode::kDeadlineExceeded ||
-         code == StatusCode::kBudgetExhausted ||
-         code == StatusCode::kCancelled;
-}
-
-/// A randomized fault policy: one of the four injectable fault kinds, with
-/// randomized site parameters. `transient` controls fail/slow_attempts so a
-/// case can demand recovery-must-win (transient) or typed-terminal
-/// (permanent) behavior.
-ExecFaultPolicy RandomFaultPolicy(Rng& rng, int dop, bool transient) {
-  ExecFaultPolicy p;
-  p.seed = rng.Next();
-  switch (rng.Uniform(4)) {
-    case 0:  // deterministic worker kill
-      p.fail_worker = static_cast<int>(rng.Uniform(std::max(1, dop)));
-      p.fail_after_batches = 1 + static_cast<int64_t>(rng.Uniform(3));
-      p.fail_attempts = transient ? 1 + static_cast<int>(rng.Uniform(2)) : 1000;
-      break;
-    case 1:  // probabilistic kill at operator Next() granularity
-      p.fail_probability = 0.02 + 0.08 * rng.NextDouble();
-      p.fail_attempts = transient ? 1 : 1000;
-      break;
-    case 2:  // straggler
-      p.slow_worker = static_cast<int>(rng.Uniform(std::max(1, dop)));
-      p.slow_ms = 0.5;
-      p.slow_sim_s = 0.001;
-      p.slow_attempts = 1;
-      break;
-    default:  // bounded queue stall
-      p.stall_pushes = 1 + static_cast<int64_t>(rng.Uniform(4));
-      p.stall_ms = 0.5;
-      break;
-  }
-  return p;
-}
 
 class ChaosTest : public testing::Oo7ParallelTest {};
 
@@ -77,21 +31,16 @@ constexpr const char* kParallelQuery =
     "SELECT a.id FROM AtomicPart a IN AtomicParts WHERE a.x > a.y;";
 
 TEST_F(ChaosTest, TransientWorkerKillRecoversWithParity) {
-  Planned p = Plan(kParallelQuery, /*max_dop=*/4);
-  std::vector<std::string> expect = Reference(p);
-
-  ExecOptions eo;
-  eo.sample_limit = 1 << 22;
-  eo.exec_faults.fail_worker = 1;
-  eo.exec_faults.fail_after_batches = 1;
-  eo.exec_faults.fail_attempts = 1;  // transient: the retry must run clean
-  eo.recovery.max_partition_attempts = 3;
-  auto stats = ExecutePlan(*p.plan, &store(), &p.ctx, eo);
-  ASSERT_TRUE(stats.ok()) << stats.status();
-  EXPECT_EQ(SortedRows(stats->sample_rows), expect);
-  EXPECT_GE(stats->faults_injected, 1);
-  EXPECT_GE(stats->partitions_retried, 1);
-  EXPECT_EQ(stats->partitions_speculated, 0);
+  // Transient: the retry of the killed partition must run clean, and the
+  // deck line holds the result to the reference rows.
+  testing::LineRun r = testing::ExpectLine(
+      std::string("db=oo7 dop=4 attempts=3 xf=fail_worker=1,"
+                  "fail_after_batches=1,fail_attempts=1 | ") +
+      kParallelQuery);
+  ASSERT_GT(r.rows(), 0);
+  EXPECT_GE(r.stats.faults_injected, 1);
+  EXPECT_GE(r.stats.partitions_retried, 1);
+  EXPECT_EQ(r.stats.partitions_speculated, 0);
 }
 
 TEST_F(ChaosTest, PermanentWorkerKillSurfacesTypedStatusThenEngineRecovers) {
@@ -168,16 +117,11 @@ TEST_F(ChaosTest, StragglerSpeculationDeliversParity) {
 }
 
 TEST_F(ChaosTest, QueueStallIsBoundedAndCorrect) {
-  Planned p = Plan(kParallelQuery, /*max_dop=*/4);
-  std::vector<std::string> expect = Reference(p);
-
-  ExecOptions eo;
-  eo.sample_limit = 1 << 22;
-  eo.exec_faults.stall_pushes = 4;
-  eo.exec_faults.stall_ms = 2.0;
-  auto stats = ExecutePlan(*p.plan, &store(), &p.ctx, eo);
-  ASSERT_TRUE(stats.ok()) << stats.status();
-  EXPECT_EQ(SortedRows(stats->sample_rows), expect);
+  EXPECT_GT(testing::ExpectLine(
+                std::string("db=oo7 dop=4 xf=stall_pushes=4,stall_ms=2 | ") +
+                kParallelQuery)
+                .rows(),
+            0);
 }
 
 TEST_F(ChaosTest, RecoveredRunsKeepBatchPoolSteadyState) {
@@ -255,82 +199,19 @@ TEST_F(ChaosTest, RowBudgetTripReturnsTheDrainBatch) {
   }
 }
 
-// --- randomized sweep: ExecutePlan level ---
+// --- the differential harness's exec-fault slices (tests/harness.h) ---
 
 TEST_P(ChaosTest, SweepFaultKindsAcrossEnginesAndDop) {
-  Rng rng(0xc8a05 + static_cast<uint64_t>(GetParam()) * 7919);
-  std::string text = RandomOo7Query(rng);
-  SCOPED_TRACE(text);
-  int max_dop = rng.Uniform(2) == 0 ? 1 : 4;
-  bool transient = rng.Uniform(2) == 0;
-  Planned p = Plan(text, max_dop);
-  std::vector<std::string> expect = Reference(p);
-
-  ExecOptions eo;
-  eo.sample_limit = 1 << 22;
-  eo.exec_faults = RandomFaultPolicy(rng, max_dop, transient);
-  eo.recovery.max_partition_attempts = 3;
-  auto stats = ExecutePlan(*p.plan, &store(), &p.ctx, eo);
-  if (stats.ok()) {
-    // Recovered (or unharmed): the result must be the fault-free multiset,
-    // bit for bit — no duplicated rows from re-executed partitions, no
-    // missing rows from suppressed attempts.
-    EXPECT_EQ(SortedRows(stats->sample_rows), expect)
-        << "plan:\n" << PrintPlan(*p.plan, p.ctx);
-  } else {
-    EXPECT_TRUE(IsCleanTypedFailure(stats.status().code()))
-        << stats.status() << "\nplan:\n" << PrintPlan(*p.plan, p.ctx);
-  }
+  testing::ExpectSeed(testing::Slice::kChaos, GetParam());
 }
 
 TEST_P(ChaosTest, OrderedFaultSweepPreservesSequence) {
-  // Ordered (and limited) deliveries under fault injection: the contract
-  // tightens from multiset parity to *sequence* parity. A merge
-  // partition's FIFO receives exactly one attempt's whole sorted stream, so an
-  // execution that reports OK must reproduce the fault-free row sequence
-  // exactly — a merge that resumed mid-stream or dropped a stream's tail
-  // would reorder or truncate visibly here.
-  Rng rng(0x53c1 + static_cast<uint64_t>(GetParam()) * 12007);
-  const char* fields[] = {"buildDate", "x", "y"};
-  std::string key = fields[rng.Uniform(3)];
-  bool desc = rng.Uniform(2) == 1;
-  std::string text = "SELECT a." + key +
-                     ", a.id FROM AtomicPart a IN AtomicParts "
-                     "WHERE a.x >= " +
-                     std::to_string(rng.UniformRange(0, 500)) + " ORDER BY a." +
-                     key + (desc ? " DESC" : "");
-  if (rng.Uniform(2) == 0) {
-    text += " LIMIT " + std::to_string(1 + rng.Uniform(30));
-  }
-  text += ";";
-  SCOPED_TRACE(text);
-  Planned p = Plan(text, /*max_dop=*/4);
-
-  // Fault-free baseline sequence from the very same plan.
-  ExecOptions base;
-  base.sample_limit = 1 << 22;
-  auto clean = ExecutePlan(*p.plan, &store(), &p.ctx, base);
-  ASSERT_TRUE(clean.ok()) << clean.status();
-  std::vector<std::string> expect = RowSeq(clean->sample_rows);
-
-  bool transient = rng.Uniform(2) == 0;
-  ExecOptions eo;
-  eo.sample_limit = 1 << 22;
-  eo.exec_faults = RandomFaultPolicy(rng, /*dop=*/4, transient);
-  eo.recovery.max_partition_attempts = 3;
-  auto stats = ExecutePlan(*p.plan, &store(), &p.ctx, eo);
-  if (stats.ok()) {
-    EXPECT_EQ(RowSeq(stats->sample_rows), expect)
-        << "plan:\n" << PrintPlan(*p.plan, p.ctx);
-  } else {
-    EXPECT_TRUE(IsCleanTypedFailure(stats.status().code()))
-        << stats.status() << "\nplan:\n" << PrintPlan(*p.plan, p.ctx);
-  }
+  testing::ExpectSeed(testing::Slice::kChaos, GetParam(), /*ordered=*/true);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChaosTest, ::testing::Range(0, 24));
 
-// --- randomized sweep: Session retry ladder ---
+// --- the Session retry ladder ---
 
 class SessionChaosTest : public ::testing::TestWithParam<int> {
  protected:
@@ -345,63 +226,13 @@ class SessionChaosTest : public ::testing::TestWithParam<int> {
     return s;
   }
 
-  static std::string RandomPaperQuery(Rng& rng) {
-    switch (rng.Uniform(4)) {
-      case 0:
-        return "SELECT e.name FROM Employee e IN Employees WHERE e.age >= " +
-               std::to_string(rng.UniformRange(20, 60)) + ";";
-      case 1:
-        return "SELECT c.name FROM City c IN Cities "
-               "WHERE c.mayor.name == \"Joe\";";
-      case 2:
-        return "SELECT e.name, e.age FROM Employee e IN Employees "
-               "WHERE e.age >= " +
-               std::to_string(rng.UniformRange(20, 60)) +
-               " ORDER BY e.age;";
-      default:
-        return "SELECT e.name, e.dept.name FROM Employee e IN Employees "
-               "WHERE e.age >= " +
-               std::to_string(rng.UniformRange(20, 60)) + ";";
-    }
-  }
-
   PaperDb db_;
 };
 
+// The harness's Session slice: retry/degrade ladder, exec faults,
+// budgets and adaptive re-planning.
 TEST_P(SessionChaosTest, RetryLadderConvergesOrFailsTyped) {
-  Rng rng(0x5e55 + static_cast<uint64_t>(GetParam()) * 104729);
-  std::string text = RandomPaperQuery(rng);
-  SCOPED_TRACE(text);
-  bool transient = rng.Uniform(2) == 0;
-
-  Session::Options opts;
-  opts.optimizer.max_dop = rng.Uniform(2) == 0 ? 1 : 4;
-  opts.exec.sample_limit = 1 << 22;
-  opts.exec.exec_faults =
-      RandomFaultPolicy(rng, opts.optimizer.max_dop, transient);
-  opts.exec.recovery.max_partition_attempts = 2;
-  opts.retry.max_attempts = 4;
-  opts.retry.backoff_s = 0.001;
-  opts.governor.max_retries = 64;
-  std::unique_ptr<Session> s = MakeSession(std::move(opts));
-
-  auto r = s->Query(text);
-  if (transient) {
-    // A transient fault (attempt 0 only) must be survived — by partition
-    // re-execution, or by the ladder's later attempts running with a
-    // higher attempt number. Failure here means retry/recovery lost rows
-    // or gave up on a curable fault.
-    ASSERT_TRUE(r.ok()) << r.status();
-  }
-  if (r.ok()) {
-    auto reference = EvaluateReference(*r->logical, &s->store(), r->ctx);
-    ASSERT_TRUE(reference.ok()) << reference.status();
-    EXPECT_EQ(SortedRows(r->rows()), SortedRows(reference->rows));
-    ASSERT_FALSE(r->attempts.empty());
-    EXPECT_TRUE(r->attempts.back().status.ok());
-  } else {
-    EXPECT_TRUE(IsCleanTypedFailure(r.status().code())) << r.status();
-  }
+  testing::ExpectSeed(testing::Slice::kSession, GetParam());
 }
 
 TEST_F(SessionChaosTest, LadderWalksToSerialUnderPersistentExchangeFault) {
@@ -441,16 +272,35 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SessionChaosTest, ::testing::Range(0, 16));
 // When OODB_CHAOS_SNAPSHOT names a path, dump the process-wide metrics
 // registry to it. CI runs the whole binary in one process with this set
 // (ctest discovery runs each test in its own process, where the registry
-// holds only that test's counters), so the file it uploads aggregates the
-// fault/retry/recovery counters of the entire chaos sweep.
-TEST(ZChaosArtifact, WritesMetricsSnapshotWhenRequested) {
+// holds only that test's counters). gtest runs the parameterized sweeps
+// after every plain test, so the environment rewrites the file once the
+// last test is done: it aggregates the fault/retry/recovery counters of
+// the entire chaos sweep.
+bool WriteSnapshot() {
   const char* path = std::getenv("OODB_CHAOS_SNAPSHOT");
-  if (path == nullptr) GTEST_SKIP() << "OODB_CHAOS_SNAPSHOT not set";
   std::ofstream out(path);
-  ASSERT_TRUE(out.good()) << "cannot open " << path;
   out << MetricsRegistry::Global().TextSnapshot();
   out.close();
-  EXPECT_TRUE(out.good());
+  return out.good();
+}
+
+class SnapshotEnvironment : public ::testing::Environment {
+ public:
+  void TearDown() override {
+    if (std::getenv("OODB_CHAOS_SNAPSHOT") != nullptr) {
+      EXPECT_TRUE(WriteSnapshot());
+    }
+  }
+};
+
+::testing::Environment* const kSnapshotEnvironment =
+    ::testing::AddGlobalTestEnvironment(new SnapshotEnvironment);
+
+TEST(ZChaosArtifact, WritesMetricsSnapshotWhenRequested) {
+  if (std::getenv("OODB_CHAOS_SNAPSHOT") == nullptr) {
+    GTEST_SKIP() << "OODB_CHAOS_SNAPSHOT not set";
+  }
+  EXPECT_TRUE(WriteSnapshot());
 }
 
 }  // namespace

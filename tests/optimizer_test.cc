@@ -298,37 +298,5 @@ TEST_F(PaperQueriesTest, DisablingFileScanBreaksPlanning) {
   EXPECT_FALSE(opt.Optimize(**logical, &ctx).ok());
 }
 
-// Parameterized sweep: disabling any single transformation rule never makes
-// the plan *cheaper* than the all-rules optimum (search-space monotonicity).
-class RuleAblationTest : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(RuleAblationTest, DisablingARuleNeverImprovesCost) {
-  PaperDb db = MakePaperCatalog();
-  for (int query : {1, 2, 3, 4}) {
-    QueryContext ctx_all, ctx_abl;
-    OptimizedQuery all = testing::MustOptimize(query, db, &ctx_all);
-    OptimizerOptions opts;
-    opts.disabled_rules = {GetParam()};
-    auto logical = BuildPaperQuery(query, db, &ctx_abl);
-    ASSERT_TRUE(logical.ok());
-    Optimizer opt(&db.catalog, opts);
-    auto r = opt.Optimize(**logical, &ctx_abl);
-    if (!r.ok()) continue;  // some ablations make a query unplannable
-    EXPECT_GE(r->cost.total(), all.cost.total() - 1e-9)
-        << "query " << query << " rule " << GetParam();
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllRules, RuleAblationTest,
-    ::testing::Values(kRuleJoinCommute, kRuleJoinAssoc, kRuleMatToJoin,
-                      kRuleMatMatCommute, kRuleSelectMatCommute,
-                      kRuleMatSelectCommute, kRuleSelectUnnestCommute,
-                      kRuleMatUnnestCommute, kRuleUnnestMatCommute,
-                      kRuleSelectJoinPush,
-                      kRuleSelectJoinAbsorb, kRuleMatJoinPush, kRuleMatJoinPull,
-                      kImplIndexScan, kImplPointerJoin, kImplHybridHashJoin,
-                      kEnforcerAssembly));
-
 }  // namespace
 }  // namespace oodb

@@ -3,7 +3,7 @@
 // algorithm (a simple index scan emits key order for free).
 #include <gtest/gtest.h>
 
-#include "tests/test_util.h"
+#include "tests/harness.h"
 
 namespace oodb {
 namespace {
@@ -53,20 +53,6 @@ class OrderByTest : public ::testing::Test {
     EXPECT_TRUE(r.ok()) << r.status();
   }
 
-  /// Checks column `col` of the result rows is non-decreasing (or
-  /// non-increasing when `desc`).
-  static void ExpectSorted(const SessionResult& r, size_t col,
-                           bool desc = false) {
-    for (size_t i = 1; i < r.rows().size(); ++i) {
-      int c = r.rows()[i - 1][col].Compare(r.rows()[i][col]);
-      if (desc) {
-        EXPECT_GE(c, 0) << "row " << i;
-      } else {
-        EXPECT_LE(c, 0) << "row " << i;
-      }
-    }
-  }
-
   /// First plan node of `kind` in preorder, or null.
   static const PlanNode* FindOp(const PlanNode& plan, PhysOpKind kind) {
     if (plan.op.kind == kind) return &plan;
@@ -80,137 +66,97 @@ class OrderByTest : public ::testing::Test {
   Session session_;
 };
 
+// Ordered queries as lines of the differential deck (tests/harness.h) on
+// this fixture's database: the delivered rows match the reference run by
+// run of equal ORDER BY keys, exactly where a file scan's order is kept.
 TEST_F(OrderByTest, SortEnforcerProducesOrderedRows) {
-  auto r = session_.Query(
-      "SELECT e.age, e.name FROM Employee e IN Employees "
+  testing::LineRun r = testing::ExpectLine(
+      "db=paper5 | SELECT e.age, e.name FROM Employee e IN Employees "
       "WHERE e.age >= 40 ORDER BY e.age;");
-  ASSERT_TRUE(r.ok()) << r.status();
-  ASSERT_GT(r->exec.rows, 2);
-  EXPECT_EQ(CountOps(*r->optimized.plan, PhysOpKind::kSort), 1);
-  ExpectSorted(*r, 0);
+  ASSERT_GT(r.rows(), 2);
+  EXPECT_EQ(CountOps(*r.plan, PhysOpKind::kSort), 1);
 }
 
 TEST_F(OrderByTest, OrderByUnprojectedColumnWorks) {
   // The sort key (salary) is not in the SELECT list: the sort must happen
   // below the projection, where the binding is still in scope.
-  auto r = session_.Query(
-      "SELECT e.name FROM Employee e IN Employees "
+  testing::LineRun r = testing::ExpectLine(
+      "db=paper5 | SELECT e.name FROM Employee e IN Employees "
       "WHERE e.age >= 60 ORDER BY e.salary;");
-  ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_EQ(CountOps(*r->optimized.plan, PhysOpKind::kSort), 1);
-  EXPECT_GT(r->exec.rows, 0);
+  EXPECT_EQ(CountOps(*r.plan, PhysOpKind::kSort), 1);
+  EXPECT_GT(r.rows(), 0);
 }
 
 TEST_F(OrderByTest, OrderByPathLoadsComponent) {
-  auto r = session_.Query(
-      "SELECT c.name, c.mayor.age FROM City c IN Cities "
-      "WHERE c.population >= 500000 ORDER BY c.mayor.age;");
-  ASSERT_TRUE(r.ok()) << r.status();
-  ASSERT_GT(r->exec.rows, 2);
-  ExpectSorted(*r, 1);
+  EXPECT_GT(testing::ExpectLine("db=paper5 | SELECT c.name, c.mayor.age FROM "
+                                "City c IN Cities WHERE c.population >= "
+                                "500000 ORDER BY c.mayor.age;")
+                .rows(),
+            2);
 }
 
 TEST_F(OrderByTest, IndexScanDeliversOrderWithoutSort) {
   // A narrow range on the indexed key, ordered by that key: the simple
   // index scan already emits key order — no Sort operator needed.
-  auto r = session_.Query(
-      "SELECT t.time, t.name FROM Task t IN Tasks "
+  testing::LineRun r = testing::ExpectLine(
+      "db=paper5 | SELECT t.time, t.name FROM Task t IN Tasks "
       "WHERE t.time >= 29 ORDER BY t.time;");
-  ASSERT_TRUE(r.ok()) << r.status();
-  ASSERT_GT(r->exec.rows, 1);
-  EXPECT_EQ(CountOps(*r->optimized.plan, PhysOpKind::kIndexScan), 1)
-      << r->PlanText();
-  EXPECT_EQ(CountOps(*r->optimized.plan, PhysOpKind::kSort), 0)
-      << r->PlanText();
-  ExpectSorted(*r, 0);
+  ASSERT_GT(r.rows(), 1);
+  EXPECT_EQ(CountOps(*r.plan, PhysOpKind::kIndexScan), 1);
+  EXPECT_EQ(CountOps(*r.plan, PhysOpKind::kSort), 0);
 }
 
 TEST_F(OrderByTest, DescendingOrderDelivered) {
-  auto r = session_.Query(
-      "SELECT e.age, e.name FROM Employee e IN Employees "
-      "WHERE e.age >= 40 ORDER BY e.age DESC;");
-  ASSERT_TRUE(r.ok()) << r.status();
-  ASSERT_GT(r->exec.rows, 2);
-  ExpectSorted(*r, 0, /*desc=*/true);
+  EXPECT_GT(testing::ExpectLine("db=paper5 | SELECT e.age, e.name FROM "
+                                "Employee e IN Employees WHERE e.age >= 40 "
+                                "ORDER BY e.age DESC;")
+                .rows(),
+            2);
 }
 
 TEST_F(OrderByTest, MultiKeyOrderIsLexicographic) {
-  auto r = session_.Query(
-      "SELECT e.age, e.salary FROM Employee e IN Employees "
-      "WHERE e.age >= 30 ORDER BY e.age, e.salary DESC;");
-  ASSERT_TRUE(r.ok()) << r.status();
-  ASSERT_GT(r->exec.rows, 2);
-  for (size_t i = 1; i < r->rows().size(); ++i) {
-    int major = r->rows()[i - 1][0].Compare(r->rows()[i][0]);
-    EXPECT_LE(major, 0) << "row " << i;
-    if (major == 0) {
-      EXPECT_GE(r->rows()[i - 1][1].Compare(r->rows()[i][1]), 0)
-          << "row " << i;
-    }
-  }
+  EXPECT_GT(testing::ExpectLine("db=paper5 | SELECT e.age, e.salary FROM "
+                                "Employee e IN Employees WHERE e.age >= 30 "
+                                "ORDER BY e.age, e.salary DESC;")
+                .rows(),
+            2);
 }
 
 TEST_F(OrderByTest, TopKMatchesSortedPrefix) {
-  const std::string base =
-      "SELECT e.age, e.name FROM Employee e IN Employees "
-      "WHERE e.age >= 30 ORDER BY e.age, e.name";
-  auto full = session_.Query(base + ";");
-  auto topk = session_.Query(base + " LIMIT 5;");
-  ASSERT_TRUE(full.ok()) << full.status();
-  ASSERT_TRUE(topk.ok()) << topk.status();
-  ASSERT_GT(full->exec.rows, 5);
-  EXPECT_EQ(CountOps(*topk->optimized.plan, PhysOpKind::kTopK), 1)
-      << topk->PlanText();
-  EXPECT_EQ(CountOps(*topk->optimized.plan, PhysOpKind::kSort), 0)
-      << topk->PlanText();
   // The bounded heap must deliver exactly the stable full-sort prefix.
-  ASSERT_EQ(topk->rows().size(), 5u);
-  for (size_t i = 0; i < 5; ++i) {
-    for (size_t c = 0; c < 2; ++c) {
-      EXPECT_EQ(full->rows()[i][c].Compare(topk->rows()[i][c]), 0)
-          << "row " << i << " col " << c;
-    }
-  }
+  const std::string base =
+      "db=paper5 | SELECT e.age, e.name FROM Employee e IN Employees "
+      "WHERE e.age >= 30 ORDER BY e.age, e.name";
+  EXPECT_GT(testing::ExpectLine(base + ";").rows(), 5);
+  testing::LineRun topk = testing::ExpectLine(base + " LIMIT 5;");
+  EXPECT_EQ(CountOps(*topk.plan, PhysOpKind::kTopK), 1);
+  EXPECT_EQ(CountOps(*topk.plan, PhysOpKind::kSort), 0);
+  EXPECT_EQ(topk.rows(), 5);
 }
 
 TEST_F(OrderByTest, StreamingTopKOverIndexOrder) {
   // The index already delivers t.time order: top-k degenerates to a
   // streaming first-k cutoff (sort_prefix covers every key, heap unused).
-  auto r = session_.Query(
-      "SELECT t.time, t.name FROM Task t IN Tasks "
+  testing::LineRun r = testing::ExpectLine(
+      "db=paper5 | SELECT t.time, t.name FROM Task t IN Tasks "
       "WHERE t.time >= 29 ORDER BY t.time LIMIT 3;");
-  ASSERT_TRUE(r.ok()) << r.status();
-  const PlanNode* tk = FindOp(*r->optimized.plan, PhysOpKind::kTopK);
-  ASSERT_NE(tk, nullptr) << r->PlanText();
-  EXPECT_EQ(static_cast<size_t>(tk->op.sort_prefix), tk->op.sort.size())
-      << r->PlanText();
-  EXPECT_EQ(CountOps(*r->optimized.plan, PhysOpKind::kSort), 0)
-      << r->PlanText();
-  EXPECT_LE(r->rows().size(), 3u);
-  ExpectSorted(*r, 0);
+  const PlanNode* tk = FindOp(*r.plan, PhysOpKind::kTopK);
+  ASSERT_NE(tk, nullptr);
+  EXPECT_EQ(static_cast<size_t>(tk->op.sort_prefix), tk->op.sort.size());
+  EXPECT_EQ(CountOps(*r.plan, PhysOpKind::kSort), 0);
 }
 
 TEST_F(OrderByTest, PartialSortReusesIndexPrefix) {
   // Leading key t.time arrives sorted from the index; only the tie-break
   // key t.name needs sorting, per run of equal times.
-  auto r = session_.Query(
-      "SELECT t.time, t.name FROM Task t IN Tasks "
+  testing::LineRun r = testing::ExpectLine(
+      "db=paper5 | SELECT t.time, t.name FROM Task t IN Tasks "
       "WHERE t.time >= 29 ORDER BY t.time, t.name;");
-  ASSERT_TRUE(r.ok()) << r.status();
-  ASSERT_GT(r->exec.rows, 2);
-  ASSERT_EQ(CountOps(*r->optimized.plan, PhysOpKind::kIndexScan), 1)
-      << r->PlanText();
-  const PlanNode* sort = FindOp(*r->optimized.plan, PhysOpKind::kSort);
-  ASSERT_NE(sort, nullptr) << r->PlanText();
-  EXPECT_EQ(sort->op.sort_prefix, 1) << r->PlanText();
-  for (size_t i = 1; i < r->rows().size(); ++i) {
-    int major = r->rows()[i - 1][0].Compare(r->rows()[i][0]);
-    EXPECT_LE(major, 0) << "row " << i;
-    if (major == 0) {
-      EXPECT_LE(r->rows()[i - 1][1].Compare(r->rows()[i][1]), 0)
-          << "row " << i;
-    }
-  }
+  ASSERT_GT(r.rows(), 2);
+  ASSERT_EQ(CountOps(*r.plan, PhysOpKind::kIndexScan), 1);
+  const PlanNode* sort = FindOp(*r.plan, PhysOpKind::kSort);
+  ASSERT_NE(sort, nullptr);
+  EXPECT_EQ(sort->op.sort_prefix, 1);
 }
 
 TEST_F(OrderByTest, CachedPlanReboundToNewLimit) {

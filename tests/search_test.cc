@@ -7,7 +7,7 @@
 #include "src/physical/enforcers.h"
 #include "src/physical/impl_rules.h"
 #include "src/rules/transformations.h"
-#include "tests/test_util.h"
+#include "tests/harness.h"
 
 namespace oodb {
 namespace {
@@ -372,36 +372,12 @@ constexpr const char* kAblatedRules[] = {
     kEnforcerAssembly,
 };
 
+/// A deck line (tests/harness.h) on the paper's Table 1 catalog
+/// (`db=paper100`) or the repository benchmark's OO7 catalog (`db=oo7full`).
 struct MonotonicityCase {
   const char* name;
-  int paper;  // 1-4: paper query `paper`; 0: `text`
-  std::string text;
-  bool oo7 = false;  // plan against the OO7 catalog instead of Table 1's
+  std::string line;
 };
-
-/// The OO7 catalog of the repository benchmark's OO7 workloads: 600k
-/// atomic parts behind 3000 composite parts, five modules.
-std::unique_ptr<Oo7Db> FullOo7Catalog() {
-  Oo7Options o;
-  o.num_modules = 5;
-  o.complex_per_module = 20;
-  o.num_composite_parts = 3000;
-  o.atomic_per_composite = 200;
-  return MakeOo7Catalog(o);
-}
-
-Result<double> OptimalCost(const Catalog& catalog, const PaperDb& paper,
-                           const MonotonicityCase& c,
-                           const OptimizerOptions& opts) {
-  QueryContext ctx;
-  ctx.catalog = &catalog;
-  OODB_ASSIGN_OR_RETURN(LogicalExprPtr logical,
-                        c.paper > 0 ? BuildPaperQuery(c.paper, paper, &ctx)
-                                    : ParseAndSimplify(c.text, &ctx));
-  OODB_ASSIGN_OR_RETURN(OptimizedQuery q,
-                        Optimizer(&catalog, opts).Optimize(*logical, &ctx));
-  return q.cost.total();
-}
 
 void PrintTo(const MonotonicityCase& c, std::ostream* os) { *os << c.name; }
 
@@ -409,62 +385,51 @@ class SearchMonotonicityTest
     : public ::testing::TestWithParam<MonotonicityCase> {};
 
 TEST_P(SearchMonotonicityTest, NoSingleRuleAblationFindsACheaperPlan) {
-  const MonotonicityCase& c = GetParam();
-  PaperDb paper = MakePaperCatalog();
-  std::unique_ptr<Oo7Db> oo7 = c.oo7 ? FullOo7Catalog() : nullptr;
-  const Catalog& catalog = c.oo7 ? oo7->catalog : paper.catalog;
-  Result<double> all = OptimalCost(catalog, paper, c, OptimizerOptions{});
-  ASSERT_TRUE(all.ok()) << all.status().ToString();
   for (const char* rule : kAblatedRules) {
-    OptimizerOptions opts;
-    opts.disabled_rules = {rule};
-    Result<double> ablated = OptimalCost(catalog, paper, c, opts);
-    if (!ablated.ok()) continue;  // the ablation leaves the query unplannable
-    EXPECT_LE(*all, *ablated * (1.0 + 1e-9))
-        << c.name << ": disabling " << rule << " finds a plan cheaper by "
-        << 100.0 * (*all - *ablated) / *all << "%";
+    testing::ExpectAblationNeverCheaper(rule, {GetParam().line}, 0);
   }
 }
+
+std::string Paper(const std::string& text) { return "db=paper100 | " + text; }
+std::string Oo7(const std::string& text) { return "db=oo7full | " + text; }
 
 INSTANTIATE_TEST_SUITE_P(
     Deck, SearchMonotonicityTest,
     ::testing::Values(
-        MonotonicityCase{"Q1", 1, ""}, MonotonicityCase{"Q2", 2, ""},
-        MonotonicityCase{"Q3", 3, ""}, MonotonicityCase{"Q4", 4, ""},
-        MonotonicityCase{"E12", 0, kComplexQueryText},
-        MonotonicityCase{"TwoRangeJoin", 0, kTwoRangeJoin},
-        MonotonicityCase{"ThreeRangeJoin", 0, kThreeRangeJoin},
+        MonotonicityCase{"Q1", Paper(kQuery1Text)},
+        MonotonicityCase{"Q2", Paper(kQuery2Text)},
+        MonotonicityCase{"Q3", Paper(kQuery3Text)},
+        MonotonicityCase{"Q4", Paper(kQuery4Text)},
+        MonotonicityCase{"E12", Paper(kComplexQueryText)},
+        MonotonicityCase{"TwoRangeJoin", Paper(kTwoRangeJoin)},
+        MonotonicityCase{"ThreeRangeJoin", Paper(kThreeRangeJoin)},
         MonotonicityCase{
-            "ThreeRangeStar", 0,
-            "SELECT e1.name, e3.age FROM Employee e1 IN Employees, "
-            "Employee e2 IN Employees, Employee e3 IN Employees "
-            "WHERE e1.name == e2.name && e1.name == e3.name;"},
-        MonotonicityCase{"Chain3", 0, JoinChainQueryText(3)},
-        MonotonicityCase{"Chain4", 0, JoinChainQueryText(4)},
-        MonotonicityCase{"Oo7Join", 0,
-                         "SELECT a.id, p.id FROM AtomicPart a IN AtomicParts, "
-                         "CompositePart p IN CompositeParts WHERE "
-                         "a.partOf == p && a.x > 100 && a.y < 900 && "
-                         "p.buildDate >= 2;",
-                         true},
-        MonotonicityCase{"Oo7JoinSelective", 0,
-                         "SELECT a.id, p.id FROM AtomicPart a IN AtomicParts, "
-                         "CompositePart p IN CompositeParts WHERE "
-                         "a.partOf == p && a.x > 989 && a.y < 10 && "
-                         "p.buildDate >= 2;",
-                         true},
-        MonotonicityCase{"Oo7T1", 0,
-                         "SELECT a.id FROM Module m IN Modules, "
-                         "BaseAssembly b IN m.designRoot.subAssemblies, "
-                         "CompositePart p IN b.components, "
-                         "AtomicPart a IN p.parts "
-                         "WHERE a.x > a.y && a.y >= 3;",
-                         true},
-        MonotonicityCase{"Oo7Q5", 0,
-                         "SELECT b.id, p.id FROM BaseAssembly b IN "
-                         "BaseAssemblies, CompositePart p IN b.components "
-                         "WHERE p.buildDate > b.buildDate && b.id >= 3;",
-                         true}),
+            "ThreeRangeStar",
+            Paper("SELECT e1.name, e3.age FROM Employee e1 IN Employees, "
+                  "Employee e2 IN Employees, Employee e3 IN Employees "
+                  "WHERE e1.name == e2.name && e1.name == e3.name;")},
+        MonotonicityCase{"Chain3", Paper(JoinChainQueryText(3))},
+        MonotonicityCase{"Chain4", Paper(JoinChainQueryText(4))},
+        MonotonicityCase{"Oo7Join",
+                         Oo7("SELECT a.id, p.id FROM AtomicPart a IN "
+                             "AtomicParts, CompositePart p IN CompositeParts "
+                             "WHERE a.partOf == p && a.x > 100 && a.y < 900 "
+                             "&& p.buildDate >= 2;")},
+        MonotonicityCase{"Oo7JoinSelective",
+                         Oo7("SELECT a.id, p.id FROM AtomicPart a IN "
+                             "AtomicParts, CompositePart p IN CompositeParts "
+                             "WHERE a.partOf == p && a.x > 989 && a.y < 10 && "
+                             "p.buildDate >= 2;")},
+        MonotonicityCase{"Oo7T1",
+                         Oo7("SELECT a.id FROM Module m IN Modules, "
+                             "BaseAssembly b IN m.designRoot.subAssemblies, "
+                             "CompositePart p IN b.components, "
+                             "AtomicPart a IN p.parts "
+                             "WHERE a.x > a.y && a.y >= 3;")},
+        MonotonicityCase{"Oo7Q5",
+                         Oo7("SELECT b.id, p.id FROM BaseAssembly b IN "
+                             "BaseAssemblies, CompositePart p IN b.components "
+                             "WHERE p.buildDate > b.buildDate && b.id >= 3;")}),
     [](const ::testing::TestParamInfo<MonotonicityCase>& info) {
       return std::string(info.param.name);
     });

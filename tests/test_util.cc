@@ -103,39 +103,6 @@ Oo7Options ParallelOo7Config() {
   return o;
 }
 
-std::string RandomOo7Query(Rng& rng) {
-  switch (rng.Uniform(8)) {
-    case 0:
-      return "SELECT a.id, a.x FROM AtomicPart a IN AtomicParts WHERE a.x > " +
-             std::to_string(rng.UniformRange(0, 999)) + ";";
-    case 1:
-      return "SELECT a.id FROM AtomicPart a IN AtomicParts "
-             "WHERE a.x > a.y && a.buildDate >= " +
-             std::to_string(rng.UniformRange(0, 9)) + ";";
-    case 2:
-      return "SELECT a.id, p.id FROM AtomicPart a IN AtomicParts, "
-             "CompositePart p IN CompositeParts "
-             "WHERE a.partOf == p && p.buildDate >= " +
-             std::to_string(rng.UniformRange(0, 9)) + ";";
-    case 3:
-      return kOo7QueryNewerComponents;
-    case 4:
-      return kOo7QueryTraversal;
-    case 5:
-      return Oo7QueryByDocTitle("Doc" +
-                                std::to_string(rng.UniformRange(0, 4)));
-    case 6:
-      return "SELECT a.id, a.partOf.buildDate FROM AtomicPart a IN "
-             "AtomicParts WHERE a.partOf.documentation.title == \"Doc" +
-             std::to_string(rng.UniformRange(0, 4)) + "\";";
-    default:
-      return "SELECT b.id, b.buildDate FROM BaseAssembly b IN BaseAssemblies "
-             "WHERE b.buildDate >= " +
-             std::to_string(rng.UniformRange(0, 9)) +
-             " ORDER BY b.buildDate;";
-  }
-}
-
 Oo7Instance* Oo7ParallelTest::instance_ = nullptr;
 
 void Oo7ParallelTest::SetUpTestSuite() {

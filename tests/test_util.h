@@ -78,10 +78,6 @@ std::vector<std::string> RowSeq(const std::vector<std::vector<Value>>& rows);
 /// The small OO7 instance the parallel suites (exchange, chaos) run on.
 Oo7Options ParallelOo7Config();
 
-/// Randomized OO7 queries: scans, explicit joins, set-valued unnest chains,
-/// path expressions over the documentation index, and ordered deliveries.
-std::string RandomOo7Query(Rng& rng);
-
 /// A ZQL statement parsed, simplified and optimized (ORDER BY / LIMIT become
 /// the required root properties) with the plan verifier on.
 struct PlannedQuery {
