@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "src/rules/join_order.h"
+
 namespace oodb {
 
 namespace {
@@ -67,29 +69,6 @@ RuleExprPtr JoinWith(const ScalarExprPtr& q, std::vector<ScalarExprPtr> more,
 }
 
 // ---------------------------------------------------------------------------
-// Mat_a(Mat_b(X)) -> Mat_b(Mat_a(X))   [if a's source is in X's scope]
-// ---------------------------------------------------------------------------
-class MatMatCommute : public TransformationRule {
- public:
-  const char* name() const override { return kRuleMatMatCommute; }
-  LogicalOpKind root_kind() const override { return LogicalOpKind::kMat; }
-  bool matches_children() const override { return true; }
-
-  Status Apply(OptContext& ctx, const LogicalMExpr& mexpr,
-               std::vector<RuleExprPtr>* out) const override {
-    ChildMExprs(ctx, mexpr, 0, LogicalOpKind::kMat, out,
-                [&](const LogicalMExpr& b) {
-                  GroupId x = ctx.memo->Find(b.children[0]);
-                  if (!GroupScope(ctx, x).Contains(mexpr.op.source)) return;
-                  out->push_back(RuleExpr::Op(
-                      b.op,
-                      {RuleExpr::Op(mexpr.op, {RuleExpr::GroupLeaf(x)})}));
-                });
-    return Status::OK();
-  }
-};
-
-// ---------------------------------------------------------------------------
 // Select_p(U_u(X)) -> [Select_above](U_u(Select_below(X))) for U a Mat or an
 // Unnest: the conjuncts of p that read u's target stay above, the rest go
 // below. No output when every conjunct reads the target.
@@ -105,7 +84,7 @@ class SelectPushBelow : public TransformationRule {
   Status Apply(OptContext& ctx, const LogicalMExpr& mexpr,
                std::vector<RuleExprPtr>* out) const override {
     const std::vector<Conjunct> ps = RefConjuncts(mexpr.op.pred);
-    ChildMExprs(ctx, mexpr, 0, below_, out, [&](const LogicalMExpr& u) {
+    ChildMExprs(ctx, mexpr, below_, [&](const LogicalMExpr& u) {
       std::vector<ScalarExprPtr> above, below;
       for (const Conjunct& cj : ps) {
         (cj.refs.Contains(u.op.target) ? above : below).push_back(cj.expr);
@@ -126,169 +105,34 @@ class SelectPushBelow : public TransformationRule {
 };
 
 // ---------------------------------------------------------------------------
-// U_u(Select_p(X)) -> Select_p(U_u(X)) for U a Mat or an Unnest
+// U_u(C_c(X)) -> C_c(U_u(X)) for U a Mat or an Unnest [if u's source is in
+// X's scope]: U moves below a Select (mat-select-commute,
+// select-unnest-commute), a Mat below an Unnest (mat-unnest-commute) and an
+// Unnest below a Mat (unnest-mat-commute).
 // ---------------------------------------------------------------------------
-class SelectPullAbove : public TransformationRule {
+class SwapWithChild : public TransformationRule {
  public:
-  SelectPullAbove(LogicalOpKind above, const char* name)
-      : above_(above), name_(name) {}
+  SwapWithChild(LogicalOpKind root, LogicalOpKind child, const char* name)
+      : root_(root), child_(child), name_(name) {}
   const char* name() const override { return name_; }
-  LogicalOpKind root_kind() const override { return above_; }
+  LogicalOpKind root_kind() const override { return root_; }
   bool matches_children() const override { return true; }
 
   Status Apply(OptContext& ctx, const LogicalMExpr& mexpr,
                std::vector<RuleExprPtr>* out) const override {
-    ChildMExprs(ctx, mexpr, 0, LogicalOpKind::kSelect, out,
-                [&](const LogicalMExpr& sel) {
-                  GroupId x = ctx.memo->Find(sel.children[0]);
-                  if (!GroupScope(ctx, x).Contains(mexpr.op.source)) return;
-                  out->push_back(RuleExpr::Op(
-                      sel.op,
-                      {RuleExpr::Op(mexpr.op, {RuleExpr::GroupLeaf(x)})}));
-                });
+    ChildMExprs(ctx, mexpr, child_, [&](const LogicalMExpr& c) {
+      GroupId x = ctx.memo->Find(c.children[0]);
+      if (!GroupScope(ctx, x).Contains(mexpr.op.source)) return;
+      out->push_back(RuleExpr::Op(
+          c.op, {RuleExpr::Op(mexpr.op, {RuleExpr::GroupLeaf(x)})}));
+    });
     return Status::OK();
   }
 
  private:
-  LogicalOpKind above_;
+  LogicalOpKind root_;
+  LogicalOpKind child_;
   const char* name_;
-};
-
-// ---------------------------------------------------------------------------
-// Mat_a(Unnest_u(X)) -> Unnest_u(Mat_a(X))  [if a's source is in X's scope]
-// ---------------------------------------------------------------------------
-class MatUnnestCommute : public TransformationRule {
- public:
-  const char* name() const override { return kRuleMatUnnestCommute; }
-  LogicalOpKind root_kind() const override { return LogicalOpKind::kMat; }
-  bool matches_children() const override { return true; }
-
-  Status Apply(OptContext& ctx, const LogicalMExpr& mexpr,
-               std::vector<RuleExprPtr>* out) const override {
-    ChildMExprs(ctx, mexpr, 0, LogicalOpKind::kUnnest, out,
-                [&](const LogicalMExpr& u) {
-                  GroupId x = ctx.memo->Find(u.children[0]);
-                  if (!GroupScope(ctx, x).Contains(mexpr.op.source)) return;
-                  out->push_back(RuleExpr::Op(
-                      u.op,
-                      {RuleExpr::Op(mexpr.op, {RuleExpr::GroupLeaf(x)})}));
-                });
-    return Status::OK();
-  }
-};
-
-// ---------------------------------------------------------------------------
-// Unnest_u(Mat_a(X)) -> Mat_a(Unnest_u(X))  [if u's source is in X's scope]
-// ---------------------------------------------------------------------------
-class UnnestMatCommute : public TransformationRule {
- public:
-  const char* name() const override { return kRuleUnnestMatCommute; }
-  LogicalOpKind root_kind() const override { return LogicalOpKind::kUnnest; }
-  bool matches_children() const override { return true; }
-
-  Status Apply(OptContext& ctx, const LogicalMExpr& mexpr,
-               std::vector<RuleExprPtr>* out) const override {
-    ChildMExprs(ctx, mexpr, 0, LogicalOpKind::kMat, out,
-                [&](const LogicalMExpr& a) {
-                  GroupId x = ctx.memo->Find(a.children[0]);
-                  if (!GroupScope(ctx, x).Contains(mexpr.op.source)) return;
-                  out->push_back(RuleExpr::Op(
-                      a.op,
-                      {RuleExpr::Op(mexpr.op, {RuleExpr::GroupLeaf(x)})}));
-                });
-    return Status::OK();
-  }
-};
-
-// ---------------------------------------------------------------------------
-// Mat(s.f -> t)(X) -> Join_{s.f == t.self}(X, Get extent(T): t)
-// The paper's key new rule: "if the scope introduced by a materialize
-// operator is actually a scannable object, the materialize operator can be
-// transformed into a join" (Figure 4).
-// ---------------------------------------------------------------------------
-class MatToJoin : public TransformationRule {
- public:
-  const char* name() const override { return kRuleMatToJoin; }
-  LogicalOpKind root_kind() const override { return LogicalOpKind::kMat; }
-
-  Status Apply(OptContext& ctx, const LogicalMExpr& mexpr,
-               std::vector<RuleExprPtr>* out) const override {
-    TypeId t = ctx.qctx->bindings.def(mexpr.op.target).type;
-    if (!ctx.qctx->catalog->HasExtent(t)) return Status::OK();
-    ScalarExprPtr pred;
-    if (mexpr.op.field == kInvalidField) {
-      pred = ScalarExpr::Cmp(CmpOp::kEq, ScalarExpr::Self(mexpr.op.source),
-                             ScalarExpr::Self(mexpr.op.target));
-    } else {
-      pred = ScalarExpr::RefEq(mexpr.op.source, mexpr.op.field, mexpr.op.target);
-    }
-    out->push_back(RuleExpr::Op(
-        LogicalOp::Join(pred),
-        {RuleExpr::GroupLeaf(mexpr.children[0]),
-         RuleExpr::Op(
-             LogicalOp::Get(CollectionId::Extent(t), mexpr.op.target))}));
-    return Status::OK();
-  }
-};
-
-// ---------------------------------------------------------------------------
-// Join_p(A, B) -> Join_p(B, A)
-// ---------------------------------------------------------------------------
-class JoinCommute : public TransformationRule {
- public:
-  const char* name() const override { return kRuleJoinCommute; }
-  LogicalOpKind root_kind() const override { return LogicalOpKind::kJoin; }
-  bool self_inverse() const override { return true; }
-
-  Status Apply(OptContext& ctx, const LogicalMExpr& mexpr,
-               std::vector<RuleExprPtr>* out) const override {
-    (void)ctx;
-    out->push_back(RuleExpr::Op(mexpr.op,
-                                {RuleExpr::GroupLeaf(mexpr.children[1]),
-                                 RuleExpr::GroupLeaf(mexpr.children[0])}));
-    return Status::OK();
-  }
-};
-
-// ---------------------------------------------------------------------------
-// Join_p(Join_q(A, B), C) -> Join_{outer}(A, Join_{inner}(B, C))
-// ---------------------------------------------------------------------------
-class JoinAssoc : public TransformationRule {
- public:
-  const char* name() const override { return kRuleJoinAssoc; }
-  LogicalOpKind root_kind() const override { return LogicalOpKind::kJoin; }
-  bool matches_children() const override { return true; }
-
-  Status Apply(OptContext& ctx, const LogicalMExpr& mexpr,
-               std::vector<RuleExprPtr>* out) const override {
-    GroupId c = ctx.memo->Find(mexpr.children[1]);
-    const std::vector<Conjunct> ps = RefConjuncts(mexpr.op.pred);
-    ChildMExprs(
-        ctx, mexpr, 0, LogicalOpKind::kJoin, out,
-        [&](const LogicalMExpr& lower) {
-          GroupId a = ctx.memo->Find(lower.children[0]);
-          GroupId b = ctx.memo->Find(lower.children[1]);
-          BindingSet inner_scope =
-              GroupScope(ctx, b).Union(GroupScope(ctx, c));
-          std::vector<ScalarExprPtr> inner, outer;
-          auto place = [&](const ScalarExprPtr& cj, BindingSet refs) {
-            (inner_scope.ContainsAll(refs) ? inner : outer).push_back(cj);
-          };
-          for (const Conjunct& cj : ps) place(cj.expr, cj.refs);
-          for (const ScalarExprPtr& cj :
-               ScalarExpr::SplitConjuncts(lower.op.pred)) {
-            place(cj, cj->ReferencedBindings());
-          }
-          if (inner.empty() || outer.empty()) return;
-          out->push_back(RuleExpr::Op(
-              LogicalOp::Join(CanonicalConjunction(std::move(outer))),
-              {RuleExpr::GroupLeaf(a),
-               RuleExpr::Op(
-                   LogicalOp::Join(CanonicalConjunction(std::move(inner))),
-                   {RuleExpr::GroupLeaf(b), RuleExpr::GroupLeaf(c)})}));
-        });
-    return Status::OK();
-  }
 };
 
 // ---------------------------------------------------------------------------
@@ -308,38 +152,34 @@ class SelectJoinPush : public TransformationRule {
   Status Apply(OptContext& ctx, const LogicalMExpr& mexpr,
                std::vector<RuleExprPtr>* out) const override {
     const std::vector<Conjunct> ps = RefConjuncts(mexpr.op.pred);
-    ChildMExprs(
-        ctx, mexpr, 0, LogicalOpKind::kJoin, out,
-        [&](const LogicalMExpr& j) {
-          GroupId a = ctx.memo->Find(j.children[0]);
-          GroupId b = ctx.memo->Find(j.children[1]);
-          BindingSet sa = GroupScope(ctx, a), sb = GroupScope(ctx, b);
-          std::vector<ScalarExprPtr> pa, pb, rest;
-          for (const Conjunct& cj : ps) {
-            if (sa.ContainsAll(cj.refs)) {
-              pa.push_back(cj.expr);
-            } else if (sb.ContainsAll(cj.refs)) {
-              pb.push_back(cj.expr);
-            } else {
-              rest.push_back(cj.expr);
-            }
-          }
-          if (pa.empty() && pb.empty()) return;
-          RuleExprPtr left = RuleExpr::GroupLeaf(a);
-          RuleExprPtr right = RuleExpr::GroupLeaf(b);
-          RuleExprPtr pushed_a =
-              pa.empty() ? left : SelectOverGroup(*ctx.memo, pa, a);
-          RuleExprPtr pushed_b =
-              pb.empty() ? right : SelectOverGroup(*ctx.memo, pb, b);
-          RuleExprPtr join = RuleExpr::Op(j.op, {pushed_a, pushed_b});
-          if (!rest.empty()) join = SelectOver(rest, std::move(join));
-          out->push_back(join);
-          if (pa.empty() || pb.empty()) return;
-          out->push_back(
-              SelectOver(pb, JoinWith(j.op.pred, rest, pushed_a, right)));
-          out->push_back(
-              SelectOver(pa, JoinWith(j.op.pred, rest, left, pushed_b)));
-        });
+    ChildMExprs(ctx, mexpr, LogicalOpKind::kJoin, [&](const LogicalMExpr& j) {
+      GroupId a = ctx.memo->Find(j.children[0]);
+      GroupId b = ctx.memo->Find(j.children[1]);
+      BindingSet sa = GroupScope(ctx, a), sb = GroupScope(ctx, b);
+      std::vector<ScalarExprPtr> pa, pb, rest;
+      for (const Conjunct& cj : ps) {
+        if (sa.ContainsAll(cj.refs)) {
+          pa.push_back(cj.expr);
+        } else if (sb.ContainsAll(cj.refs)) {
+          pb.push_back(cj.expr);
+        } else {
+          rest.push_back(cj.expr);
+        }
+      }
+      if (pa.empty() && pb.empty()) return;
+      RuleExprPtr left = RuleExpr::GroupLeaf(a);
+      RuleExprPtr right = RuleExpr::GroupLeaf(b);
+      RuleExprPtr pushed_a =
+          pa.empty() ? left : SelectOverGroup(*ctx.memo, pa, a);
+      RuleExprPtr pushed_b =
+          pb.empty() ? right : SelectOverGroup(*ctx.memo, pb, b);
+      RuleExprPtr join = RuleExpr::Op(j.op, {pushed_a, pushed_b});
+      if (!rest.empty()) join = SelectOver(rest, std::move(join));
+      out->push_back(join);
+      if (pa.empty() || pb.empty()) return;
+      out->push_back(SelectOver(pb, JoinWith(j.op.pred, rest, pushed_a, right)));
+      out->push_back(SelectOver(pa, JoinWith(j.op.pred, rest, left, pushed_b)));
+    });
     return Status::OK();
   }
 };
@@ -357,85 +197,18 @@ class SelectJoinAbsorb : public TransformationRule {
   Status Apply(OptContext& ctx, const LogicalMExpr& mexpr,
                std::vector<RuleExprPtr>* out) const override {
     const std::vector<Conjunct> ps = RefConjuncts(mexpr.op.pred);
-    ChildMExprs(
-        ctx, mexpr, 0, LogicalOpKind::kJoin, out,
-        [&](const LogicalMExpr& j) {
-          GroupId a = ctx.memo->Find(j.children[0]);
-          GroupId b = ctx.memo->Find(j.children[1]);
-          BindingSet sa = GroupScope(ctx, a), sb = GroupScope(ctx, b);
-          std::vector<ScalarExprPtr> conjuncts;
-          for (const Conjunct& cj : ps) {
-            if (sa.ContainsAll(cj.refs) || sb.ContainsAll(cj.refs)) return;
-            conjuncts.push_back(cj.expr);
-          }
-          out->push_back(JoinWith(j.op.pred, std::move(conjuncts),
-                                  RuleExpr::GroupLeaf(a),
-                                  RuleExpr::GroupLeaf(b)));
-        });
-    return Status::OK();
-  }
-};
-
-// ---------------------------------------------------------------------------
-// Mat_a(Join_q(A, B)) -> Join_q(Mat_a(A), B) or Join_q(A, Mat_a(B))
-// ---------------------------------------------------------------------------
-class MatJoinPush : public TransformationRule {
- public:
-  const char* name() const override { return kRuleMatJoinPush; }
-  LogicalOpKind root_kind() const override { return LogicalOpKind::kMat; }
-  bool matches_children() const override { return true; }
-
-  Status Apply(OptContext& ctx, const LogicalMExpr& mexpr,
-               std::vector<RuleExprPtr>* out) const override {
-    ChildMExprs(
-        ctx, mexpr, 0, LogicalOpKind::kJoin, out,
-        [&](const LogicalMExpr& j) {
-          GroupId a = ctx.memo->Find(j.children[0]);
-          GroupId b = ctx.memo->Find(j.children[1]);
-          if (GroupScope(ctx, a).Contains(mexpr.op.source)) {
-            out->push_back(RuleExpr::Op(
-                j.op, {RuleExpr::Op(mexpr.op, {RuleExpr::GroupLeaf(a)}),
-                       RuleExpr::GroupLeaf(b)}));
-          }
-          if (GroupScope(ctx, b).Contains(mexpr.op.source)) {
-            out->push_back(RuleExpr::Op(
-                j.op, {RuleExpr::GroupLeaf(a),
-                       RuleExpr::Op(mexpr.op, {RuleExpr::GroupLeaf(b)})}));
-          }
-        });
-    return Status::OK();
-  }
-};
-
-// ---------------------------------------------------------------------------
-// Join_q(Mat_a(X), B) -> Mat_a(Join_q(X, B))   [if q does not read a's
-// target; symmetric for the right child]
-// ---------------------------------------------------------------------------
-class MatJoinPull : public TransformationRule {
- public:
-  const char* name() const override { return kRuleMatJoinPull; }
-  LogicalOpKind root_kind() const override { return LogicalOpKind::kJoin; }
-  bool matches_children() const override { return true; }
-
-  Status Apply(OptContext& ctx, const LogicalMExpr& mexpr,
-               std::vector<RuleExprPtr>* out) const override {
-    BindingSet refs = mexpr.op.pred->ReferencedBindings();
-    for (int side = 0; side < 2; ++side) {
-      GroupId other = ctx.memo->Find(mexpr.children[1 - side]);
-      ChildMExprs(
-          ctx, mexpr, side, LogicalOpKind::kMat, out,
-          [&](const LogicalMExpr& a) {
-            if (refs.Contains(a.op.target)) return;
-            GroupId x = ctx.memo->Find(a.children[0]);
-            RuleExprPtr join =
-                side == 0
-                    ? RuleExpr::Op(mexpr.op, {RuleExpr::GroupLeaf(x),
-                                              RuleExpr::GroupLeaf(other)})
-                    : RuleExpr::Op(mexpr.op, {RuleExpr::GroupLeaf(other),
-                                              RuleExpr::GroupLeaf(x)});
-            out->push_back(RuleExpr::Op(a.op, {join}));
-          });
-    }
+    ChildMExprs(ctx, mexpr, LogicalOpKind::kJoin, [&](const LogicalMExpr& j) {
+      GroupId a = ctx.memo->Find(j.children[0]);
+      GroupId b = ctx.memo->Find(j.children[1]);
+      BindingSet sa = GroupScope(ctx, a), sb = GroupScope(ctx, b);
+      std::vector<ScalarExprPtr> conjuncts;
+      for (const Conjunct& cj : ps) {
+        if (sa.ContainsAll(cj.refs) || sb.ContainsAll(cj.refs)) return;
+        conjuncts.push_back(cj.expr);
+      }
+      out->push_back(JoinWith(j.op.pred, std::move(conjuncts),
+                              RuleExpr::GroupLeaf(a), RuleExpr::GroupLeaf(b)));
+    });
     return Status::OK();
   }
 };
@@ -473,16 +246,14 @@ class SetOpAssoc : public TransformationRule {
   Status Apply(OptContext& ctx, const LogicalMExpr& mexpr,
                std::vector<RuleExprPtr>* out) const override {
     GroupId c = ctx.memo->Find(mexpr.children[1]);
-    ChildMExprs(
-        ctx, mexpr, 0, kind_, out, [&](const LogicalMExpr& lower) {
-          out->push_back(RuleExpr::Op(
-              LogicalOp::SetOp(kind_),
-              {RuleExpr::GroupLeaf(ctx.memo->Find(lower.children[0])),
-               RuleExpr::Op(
-                   LogicalOp::SetOp(kind_),
-                   {RuleExpr::GroupLeaf(ctx.memo->Find(lower.children[1])),
-                    RuleExpr::GroupLeaf(c)})}));
-        });
+    ChildMExprs(ctx, mexpr, kind_, [&](const LogicalMExpr& lower) {
+      out->push_back(RuleExpr::Op(
+          LogicalOp::SetOp(kind_),
+          {RuleExpr::GroupLeaf(ctx.memo->Find(lower.children[0])),
+           RuleExpr::Op(LogicalOp::SetOp(kind_),
+                        {RuleExpr::GroupLeaf(ctx.memo->Find(lower.children[1])),
+                         RuleExpr::GroupLeaf(c)})}));
+    });
     return Status::OK();
   }
 
@@ -494,24 +265,22 @@ class SetOpAssoc : public TransformationRule {
 
 std::vector<std::unique_ptr<TransformationRule>> MakeDefaultTransformations() {
   std::vector<std::unique_ptr<TransformationRule>> rules;
-  rules.push_back(std::make_unique<MatMatCommute>());
-  rules.push_back(std::make_unique<SelectPushBelow>(LogicalOpKind::kMat,
-                                                    kRuleSelectMatCommute));
-  rules.push_back(std::make_unique<SelectPullAbove>(LogicalOpKind::kMat,
-                                                    kRuleMatSelectCommute));
-  rules.push_back(std::make_unique<SelectPushBelow>(LogicalOpKind::kUnnest,
-                                                    kRuleSelectUnnestCommute));
-  rules.push_back(std::make_unique<SelectPullAbove>(LogicalOpKind::kUnnest,
-                                                    kRuleSelectUnnestCommute));
-  rules.push_back(std::make_unique<MatUnnestCommute>());
-  rules.push_back(std::make_unique<UnnestMatCommute>());
-  rules.push_back(std::make_unique<MatToJoin>());
-  rules.push_back(std::make_unique<JoinCommute>());
-  rules.push_back(std::make_unique<JoinAssoc>());
+  using K = LogicalOpKind;
+  rules.push_back(
+      std::make_unique<SelectPushBelow>(K::kMat, kRuleSelectMatCommute));
+  rules.push_back(std::make_unique<SwapWithChild>(K::kMat, K::kSelect,
+                                                  kRuleMatSelectCommute));
+  rules.push_back(
+      std::make_unique<SelectPushBelow>(K::kUnnest, kRuleSelectUnnestCommute));
+  rules.push_back(std::make_unique<SwapWithChild>(K::kUnnest, K::kSelect,
+                                                  kRuleSelectUnnestCommute));
+  rules.push_back(std::make_unique<SwapWithChild>(K::kMat, K::kUnnest,
+                                                  kRuleMatUnnestCommute));
+  rules.push_back(std::make_unique<SwapWithChild>(K::kUnnest, K::kMat,
+                                                  kRuleUnnestMatCommute));
+  for (auto& rule : MakeJoinOrderRules()) rules.push_back(std::move(rule));
   rules.push_back(std::make_unique<SelectJoinPush>());
   rules.push_back(std::make_unique<SelectJoinAbsorb>());
-  rules.push_back(std::make_unique<MatJoinPush>());
-  rules.push_back(std::make_unique<MatJoinPull>());
   rules.push_back(std::make_unique<SetOpCommute>(LogicalOpKind::kUnion));
   rules.push_back(std::make_unique<SetOpCommute>(LogicalOpKind::kIntersect));
   rules.push_back(std::make_unique<SetOpAssoc>(LogicalOpKind::kUnion));

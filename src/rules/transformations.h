@@ -1,8 +1,8 @@
-// The transformation rule set (paper §3 "Transformation Rules"): the known
-// relational transformations plus the new rules pertaining to the
-// materialize operator — Mat/Mat commutativity, Mat through Select / Unnest
-// / Join, and the Mat -> Join rewrite that lets set-matching algorithms
-// (and reverse-direction link traversal) compete with pointer chasing.
+// The transformation rule set (paper §3 "Transformation Rules"): Selects,
+// Mats and Unnests moved past each other and Selects into joins, the
+// set-operator rules, and the join-order rule (src/rules/join_order.h),
+// which reorders joins and carries the Mat -> Join rewrite that lets
+// set-matching algorithms compete with pointer chasing.
 #ifndef OODB_RULES_TRANSFORMATIONS_H_
 #define OODB_RULES_TRANSFORMATIONS_H_
 

@@ -1,11 +1,11 @@
 // The differential harness: one seeded ZQL generator, one configuration
 // space and three oracles. A case is one deck line, `<config> | <ZQL>`:
 //
-//   dop=4 batch=7 off=join-associativity xf=fail_worker=1 attempts=3 | SELECT ...;
+//   dop=4 batch=7 off=join-order xf=fail_worker=1 attempts=3 | SELECT ...;
 //
 // Oracle 1 (metamorphic): the optimum never gets cheaper when one more rule
-// is disabled. Oracle 2 (join order): on a connected join graph of ranges,
-// paths and conjuncts over one or two ranges, the memo's optimum is never
+// is disabled. Oracle 2 (join order): on a join graph of ranges, paths and
+// conjuncts over one or two ranges, the memo's optimum is never
 // costlier than a bitset DP over subsets of the ranges priced with the same
 // cost functions. Oracle 3 (execution): the rows equal the reference
 // evaluator's (as a multiset; run by run under ORDER BY), or the run ends in
@@ -65,9 +65,12 @@ std::vector<std::string> ReferenceSequence(const std::string& line);
 
 /// The memo's optimal cost for the query of `line` under its config, and
 /// oracle 2's DP cost for it (nullopt when the query is out of the DP's
-/// scope: an unnest, a conjunct over three ranges or none, or a join graph
-/// that is not connected).
+/// scope: an unnest, or a conjunct over three ranges or none).
 std::pair<double, std::optional<double>> MemoAndDpCost(const std::string& line);
+
+/// The search statistics of optimizing the query of `line` under its
+/// config.
+SearchStats LineSearchStats(const std::string& line);
 
 }  // namespace testing
 }  // namespace oodb

@@ -204,7 +204,7 @@ class ListLru {
  public:
   ListLru(DiskModel* disk, int64_t capacity)
       : disk_(disk), capacity_(capacity) {}
-  void Access(PageId page) {
+  void Touch(PageId page) {
     auto it = std::find(lru_.begin(), lru_.end(), page);
     if (it != lru_.end()) {
       lru_.splice(lru_.begin(), lru_, it);
@@ -249,7 +249,7 @@ TEST(BufferPoolTest, MatchesListLruReference) {
       } else if (op < 50) {
         PageId page = static_cast<PageId>(rng.Uniform(150));
         ASSERT_TRUE(pool.Access(page).ok());
-        ref.Access(page);
+        ref.Touch(page);
       } else {
         // A scan-like run: consecutive pages from a random start, with an
         // occasional repeat or jump back, as ReadMany's page runs come.
@@ -263,7 +263,7 @@ TEST(BufferPoolTest, MatchesListLruReference) {
                      : page + 1;
         }
         ASSERT_TRUE(pool.AccessMany(pages.data(), pages.size()).ok());
-        for (PageId p : pages) ref.Access(p);
+        for (PageId p : pages) ref.Touch(p);
       }
       ASSERT_EQ(pool.hits(), ref.hits) << "step " << step;
       ASSERT_EQ(pool.misses(), ref.misses) << "step " << step;

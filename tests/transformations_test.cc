@@ -316,7 +316,7 @@ TEST_F(TransformationTest, JoinCommutativityDoublesJoinExprs) {
   EXPECT_EQ(CountInRoot(without, LogicalOpKind::kJoin), 1);
 }
 
-TEST_F(TransformationTest, JoinAssociativityReordersThreeWay) {
+TEST_F(TransformationTest, JoinOrderReordersThreeWay) {
   BindingId a = ctx_.bindings.AddGet("a", db_.employee);
   BindingId b = ctx_.bindings.AddGet("b", db_.department);
   BindingId c = ctx_.bindings.AddGet("c", db_.job);
@@ -331,7 +331,7 @@ TEST_F(TransformationTest, JoinAssociativityReordersThreeWay) {
   Explored e = Explore(tree);
   // All join orders explored.
   EXPECT_GE(CountInRoot(e, LogicalOpKind::kJoin), 3);
-  Explored without = Explore(tree, {kRuleJoinAssoc, kRuleJoinCommute});
+  Explored without = Explore(tree, {kRuleJoinOrder, kRuleJoinCommute});
   EXPECT_EQ(CountInRoot(without, LogicalOpKind::kJoin), 1);
 }
 
