@@ -25,7 +25,7 @@ Result<LogicalExprPtr> BuildPaperQuery(int n, const PaperDb& db,
   return ParseAndSimplify(text, ctx);
 }
 
-std::string JoinChainQueryText(int width) {
+std::string JoinChainQueryText(int width, int paths, const std::string& extra) {
   std::string text = "SELECT e1.name FROM Employee e1 IN Employees";
   for (int i = 2; i <= width; ++i) {
     text += ", Employee e" + std::to_string(i) + " IN Employees";
@@ -35,7 +35,9 @@ std::string JoinChainQueryText(int width) {
     if (i > 2) text += " && ";
     text += "e1.name == e" + std::to_string(i) + ".name";
   }
-  return text + ";";
+  if (paths >= 1) text += " && e1.dept.floor == 3";
+  if (paths >= 2) text += " && e2.job.name == \"x\"";
+  return text + extra + ";";
 }
 
 }  // namespace oodb

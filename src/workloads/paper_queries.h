@@ -44,8 +44,12 @@ inline constexpr const char* kComplexQueryText =
     "      t.time == 100 && m.name == e.name;";
 
 /// A chain of `width` Employee ranges joined by `e1.name == eK.name`: the
-/// stress case for exploration growth.
-std::string JoinChainQueryText(int width);
+/// stress case for exploration growth. `paths` (0-2) reference paths join
+/// the WHERE clause, `e1.dept.floor == 3` and then `e2.job.name == "x"`,
+/// each a Mat the join order places ((4, 2) is the two-path query), and
+/// then `extra` (conjuncts, each starting with " && ").
+std::string JoinChainQueryText(int width, int paths = 0,
+                               const std::string& extra = "");
 
 /// Parses and simplifies paper query `n` (1-4). `ctx` must be fresh and
 /// reference `db.catalog`.

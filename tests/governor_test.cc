@@ -145,6 +145,43 @@ TEST_F(GovernorTest, JoinQueryBudgetTripSurfacesWhenGreedyCannotHelp) {
   EXPECT_EQ(r.status().code(), StatusCode::kBudgetExhausted) << r.status();
 }
 
+/// The memo size a memo m-expr budget trip reports ("exhausted: N > ...").
+int64_t TrippedMemoSize(const Status& status) {
+  const std::string& msg = status.message();
+  const size_t at = msg.find("exhausted: ");
+  if (at == std::string::npos) return -1;
+  return std::stoll(msg.substr(at + 11));
+}
+
+TEST_F(GovernorTest, MemoBudgetStopsTheJoinOrderRuleMidFiring) {
+  // Ten vertices (five ranges, five paths) sharing no conjunct: one firing
+  // of the join-order rule builds their whole subset lattice, about 74,000
+  // m-exprs. Twelve chained ranges: the rule enumerates the ten-range
+  // prefix, and the wider groups get only mirrored joins. Either search
+  // stops between two subset groups once the memo passes the budget.
+  const std::string queries[] = {
+      "SELECT c5.population FROM Country n1 IN Country, City c2 IN Cities, "
+      "Country n3 IN Country, Country n4 IN Country, City c5 IN Cities "
+      "WHERE n1.president.name == \"Joe\" && c2.mayor.name == \"Joe\" && "
+      "n3.president.name == \"Joe\" && n4.president.name == \"Joe\" && "
+      "c5.mayor.name == \"Joe\";",
+      JoinChainQueryText(12),
+  };
+  Session::Options opts;
+  opts.governor.max_memo_mexprs = 2000;
+  opts.governor.degrade_to_greedy = false;
+  std::unique_ptr<Session> sp = MakeSession(opts);
+  for (const std::string& q : queries) {
+    SCOPED_TRACE(q);
+    auto r = sp->Prepare(q);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kBudgetExhausted) << r.status();
+    const int64_t size = TrippedMemoSize(r.status());
+    EXPECT_GT(size, 2000) << r.status();
+    EXPECT_LT(size, 10000) << r.status();
+  }
+}
+
 TEST_F(GovernorTest, ExecutorRowBudgetTripsMidPipeline) {
   Session::Options opts;
   opts.governor.max_exec_rows = 1;
