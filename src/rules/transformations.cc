@@ -37,27 +37,6 @@ RuleExprPtr SelectOver(std::vector<ScalarExprPtr> conjuncts,
       {std::move(child)});
 }
 
-/// Select_{conjuncts}(g) for a group `g`. When `g` holds only Selects,
-/// the first one's conjuncts join `conjuncts` over its input instead: two
-/// stacked Selects are one (a Select-only group arises when
-/// select-join-absorb is off and a Select keeps cross conjuncts above a
-/// join).
-RuleExprPtr SelectOverGroup(const Memo& memo,
-                            std::vector<ScalarExprPtr> conjuncts, GroupId g) {
-  const Group& group = memo.group(g);
-  for (MExprId id : group.mexprs) {
-    if (memo.mexpr(id).op.kind != LogicalOpKind::kSelect) {
-      return SelectOver(std::move(conjuncts), RuleExpr::GroupLeaf(g));
-    }
-  }
-  const LogicalMExpr& sel = memo.mexpr(group.mexprs.front());
-  for (ScalarExprPtr& c : ScalarExpr::SplitConjuncts(sel.op.pred)) {
-    conjuncts.push_back(std::move(c));
-  }
-  return SelectOver(std::move(conjuncts),
-                    RuleExpr::GroupLeaf(memo.Find(sel.children[0])));
-}
-
 /// Join_{q and more}(left, right), its predicate canonical.
 RuleExprPtr JoinWith(const ScalarExprPtr& q, std::vector<ScalarExprPtr> more,
                      RuleExprPtr left, RuleExprPtr right) {
@@ -90,9 +69,9 @@ class SelectPushBelow : public TransformationRule {
         (cj.refs.Contains(u.op.target) ? above : below).push_back(cj.expr);
       }
       if (below.empty()) return;
+      GroupId x = ctx.memo->Find(u.children[0]);
       RuleExprPtr pushed = RuleExpr::Op(
-          u.op, {SelectOverGroup(*ctx.memo, std::move(below),
-                                 ctx.memo->Find(u.children[0]))});
+          u.op, {SelectOver(std::move(below), RuleExpr::GroupLeaf(x))});
       out->push_back(above.empty() ? pushed
                                    : SelectOver(std::move(above), pushed));
     });
@@ -101,37 +80,6 @@ class SelectPushBelow : public TransformationRule {
 
  private:
   LogicalOpKind below_;
-  const char* name_;
-};
-
-// ---------------------------------------------------------------------------
-// U_u(C_c(X)) -> C_c(U_u(X)) for U a Mat or an Unnest [if u's source is in
-// X's scope]: U moves below a Select (mat-select-commute,
-// select-unnest-commute), a Mat below an Unnest (mat-unnest-commute) and an
-// Unnest below a Mat (unnest-mat-commute).
-// ---------------------------------------------------------------------------
-class SwapWithChild : public TransformationRule {
- public:
-  SwapWithChild(LogicalOpKind root, LogicalOpKind child, const char* name)
-      : root_(root), child_(child), name_(name) {}
-  const char* name() const override { return name_; }
-  LogicalOpKind root_kind() const override { return root_; }
-  bool matches_children() const override { return true; }
-
-  Status Apply(OptContext& ctx, const LogicalMExpr& mexpr,
-               std::vector<RuleExprPtr>* out) const override {
-    ChildMExprs(ctx, mexpr, child_, [&](const LogicalMExpr& c) {
-      GroupId x = ctx.memo->Find(c.children[0]);
-      if (!GroupScope(ctx, x).Contains(mexpr.op.source)) return;
-      out->push_back(RuleExpr::Op(
-          c.op, {RuleExpr::Op(mexpr.op, {RuleExpr::GroupLeaf(x)})}));
-    });
-    return Status::OK();
-  }
-
- private:
-  LogicalOpKind root_;
-  LogicalOpKind child_;
   const char* name_;
 };
 
@@ -169,45 +117,14 @@ class SelectJoinPush : public TransformationRule {
       if (pa.empty() && pb.empty()) return;
       RuleExprPtr left = RuleExpr::GroupLeaf(a);
       RuleExprPtr right = RuleExpr::GroupLeaf(b);
-      RuleExprPtr pushed_a =
-          pa.empty() ? left : SelectOverGroup(*ctx.memo, pa, a);
-      RuleExprPtr pushed_b =
-          pb.empty() ? right : SelectOverGroup(*ctx.memo, pb, b);
+      RuleExprPtr pushed_a = pa.empty() ? left : SelectOver(pa, left);
+      RuleExprPtr pushed_b = pb.empty() ? right : SelectOver(pb, right);
       RuleExprPtr join = RuleExpr::Op(j.op, {pushed_a, pushed_b});
       if (!rest.empty()) join = SelectOver(rest, std::move(join));
       out->push_back(join);
       if (pa.empty() || pb.empty()) return;
       out->push_back(SelectOver(pb, JoinWith(j.op.pred, rest, pushed_a, right)));
       out->push_back(SelectOver(pa, JoinWith(j.op.pred, rest, left, pushed_b)));
-    });
-    return Status::OK();
-  }
-};
-
-// ---------------------------------------------------------------------------
-// Select_p(Join_q(A, B)) -> Join_{p and q}(A, B)   [if every conjunct of p
-// reads both A and B: select-join-pushdown places single-side conjuncts]
-// ---------------------------------------------------------------------------
-class SelectJoinAbsorb : public TransformationRule {
- public:
-  const char* name() const override { return kRuleSelectJoinAbsorb; }
-  LogicalOpKind root_kind() const override { return LogicalOpKind::kSelect; }
-  bool matches_children() const override { return true; }
-
-  Status Apply(OptContext& ctx, const LogicalMExpr& mexpr,
-               std::vector<RuleExprPtr>* out) const override {
-    const std::vector<Conjunct> ps = RefConjuncts(mexpr.op.pred);
-    ChildMExprs(ctx, mexpr, LogicalOpKind::kJoin, [&](const LogicalMExpr& j) {
-      GroupId a = ctx.memo->Find(j.children[0]);
-      GroupId b = ctx.memo->Find(j.children[1]);
-      BindingSet sa = GroupScope(ctx, a), sb = GroupScope(ctx, b);
-      std::vector<ScalarExprPtr> conjuncts;
-      for (const Conjunct& cj : ps) {
-        if (sa.ContainsAll(cj.refs) || sb.ContainsAll(cj.refs)) return;
-        conjuncts.push_back(cj.expr);
-      }
-      out->push_back(JoinWith(j.op.pred, std::move(conjuncts),
-                              RuleExpr::GroupLeaf(a), RuleExpr::GroupLeaf(b)));
     });
     return Status::OK();
   }
@@ -268,19 +185,10 @@ std::vector<std::unique_ptr<TransformationRule>> MakeDefaultTransformations() {
   using K = LogicalOpKind;
   rules.push_back(
       std::make_unique<SelectPushBelow>(K::kMat, kRuleSelectMatCommute));
-  rules.push_back(std::make_unique<SwapWithChild>(K::kMat, K::kSelect,
-                                                  kRuleMatSelectCommute));
   rules.push_back(
       std::make_unique<SelectPushBelow>(K::kUnnest, kRuleSelectUnnestCommute));
-  rules.push_back(std::make_unique<SwapWithChild>(K::kUnnest, K::kSelect,
-                                                  kRuleSelectUnnestCommute));
-  rules.push_back(std::make_unique<SwapWithChild>(K::kMat, K::kUnnest,
-                                                  kRuleMatUnnestCommute));
-  rules.push_back(std::make_unique<SwapWithChild>(K::kUnnest, K::kMat,
-                                                  kRuleUnnestMatCommute));
   for (auto& rule : MakeJoinOrderRules()) rules.push_back(std::move(rule));
   rules.push_back(std::make_unique<SelectJoinPush>());
-  rules.push_back(std::make_unique<SelectJoinAbsorb>());
   rules.push_back(std::make_unique<SetOpCommute>(LogicalOpKind::kUnion));
   rules.push_back(std::make_unique<SetOpCommute>(LogicalOpKind::kIntersect));
   rules.push_back(std::make_unique<SetOpAssoc>(LogicalOpKind::kUnion));

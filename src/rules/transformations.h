@@ -1,7 +1,7 @@
-// The transformation rule set (paper §3 "Transformation Rules"): Selects,
-// Mats and Unnests moved past each other and Selects into joins, the
-// set-operator rules, and the join-order rule (src/rules/join_order.h),
-// which reorders joins and carries the Mat -> Join rewrite that lets
+// The transformation rule set (paper §3 "Transformation Rules"): Selects
+// pushed below Mats, Unnests and joins, the set-operator rules, and the
+// join-order rule (src/rules/join_order.h), which places every join, Mat
+// and Unnest of a join graph and carries the Mat -> Join rewrite that lets
 // set-matching algorithms compete with pointer chasing.
 #ifndef OODB_RULES_TRANSFORMATIONS_H_
 #define OODB_RULES_TRANSFORMATIONS_H_

@@ -65,8 +65,8 @@ void CheckWinnerPlan(const PlanNode& plan, const std::string& path,
 /// Canonical Select: its predicate is the canonical conjunction of its
 /// distinct conjuncts, and it never sits over a group whose only
 /// expressions are Selects (two stacked Selects are one). A group that
-/// also holds other operators may hold a Select too: mat-select-commute
-/// lifts one into a Mat group that a partitioned Select sits over.
+/// also holds other operators may hold a Select too: the join-order rule
+/// inserts joins, Mats and Unnests into the closed group a Select heads.
 void CheckSelect(const Memo& memo, const LogicalMExpr& m,
                  const std::string& path, VerifyReport* report) {
   if (!ExprPtrEquals(m.op.pred, CanonicalConjunction(

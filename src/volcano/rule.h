@@ -134,12 +134,8 @@ inline constexpr const char* kRuleJoinCommute = "join-commutativity";
 inline constexpr const char* kRuleJoinOrder = "join-order";
 inline constexpr const char* kRuleMatToJoin = "mat-to-join";
 inline constexpr const char* kRuleSelectMatCommute = "select-mat-commute";
-inline constexpr const char* kRuleMatSelectCommute = "mat-select-commute";
 inline constexpr const char* kRuleSelectUnnestCommute = "select-unnest-commute";
-inline constexpr const char* kRuleMatUnnestCommute = "mat-unnest-commute";
-inline constexpr const char* kRuleUnnestMatCommute = "unnest-mat-commute";
 inline constexpr const char* kRuleSelectJoinPush = "select-join-pushdown";
-inline constexpr const char* kRuleSelectJoinAbsorb = "select-join-absorb";
 inline constexpr const char* kRuleSetOpCommute = "setop-commutativity";
 inline constexpr const char* kRuleSetOpAssoc = "setop-associativity";
 inline constexpr const char* kImplFileScan = "file-scan";

@@ -1,6 +1,8 @@
 // The differential harness (tests/harness.h) in oodb_tests: the serial
 // slices of the seeded sweep, the pinned deck, oracle 1 one rule at a time,
 // and oracle 2's equality on the pure join chains.
+#include <gtest/gtest-spi.h>
+
 #include "tests/harness.h"
 
 namespace oodb {
@@ -54,11 +56,12 @@ std::vector<std::string> Deck() {
   deck.push_back("| " + JoinChainQueryText(4, 1,
                                            " && e2.age == 30 && e3.age == 40 "
                                            "&& e4.name == \"E3\""));
-  // select-join-pushdown stacked a Select over a Select-only group when
-  // select-join-absorb was off (the verifier's select-canonical).
+  // A graph on which select-join-pushdown once stacked a Select over a
+  // group holding only Selects: the verifier's select-canonical checks
+  // that no rule does.
   deck.push_back(
-      "off=select-join-absorb | SELECT n1.name FROM Country n1 IN Country, "
-      "City c2 IN Cities, Country n3 IN Country, City c4 IN Cities WHERE "
+      "| SELECT n1.name FROM Country n1 IN Country, City c2 IN Cities, "
+      "Country n3 IN Country, City c4 IN Cities WHERE "
       "c2.country == n1 && c2.country == n3 && c4.country == n3 && "
       "n3.name == \"Country2\" && c4.country.name == \"Country0\";");
   for (std::string& line : JoinOrderDeck()) deck.push_back(std::move(line));
@@ -86,6 +89,17 @@ INSTANTIATE_TEST_SUITE_P(Pinned, DeckTest, ::testing::ValuesIn(Deck()),
                            return "L" + std::to_string(info.index);
                          });
 
+TEST(DeckLineTest, UnknownRuleNamesFailTheLine) {
+  // A deleted or misspelt rule name would otherwise disable nothing.
+  EXPECT_FATAL_FAILURE(
+      ExpectLine("off=join-order,join-comutativity | SELECT c FROM City c IN "
+                 "Cities;"),
+      "unknown rule name: join-comutativity");
+  EXPECT_FATAL_FAILURE(
+      ExpectLine("ablate=join-orders | SELECT c FROM City c IN Cities;"),
+      "unknown rule name: join-orders");
+}
+
 // Oracle 1 one rule at a time, over the deck and 10 generated queries.
 class RuleAblationTest : public ::testing::TestWithParam<const char*> {};
 
@@ -95,12 +109,7 @@ TEST_P(RuleAblationTest, DisablingARuleNeverImprovesCost) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllRules, RuleAblationTest,
-    ::testing::Values(kRuleJoinCommute, kRuleJoinOrder, kRuleMatToJoin,
-                      kRuleSelectMatCommute, kRuleMatSelectCommute,
-                      kRuleSelectUnnestCommute, kRuleMatUnnestCommute,
-                      kRuleUnnestMatCommute, kRuleSelectJoinPush,
-                      kRuleSelectJoinAbsorb, kImplIndexScan, kImplPointerJoin,
-                      kImplHybridHashJoin, kEnforcerAssembly));
+    ::testing::ValuesIn(testing::kAblatedRules));
 
 TEST(JoinOrderOracleTest, CartesianProductsReorderAcrossComponents) {
   // FROM order and commutativity alone reach 1,182.59 s.

@@ -14,6 +14,9 @@
 #include "src/exec/exec_fault.h"
 #include "src/exec/reference.h"
 #include "src/physical/algorithms.h"
+#include "src/physical/enforcers.h"
+#include "src/physical/impl_rules.h"
+#include "src/rules/transformations.h"
 
 namespace oodb {
 namespace testing {
@@ -105,18 +108,12 @@ const SchemaRow kSchemas[] = {
       {"CompositePart", "AtomicPart", "parts"}}},
 };
 
-// The rules oracle 1 ablates, and the ones a draw may disable.
-const char* const kAblated[] = {
-    kRuleJoinCommute,         kRuleJoinOrder,        kRuleMatToJoin,
-    kRuleSelectMatCommute,    kRuleMatSelectCommute, kRuleSelectUnnestCommute,
-    kRuleMatUnnestCommute,    kRuleUnnestMatCommute, kRuleSelectJoinPush,
-    kRuleSelectJoinAbsorb,    kImplIndexScan,        kImplPointerJoin,
-    kImplHybridHashJoin,      kEnforcerAssembly,
-};
+// The rules a draw may disable. Ten, so that each seed consumes the same
+// random draws.
 const char* const kToggles[] = {
-    kRuleJoinCommute,      kRuleJoinOrder,        kRuleMatToJoin,
-    kRuleMatSelectCommute, kRuleSelectMatCommute, kRuleSelectJoinPush,
-    kRuleSelectJoinAbsorb, kImplIndexScan,        kImplHybridHashJoin,
+    kRuleJoinCommute,         kRuleJoinOrder,        kRuleMatToJoin,
+    kRuleSelectUnnestCommute, kRuleSelectMatCommute, kRuleSelectJoinPush,
+    kEnforcerAssembly,        kImplIndexScan,        kImplHybridHashJoin,
     kImplPointerJoin,
 };
 
@@ -345,6 +342,25 @@ struct Settings {
   bool exact_io = false;  // see the end of CheckCase
 };
 
+/// InvalidArgument unless each of `names` is carried by a default
+/// transformation rule, implementation rule or enforcer, or is a join-order
+/// switch: a misspelt or deleted name would disable nothing.
+Status CheckRuleNames(const std::vector<std::string>& names) {
+  static const std::set<std::string> kKnown = [] {
+    std::set<std::string> known = {kRuleJoinCommute, kRuleMatToJoin};
+    for (const auto& r : MakeDefaultTransformations()) known.insert(r->name());
+    for (const auto& r : MakeDefaultImplRules()) known.insert(r->name());
+    for (const auto& e : MakeDefaultEnforcers()) known.insert(e->name());
+    return known;
+  }();
+  for (const std::string& name : names) {
+    if (!kKnown.count(name)) {
+      return Status::InvalidArgument("unknown rule name: " + name);
+    }
+  }
+  return Status::OK();
+}
+
 Result<Settings> ParseSettings(const std::vector<std::string>& tokens) {
   Settings s;
   s.gov.degrade_to_greedy = false;
@@ -383,6 +399,9 @@ Result<Settings> ParseSettings(const std::vector<std::string>& tokens) {
     else if (k == "exactio") s.exact_io = true;
     else return Status::InvalidArgument("unknown deck token: " + t);
   }
+  std::vector<std::string> rules = s.opt.disabled_rules;
+  if (!s.ablate.empty()) rules.push_back(s.ablate);
+  OODB_RETURN_IF_ERROR(CheckRuleNames(rules));
   return s;
 }
 
@@ -396,7 +415,7 @@ std::vector<std::string> DrawConfig(Rng& rng, Slice slice, bool oo7) {
   }
   if (!off.empty()) t.push_back("off=" + off);
   t.push_back(std::string("ablate=") +
-              kAblated[rng.Uniform(std::size(kAblated))]);
+              kAblatedRules[rng.Uniform(std::size(kAblatedRules))]);
   static const std::pair<double, const char*> kFlags[] = {
       {0.3, "prune"}, {0.2, "merge"}, {0.2, "warm"}, {0.15, "window=1"},
       {0.2, "topk=0"}};

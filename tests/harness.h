@@ -35,6 +35,17 @@ enum class Slice {
   kSession,   ///< Session retry/degrade ladder, adaptive re-planning
 };
 
+/// The rules oracle 1 switches off one at a time, in the ablation tests
+/// and as each generated case's `ablate=` draw. The set-operator rules are
+/// not among them: ZQL has no set operators, so no deck line or generated
+/// query could exercise them.
+inline constexpr const char* kAblatedRules[] = {
+    kRuleJoinCommute,      kRuleJoinOrder,           kRuleMatToJoin,
+    kRuleSelectMatCommute, kRuleSelectUnnestCommute, kRuleSelectJoinPush,
+    kImplIndexScan,        kImplPointerJoin,         kImplHybridHashJoin,
+    kEnforcerAssembly,
+};
+
 /// What a deck line's direct run planned and returned.
 struct LineRun {
   PlanNodePtr plan;

@@ -92,8 +92,9 @@ TEST_F(LogicalPropsTest, RefJoinCardMatchesMatCard) {
 
 TEST_F(LogicalPropsTest, OneConjunctOneEstimateInSelectAndJoin) {
   // Query 4's conjuncts price the same whether a Select applies them above
-  // a cartesian join or the join absorbs them, so select-join-absorb and
-  // its inverse land in a group with one cardinality.
+  // a cartesian join or a join applies them, so a Select over a cartesian
+  // join and the join-order rule's joins land in a group with one
+  // cardinality.
   BindingId t = ctx_.bindings.AddGet("t", db_.task);
   BindingId r =
       ctx_.bindings.AddUnnest("r", db_.employee, t, db_.task_team_members);

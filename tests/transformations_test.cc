@@ -291,8 +291,9 @@ TEST_F(TransformationTest, SelectJoinPushKeepsOneSideAboveTheJoin) {
     }
   }
   EXPECT_EQ(kept_above, 2) << x.memo->ToString();
-  // select-join-absorb takes only conjuncts that read both inputs, so no
-  // join predicate holds a single-side conjunct.
+  // Select rules only push conjuncts down and the join-order rule's joins
+  // take only conjuncts that read both inputs, so no join predicate holds
+  // a single-side conjunct.
   for (MExprId id = 0; id < static_cast<MExprId>(x.memo->num_mexprs()); ++id) {
     const LogicalMExpr& m = x.memo->mexpr(id);
     if (m.op.kind != LogicalOpKind::kJoin) continue;
