@@ -6,7 +6,7 @@
 //
 // BM_PlanColdVsWarm reports the single-thread speedup directly as the
 // `warm_speedup` counter; the threaded benchmarks show the concurrent
-// scaling of the sharded cache vs. per-call optimization.
+// scaling of the single-lock cache vs. per-call optimization.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -102,7 +102,7 @@ void BM_ZipfMixCold(benchmark::State& state) { ReplayMix(state, nullptr); }
 BENCHMARK(BM_ZipfMixCold)->Threads(1)->Threads(4)->Threads(8)
     ->UseRealTime();
 
-/// Warm path: all threads share one sharded cache; after the first pass the
+/// Warm path: all threads share one cache; after the first pass the
 /// mix is served from it.
 void BM_ZipfMixWarm(benchmark::State& state) {
   static std::shared_ptr<PlanCache> cache =

@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Lint: no raw standard-library locking primitives outside the wrapper.
 
-Every mutex in the engine must be an oodb::Mutex / oodb::SharedMutex (and
-every scoped lock a MutexLock / UniqueLock / ReaderMutexLock /
-WriterMutexLock, every condition variable an oodb::CondVar) so that (a) the
-Clang Thread Safety capability annotations see every acquisition and (b) the
-Debug-build lock-rank registry checks every acquisition against the global
-order in src/common/mutex.h. A raw std primitive is invisible to both — one
-unchecked lock re-opens the deadlock- and data-race surface the wrappers
-closed — so this script rejects them repo-wide.
+Every mutex in the engine must be an oodb::Mutex (and every scoped lock a
+MutexLock / UniqueLock, every condition variable an oodb::CondVar) so that
+(a) the Clang Thread Safety capability annotations see every acquisition and
+(b) the Debug-build lock-rank registry checks every acquisition against the
+global order in src/common/mutex.h. A raw std primitive is invisible to
+both — one unchecked lock re-opens the deadlock- and data-race surface the
+wrappers closed — so this script rejects them repo-wide. The engine has no
+reader/writer lock; std::shared_mutex and std::shared_lock stay banned so
+that one cannot come back without a ranked, annotated wrapper.
 
 The only files allowed to name the std primitives are the wrapper itself
 (src/common/mutex.h / .cc), which is their single point of encapsulation.

@@ -1,26 +1,26 @@
 // Annotated mutex wrappers and the debug-build lock-rank registry: the
 // concurrency layer's only sanctioned locking primitives.
 //
-// Every mutex in the engine is an oodb::Mutex or oodb::SharedMutex carrying
-// (a) Clang Thread Safety capability annotations, so -Wthread-safety proves
-// at compile time that each GUARDED_BY field is only touched with its lock
-// held, and (b) a static LockRank from the global acquisition order below,
-// so Debug builds (OODB_LOCK_ORDER) detect out-of-rank acquisition — the
-// edge that would close a deadlock cycle — at the moment of acquisition,
-// on the thread that commits it, whether or not a second thread ever races
-// the reverse edge. Release builds compile the registry out; the wrappers
-// then inline to the underlying std primitives.
+// Every mutex in the engine is an oodb::Mutex carrying (a) Clang Thread
+// Safety capability annotations, so -Wthread-safety proves at compile time
+// that each GUARDED_BY field is only touched with its lock held, and (b) a
+// static LockRank from the global acquisition order below, so Debug builds
+// (OODB_LOCK_ORDER) detect out-of-rank acquisition — the edge that would
+// close a deadlock cycle — at the moment of acquisition, on the thread that
+// commits it, whether or not a second thread ever races the reverse edge.
+// Release builds compile the registry out; the wrappers then inline to the
+// underlying std primitives.
 //
-// Raw std::mutex / std::lock_guard / std::unique_lock / std::shared_lock /
-// std::condition_variable are rejected repo-wide by scripts/lint_locks.py
-// outside this header and its .cc, so the discipline cannot erode.
+// Raw std::mutex / std::lock_guard / std::unique_lock / std::shared_mutex /
+// std::shared_lock / std::condition_variable are rejected repo-wide by
+// scripts/lint_locks.py outside this header and its .cc, so the discipline
+// cannot erode.
 #ifndef OODB_COMMON_MUTEX_H_
 #define OODB_COMMON_MUTEX_H_
 
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 
 #include "src/common/thread_annotations.h"
@@ -42,7 +42,7 @@ namespace lock_rank {
 // of rank r may only acquire locks of rank strictly greater than r. The
 // order mirrors the call graph's nesting today:
 //
-//   plan_cache.shard  -> metrics                  (miss counters under lock)
+//   plan_cache        -> metrics                  (counters under lock)
 //   exchange.part     -> exchange.error           (duplicate-delivery check)
 //                     -> exchange.pending         (DispatchLocked)
 //                     -> exchange.batch_queue     (terminal Abort)
@@ -55,7 +55,7 @@ namespace lock_rank {
 //
 // Gaps between ranks leave room for future locks without renumbering.
 
-inline constexpr LockRank kPlanCacheShard{10, "plan_cache.shard"};
+inline constexpr LockRank kPlanCache{10, "plan_cache"};
 inline constexpr LockRank kExchangePartition{20, "exchange.part"};
 inline constexpr LockRank kExchangeError{30, "exchange.error"};
 inline constexpr LockRank kExchangePending{35, "exchange.pending"};
@@ -146,38 +146,6 @@ class CAPABILITY("mutex") Mutex {
   LockRank rank_;
 };
 
-/// Reader/writer mutex with the same rank discipline (shared and exclusive
-/// acquisitions check the same rank).
-class CAPABILITY("shared_mutex") SharedMutex {
- public:
-  explicit SharedMutex(LockRank rank) : rank_(rank) {}
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void Lock() ACQUIRE() {
-    lock_order::OnAcquire(rank_);
-    mu_.lock();
-  }
-  void Unlock() RELEASE() {
-    lock_order::OnRelease(rank_);
-    mu_.unlock();
-  }
-  void LockShared() ACQUIRE_SHARED() {
-    lock_order::OnAcquire(rank_);
-    mu_.lock_shared();
-  }
-  void UnlockShared() RELEASE_SHARED() {
-    lock_order::OnRelease(rank_);
-    mu_.unlock_shared();
-  }
-
-  const LockRank& rank() const { return rank_; }
-
- private:
-  std::shared_mutex mu_;
-  LockRank rank_;
-};
-
 /// Scoped exclusive lock (the std::lock_guard shape).
 class SCOPED_CAPABILITY MutexLock {
  public:
@@ -223,34 +191,6 @@ class SCOPED_CAPABILITY UniqueLock {
   friend class CondVar;
   Mutex* mu_;
   std::unique_lock<std::mutex> lock_;
-};
-
-/// Scoped exclusive lock on a SharedMutex.
-class SCOPED_CAPABILITY WriterMutexLock {
- public:
-  explicit WriterMutexLock(SharedMutex& mu) ACQUIRE(mu) : mu_(mu) {
-    mu_.Lock();
-  }
-  ~WriterMutexLock() RELEASE() { mu_.Unlock(); }
-  WriterMutexLock(const WriterMutexLock&) = delete;
-  WriterMutexLock& operator=(const WriterMutexLock&) = delete;
-
- private:
-  SharedMutex& mu_;
-};
-
-/// Scoped shared (reader) lock on a SharedMutex.
-class SCOPED_CAPABILITY ReaderMutexLock {
- public:
-  explicit ReaderMutexLock(SharedMutex& mu) ACQUIRE_SHARED(mu) : mu_(mu) {
-    mu_.LockShared();
-  }
-  ~ReaderMutexLock() RELEASE_GENERIC() { mu_.UnlockShared(); }
-  ReaderMutexLock(const ReaderMutexLock&) = delete;
-  ReaderMutexLock& operator=(const ReaderMutexLock&) = delete;
-
- private:
-  SharedMutex& mu_;
 };
 
 /// Condition variable over a UniqueLock. Waits release and reacquire the

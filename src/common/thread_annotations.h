@@ -26,7 +26,7 @@
 #define OODB_THREAD_ANNOTATION__(x)  // no-op on non-Clang
 #endif
 
-/// Declares a class to be a capability ("mutex", "shared_mutex", ...).
+/// Declares a class to be a capability (e.g. "mutex").
 #define CAPABILITY(x) OODB_THREAD_ANNOTATION__(capability(x))
 
 /// Declares an RAII class whose lifetime equals a critical section.
@@ -44,27 +44,11 @@
 #define REQUIRES(...) \
   OODB_THREAD_ANNOTATION__(requires_capability(__VA_ARGS__))
 
-/// Shared-mode variant of REQUIRES.
-#define REQUIRES_SHARED(...) \
-  OODB_THREAD_ANNOTATION__(requires_shared_capability(__VA_ARGS__))
-
 /// The function acquires the listed capabilities (held on return).
 #define ACQUIRE(...) OODB_THREAD_ANNOTATION__(acquire_capability(__VA_ARGS__))
 
-/// Shared-mode variant of ACQUIRE.
-#define ACQUIRE_SHARED(...) \
-  OODB_THREAD_ANNOTATION__(acquire_shared_capability(__VA_ARGS__))
-
 /// The function releases the listed capabilities (held on entry).
 #define RELEASE(...) OODB_THREAD_ANNOTATION__(release_capability(__VA_ARGS__))
-
-/// Shared-mode variant of RELEASE.
-#define RELEASE_SHARED(...) \
-  OODB_THREAD_ANNOTATION__(release_shared_capability(__VA_ARGS__))
-
-/// Releases a capability regardless of acquisition mode.
-#define RELEASE_GENERIC(...) \
-  OODB_THREAD_ANNOTATION__(release_generic_capability(__VA_ARGS__))
 
 /// The function acquires the capability iff it returns `b`.
 #define TRY_ACQUIRE(b, ...) \

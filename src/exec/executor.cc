@@ -73,7 +73,6 @@ Result<ExecStats> ExecutePlan(const PlanNode& plan, ObjectStore* store,
                        : static_cast<size_t>(std::max(
                              1, store->timing().exec_batch_size));
   env.topk = options.topk;
-  env.no_exchange = options.no_exchange;
   env.fault_attempt = options.fault_attempt;
   env.replan_drift_threshold = options.replan_drift_threshold;
   // Injector and recovery state live on this frame: the root is destroyed
@@ -97,8 +96,7 @@ Result<ExecStats> ExecutePlan(const PlanNode& plan, ObjectStore* store,
     // only race-free while no Exchange worker thread runs concurrently —
     // even a dop=1 Exchange pipelines its single worker against this
     // thread, so the gate is "no Exchange anywhere", not MaxDop.
-    env.profile->set_io_timed(options.no_exchange ||
-                              CountOps(plan, PhysOpKind::kExchange) == 0);
+    env.profile->set_io_timed(CountOps(plan, PhysOpKind::kExchange) == 0);
   }
   OODB_ASSIGN_OR_RETURN(std::unique_ptr<ExecNode> root,
                         BuildExecNode(env, plan));
@@ -107,14 +105,14 @@ Result<ExecStats> ExecutePlan(const PlanNode& plan, ObjectStore* store,
 
   ExecStats stats;
   stats.batch_size = static_cast<int>(env.batch_size);
-  stats.dop = options.no_exchange ? 1 : MaxDop(plan);
+  stats.dop = MaxDop(plan);
   // On Exchange-free pipelines this drain loop IS the pipeline root, so the
   // deterministic batch-boundary fault sites (worker kill, straggler delay)
   // fire here as worker 0; under an Exchange the workers own their batch
   // boundaries and this loop only consumes.
   const bool root_fault_sites =
       env.exec_faults != nullptr &&
-      (options.no_exchange || CountOps(plan, PhysOpKind::kExchange) == 0);
+      CountOps(plan, PhysOpKind::kExchange) == 0;
   // The drain batch goes back to the pool on every exit path.
   struct PooledBatch {
     TupleBatch batch;

@@ -87,9 +87,6 @@ struct ExecOptions {
   /// speculation). One attempt per partition by default: a worker fault
   /// surfaces as its typed Status and no batch is staged.
   ExecRecoveryOptions recovery;
-  /// Degradation-ladder "serial" step: skip every Exchange in the plan and
-  /// run its child unpartitioned on the calling thread.
-  bool no_exchange = false;
   /// Mid-query re-planning trigger (0 = off): pipeline-breaker inputs fail
   /// with kPlanDrift when actual rows drift past the estimate by this
   /// factor (see ExecEnv::replan_drift_threshold). Armed by the Session's

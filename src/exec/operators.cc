@@ -1751,12 +1751,6 @@ Result<std::unique_ptr<ExecNode>> BuildExecNodeImpl(const ExecEnv& env,
   // every conjunct reads the scan's binding) or runs it as a single
   // FilterExec pass. The chain's input is built from the first non-Filter
   // descendant, so a partition_node match on the scan below still fires.
-  // Degradation-ladder "serial" step: an Exchange that keeps faulting is
-  // bypassed entirely — its child runs unpartitioned on the consumer
-  // thread, no worker pool, no cross-thread queue.
-  if (plan.op.kind == PhysOpKind::kExchange && env.no_exchange) {
-    return BuildExecNode(env, *plan.children[0]);
-  }
   if (plan.op.kind == PhysOpKind::kFilter && plan.op.pred != nullptr) {
     std::vector<ScalarExprPtr> chain_preds;
     const PlanNode* node = &plan;

@@ -107,12 +107,6 @@ struct ExecEnv {
   /// Exchange when a partition is retried or speculated.
   ExecFaultStats* fault_stats = nullptr;
 
-  /// Degradation-ladder "serial" step: build the Exchange node's child
-  /// directly (unpartitioned, no worker threads) instead of the Exchange.
-  /// The plan is otherwise executed unchanged, so a plan whose Exchange
-  /// keeps faulting can run serially without re-optimization.
-  bool no_exchange = false;
-
   /// Mid-query re-planning trigger (0 = off). When positive, the input of
   /// every pipeline breaker (hash-join build, Sort/TopK input — including
   /// an Exchange feeding one) is wrapped in a drift check that fails with

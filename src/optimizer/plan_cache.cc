@@ -1,7 +1,7 @@
 #include "src/optimizer/plan_cache.h"
 
 #include <algorithm>
-#include <bit>
+#include <iterator>
 
 #include "src/common/metrics.h"
 
@@ -9,7 +9,7 @@ namespace oodb {
 
 namespace {
 
-/// Global (cross-cache) counters mirroring the per-cache atomics, so the
+/// Global (cross-cache) counters mirroring the per-cache stats, so the
 /// metrics snapshot sees aggregate cache behavior without enumerating
 /// caches. Resolved once; registered counters are never deallocated.
 struct CacheMetrics {
@@ -79,86 +79,48 @@ PlanNodePtr RebindPlan(const PlanNodePtr& node,
 
 }  // namespace
 
-double CachedPlan::observed_drift() const {
-  uint64_t bits = observed_drift_bits.load(std::memory_order_relaxed);
-  return bits == 0 ? 1.0 : std::bit_cast<double>(bits);
-}
-
-void CachedPlan::UpdateObservedDrift(double drift) const {
-  uint64_t bits = observed_drift_bits.load(std::memory_order_relaxed);
-  // Keep the worst drift ever observed; racing executions both try, the
-  // larger wins (drifts are >= 1.0, so positive-double bit patterns order
-  // the same as the values and the CAS loop terminates).
-  while (drift > (bits == 0 ? 1.0 : std::bit_cast<double>(bits))) {
-    if (observed_drift_bits.compare_exchange_weak(
-            bits, std::bit_cast<uint64_t>(drift),
-            std::memory_order_relaxed)) {
-      break;
-    }
-  }
-}
-
 PlanCache::PlanCache(size_t capacity)
-    : capacity_(std::max<size_t>(1, capacity)),
-      per_shard_(0),
-      shards_(std::clamp<size_t>(capacity_, 1, 8)) {
-  per_shard_ = (capacity_ + shards_.size() - 1) / shards_.size();
+    : capacity_(std::max<size_t>(1, capacity)) {}
+
+void PlanCache::EraseLocked(SlotList::iterator it) {
+  index_.erase(it->key);
+  lru_.erase(it);
 }
 
 std::optional<OptimizedQuery> PlanCache::Lookup(
     const PlanCacheKey& key, uint64_t stats_version, const LogicalExpr& tree,
     const BindingTable& bindings, const std::vector<Value>& literals) {
-  Shard& shard = ShardFor(key);
   std::shared_ptr<const CachedPlan> entry;
-  bool stale = false;
   {
-    ReaderMutexLock lock(shard.mu);
-    auto it = shard.index.find(key);
-    if (it == shard.index.end()) {
-      misses_.fetch_add(1, std::memory_order_relaxed);
-      CacheMetrics::Get().misses->Increment();
-      return std::nullopt;
-    }
-    if (it->second->second->stats_version == stats_version) {
-      entry = it->second->second;
-    } else {
-      stale = true;
-    }
-  }
-  if (stale) {
-    // Stale statistics: reclaim the slot under the exclusive lock (re-check
-    // after the upgrade — a concurrent session may have replaced it); the
-    // caller re-optimizes and re-inserts under the current version.
-    WriterMutexLock lock(shard.mu);
-    auto it = shard.index.find(key);
-    if (it != shard.index.end() &&
-        it->second->second->stats_version != stats_version) {
-      shard.lru.erase(it->second);
-      shard.index.erase(it);
-      invalidations_.fetch_add(1, std::memory_order_relaxed);
+    MutexLock lock(mu_);
+    auto it = index_.find(key);
+    if (it != index_.end() &&
+        it->second->entry->stats_version != stats_version) {
+      // Stale statistics: reclaim the slot; the caller re-optimizes and
+      // re-inserts under the current version.
+      EraseLocked(it->second);
+      ++stats_.invalidations;
       CacheMetrics::Get().invalidations->Increment();
+    } else if (it != index_.end()) {
+      lru_.splice(lru_.begin(), lru_, it->second);
+      entry = it->second->entry;
     }
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    CacheMetrics::Get().misses->Increment();
-    return std::nullopt;
-  }
-  // Refresh LRU recency on a sample of hits only: the splice needs the
-  // exclusive lock, and paying it on every hit would serialize concurrent
-  // sessions on the zipfian-hot entry.
-  if ((shard.tick.fetch_add(1, std::memory_order_relaxed) & 15) == 0) {
-    WriterMutexLock lock(shard.mu);
-    auto it = shard.index.find(key);
-    if (it != shard.index.end() && it->second != shard.lru.begin()) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    }
+    ++(entry != nullptr ? stats_.hits : stats_.misses);
   }
 
   // Verify and rebind outside the lock; entries are immutable once stored.
   ExprSubstitution subst;
-  if (!MatchParameterizedTrees(*entry->tree, entry->bindings, tree, bindings,
+  if (entry != nullptr &&
+      !MatchParameterizedTrees(*entry->tree, entry->bindings, tree, bindings,
                                &subst)) {
-    // Fingerprint collision (or a caller bug): never serve the plan.
-    misses_.fetch_add(1, std::memory_order_relaxed);
+    // Fingerprint collision (or a caller bug): never serve the plan, and
+    // count the probe as the miss it is.
+    MutexLock lock(mu_);
+    --stats_.hits;
+    ++stats_.misses;
+    entry = nullptr;
+  }
+  if (entry == nullptr) {
     CacheMetrics::Get().misses->Increment();
     return std::nullopt;
   }
@@ -167,81 +129,62 @@ std::optional<OptimizedQuery> PlanCache::Lookup(
                                          : RebindPlan(entry->plan, subst);
   out.cost = entry->cost;
   out.stats = entry->stats;
-  hits_.fetch_add(1, std::memory_order_relaxed);
   CacheMetrics::Get().hits->Increment();
   return out;
 }
 
 void PlanCache::Insert(const PlanCacheKey& key,
                        std::shared_ptr<const CachedPlan> entry) {
-  Shard& shard = ShardFor(key);
-  WriterMutexLock lock(shard.mu);
-  auto it = shard.index.find(key);
-  if (it != shard.index.end()) {
+  MutexLock lock(mu_);
+  auto it = index_.find(key);
+  if (it != index_.end()) {
     // A concurrent session optimized the same query; keep the newer result.
-    it->second->second = std::move(entry);
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    it->second->entry = std::move(entry);
+    it->second->drift = 1.0;
+    lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
-  shard.lru.emplace_front(key, std::move(entry));
-  shard.index.emplace(key, shard.lru.begin());
-  while (shard.lru.size() > per_shard_) {
-    shard.index.erase(shard.lru.back().first);
-    shard.lru.pop_back();
-    evictions_.fetch_add(1, std::memory_order_relaxed);
+  lru_.push_front(Slot{key, std::move(entry)});
+  index_.emplace(key, lru_.begin());
+  if (lru_.size() > capacity_) {
+    EraseLocked(std::prev(lru_.end()));
+    ++stats_.evictions;
     CacheMetrics::Get().evictions->Increment();
   }
 }
 
 bool PlanCache::RecordDrift(const PlanCacheKey& key, double drift,
                             double evict_threshold) {
-  Shard& shard = ShardFor(key);
-  bool over = evict_threshold > 0.0 && drift > evict_threshold;
-  {
-    ReaderMutexLock lock(shard.mu);
-    auto it = shard.index.find(key);
-    if (it == shard.index.end()) return false;
-    it->second->second->UpdateObservedDrift(drift);
+  MutexLock lock(mu_);
+  auto it = index_.find(key);
+  if (it == index_.end()) return false;
+  if (evict_threshold <= 0.0 || drift <= evict_threshold) {
+    it->second->drift = std::max(it->second->drift, drift);
+    return false;
   }
-  if (!over) return false;
-  WriterMutexLock lock(shard.mu);
-  auto it = shard.index.find(key);
-  if (it == shard.index.end()) return false;
-  shard.lru.erase(it->second);
-  shard.index.erase(it);
-  drift_evictions_.fetch_add(1, std::memory_order_relaxed);
+  EraseLocked(it->second);
+  ++stats_.drift_evictions;
   CacheMetrics::Get().drift_evictions->Increment();
   return true;
 }
 
 double PlanCache::ObservedDrift(const PlanCacheKey& key) {
-  Shard& shard = ShardFor(key);
-  ReaderMutexLock lock(shard.mu);
-  auto it = shard.index.find(key);
-  if (it == shard.index.end()) return 1.0;
-  return it->second->second->observed_drift();
+  MutexLock lock(mu_);
+  auto it = index_.find(key);
+  return it == index_.end() ? 1.0 : it->second->drift;
 }
 
 PlanCacheStats PlanCache::stats() const {
-  PlanCacheStats s;
-  s.hits = hits_.load(std::memory_order_relaxed);
-  s.misses = misses_.load(std::memory_order_relaxed);
-  s.evictions = evictions_.load(std::memory_order_relaxed);
-  s.invalidations = invalidations_.load(std::memory_order_relaxed);
-  s.drift_evictions = drift_evictions_.load(std::memory_order_relaxed);
-  for (const Shard& shard : shards_) {
-    ReaderMutexLock lock(shard.mu);
-    s.entries += static_cast<int64_t>(shard.lru.size());
-  }
+  MutexLock lock(mu_);
+  PlanCacheStats s = stats_;
+  s.entries = static_cast<int64_t>(lru_.size());
   return s;
 }
 
 void PlanCache::Clear() {
-  for (Shard& shard : shards_) {
-    WriterMutexLock lock(shard.mu);
-    shard.lru.clear();
-    shard.index.clear();
-  }
+  MutexLock lock(mu_);
+  lru_.clear();
+  index_.clear();
 }
 
 }  // namespace oodb

@@ -7,15 +7,13 @@
 // the entry on contact, so ANALYZE, index creation/toggle, and cardinality
 // updates can never leak a stale plan.
 //
-// Concurrency: a fixed array of shards, each an independently-locked LRU
-// (mutex + intrusive recency list + hash index), like the storage layer's
-// BufferPool but safe for many sessions at once. Cached plans are immutable
-// shared_ptr trees, handed out without copying; literal rebinding happens
-// outside the shard lock.
+// Concurrency: one mutex over one exact LRU (recency list + hash index),
+// like the storage layer's BufferPool, shared safely by many sessions.
+// Cached plans are immutable shared_ptr trees, handed out without copying;
+// hit verification and literal rebinding happen outside the lock.
 #ifndef OODB_OPTIMIZER_PLAN_CACHE_H_
 #define OODB_OPTIMIZER_PLAN_CACHE_H_
 
-#include <atomic>
 #include <list>
 #include <memory>
 #include <optional>
@@ -81,23 +79,12 @@ struct CachedPlan {
   LogicalExprPtr tree;         ///< the simplified tree that was optimized
   BindingTable bindings;       ///< its binding signatures (hit verification)
   std::vector<Value> literals; ///< parameterized-out literals, canonical order
-
-  /// Worst MaxDriftRatio observed across executions served from this entry
-  /// (bits of a double; 0 bits = never executed with ANALYZE on). Runtime
-  /// bookkeeping, not part of the immutable optimization result — mutable
-  /// + atomic so RecordDrift can write through the shared const entry
-  /// without a shard lock upgrade.
-  mutable std::atomic<uint64_t> observed_drift_bits{0};
-
-  double observed_drift() const;
-  void UpdateObservedDrift(double drift) const;
 };
 
 class PlanCache {
  public:
-  /// `capacity` is a target entry count, split evenly (rounded up) across
-  /// the shards; small caches collapse to one shard so tiny capacities
-  /// still evict strictly.
+  /// Holds up to `capacity` (at least 1) entries; beyond it, Insert evicts
+  /// the least recently used one.
   explicit PlanCache(size_t capacity);
 
   /// Probes for `key`. On a hit whose entry matches `stats_version` and
@@ -105,14 +92,15 @@ class PlanCache {
   /// verification makes fingerprint collisions a miss, never a wrong
   /// plan), returns the winning plan with comparison literals rebound to
   /// `literals`. Stale entries are dropped and counted as invalidations.
+  /// Every hit moves its entry to the front of the LRU order.
   std::optional<OptimizedQuery> Lookup(const PlanCacheKey& key,
                                        uint64_t stats_version,
                                        const LogicalExpr& tree,
                                        const BindingTable& bindings,
                                        const std::vector<Value>& literals);
 
-  /// Inserts (or replaces) the entry for `key`, evicting the shard's least
-  /// recently used entry beyond capacity.
+  /// Inserts (or replaces) the entry for `key`, evicting the least recently
+  /// used entry beyond capacity.
   void Insert(const PlanCacheKey& key,
               std::shared_ptr<const CachedPlan> entry);
 
@@ -134,36 +122,23 @@ class PlanCache {
   void Clear();
 
  private:
-  struct Shard {
-    /// Hits read under a shared lock (shared_ptr copy only); inserts,
-    /// evictions, invalidations, and sampled LRU-recency refreshes take it
-    /// exclusively. Without this, a zipfian workload serializes every
-    /// thread on the hot entry's recency splice. Shards are never nested, so
-    /// they share one rank.
-    mutable SharedMutex mu{lock_rank::kPlanCacheShard};
-    /// Samples which hits pay for an exclusive recency refresh.
-    std::atomic<uint64_t> tick{0};
-    /// Front = most recently used (approximately: see `tick`).
-    std::list<std::pair<PlanCacheKey, std::shared_ptr<const CachedPlan>>> lru
-        GUARDED_BY(mu);
-    std::unordered_map<PlanCacheKey,
-                       decltype(lru)::iterator, PlanCacheKeyHash>
-        index GUARDED_BY(mu);
+  struct Slot {
+    PlanCacheKey key;
+    std::shared_ptr<const CachedPlan> entry;
+    /// Worst MaxDriftRatio observed across executions served from this
+    /// entry (1.0 = none recorded).
+    double drift = 1.0;
   };
+  using SlotList = std::list<Slot>;
 
-  Shard& ShardFor(const PlanCacheKey& key) {
-    return shards_[key.fp.hi % shards_.size()];
-  }
+  void EraseLocked(SlotList::iterator it) REQUIRES(mu_);
 
-  size_t capacity_;
-  size_t per_shard_;
-  std::vector<Shard> shards_;
-
-  std::atomic<int64_t> hits_{0};
-  std::atomic<int64_t> misses_{0};
-  std::atomic<int64_t> evictions_{0};
-  std::atomic<int64_t> invalidations_{0};
-  std::atomic<int64_t> drift_evictions_{0};
+  const size_t capacity_;
+  mutable Mutex mu_{lock_rank::kPlanCache};
+  SlotList lru_ GUARDED_BY(mu_);  ///< front = most recently used
+  std::unordered_map<PlanCacheKey, SlotList::iterator, PlanCacheKeyHash>
+      index_ GUARDED_BY(mu_);
+  PlanCacheStats stats_ GUARDED_BY(mu_);  ///< `entries` is filled by stats()
 };
 
 }  // namespace oodb

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "src/physical/algorithms.h"
 
@@ -177,6 +178,22 @@ PlanNodePtr PlantExchanges(PlanNodePtr plan, const CostModel& cm,
       ChooseDop(*plan, driver, cm, max_dop, /*merge=*/false);
   if (choice.dop <= 1) return plan;
   return MakeExchangeNode(std::move(plan), driver, choice, /*merge=*/false);
+}
+
+PlanNodePtr StripExchanges(const PlanNodePtr& plan) {
+  if (plan->op.kind == PhysOpKind::kExchange) {
+    return StripExchanges(plan->children[0]);
+  }
+  std::vector<PlanNodePtr> children;
+  children.reserve(plan->children.size());
+  bool changed = false;
+  for (const PlanNodePtr& c : plan->children) {
+    children.push_back(StripExchanges(c));
+    changed |= children.back() != c;
+  }
+  if (!changed) return plan;
+  return PlanNode::Make(plan->op, std::move(children), plan->logical,
+                        plan->delivered, plan->local_cost);
 }
 
 }  // namespace oodb

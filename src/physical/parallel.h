@@ -39,6 +39,11 @@ const PlanNode* FindPartitionableScan(const PlanNode& plan);
 PlanNodePtr PlantExchanges(PlanNodePtr plan, const CostModel& cm,
                            int max_dop);
 
+/// Returns `plan` with every Exchange replaced by its child: the plan the
+/// retry ladder's serial rung runs. Subtrees without an Exchange are shared;
+/// their ancestors are rebuilt with re-summed total costs.
+PlanNodePtr StripExchanges(const PlanNodePtr& plan);
+
 }  // namespace oodb
 
 #endif  // OODB_PHYSICAL_PARALLEL_H_

@@ -5,6 +5,7 @@
 #include "src/baseline/greedy.h"
 #include "src/common/metrics.h"
 #include "src/common/strings.h"
+#include "src/physical/parallel.h"
 #include "src/query/fingerprint.h"
 #include "src/trace/exec_profile.h"
 #include "src/verify/verify.h"
@@ -184,24 +185,33 @@ Result<OptimizedQuery> Session::RunOptimizer(const LogicalExpr& input,
   // Graceful degradation: answer with the greedy baseline plan. If even the
   // greedy planner cannot handle the query (explicit joins, its own error),
   // surface the original governor trip, not the fallback's complaint.
-  GreedyOptimizer greedy(catalog_, options_.optimizer.cost);
-  Result<OptimizedQuery> fallback = greedy.Optimize(input, ctx, required);
+  Result<OptimizedQuery> fallback =
+      GreedyPlan(input, ctx, required, err.message());
   if (!fallback.ok()) return err;
-  fallback->stats.degraded = true;
-  fallback->stats.degrade_reason = err.message();
   fallback->stats.governor = governor_->stats();
-  if (options_.optimizer.verify_plans && fallback->plan != nullptr) {
-    // The greedy path bypasses the optimizer's verification hook; hold its
-    // plan to the same standard (this is exactly how the greedy planner's
-    // projection-scope bug was found).
-    fallback->stats.verified = true;
-    fallback->stats.verify_error =
-        VerifyPlanReport(*fallback->plan, *ctx).ToString();
-  }
   // The tripped governor is sticky; re-arm a fresh one (fresh deadline and
   // budgets) so the degraded plan gets a real chance to execute.
   governor_ = std::make_unique<QueryGovernor>(options_.governor);
   return fallback;
+}
+
+Result<OptimizedQuery> Session::GreedyPlan(const LogicalExpr& input,
+                                           QueryContext* ctx,
+                                           const PhysProps& required,
+                                           std::string reason) {
+  GreedyOptimizer greedy(catalog_, options_.optimizer.cost);
+  Result<OptimizedQuery> plan = greedy.Optimize(input, ctx, required);
+  if (!plan.ok()) return plan;
+  plan->stats.degraded = true;
+  plan->stats.degrade_reason = std::move(reason);
+  if (options_.optimizer.verify_plans && plan->plan != nullptr) {
+    // The greedy path bypasses the optimizer's verification hook; hold its
+    // plan to the same standard (this is exactly how the greedy planner's
+    // projection-scope bug was found).
+    plan->stats.verified = true;
+    plan->stats.verify_error = VerifyPlanReport(*plan->plan, *ctx).ToString();
+  }
+  return plan;
 }
 
 Result<SessionResult> Session::Prepare(const std::string& zql) {
@@ -328,41 +338,39 @@ Result<ExecStats> Session::ExecuteWithRetry(SessionResult* r,
     ExecAttempt rec;
     rec.attempt = attempt_no;
     rec.replanned = next_replanned;
-    const PlanNode* plan = r->optimized.plan.get();
     switch (step) {
       case 0:
         rec.step = "planned";
         break;
       case 1:
-        opts.no_exchange = true;
         rec.step = "serial";
-        SessionMetrics::Get().ladder_serial->Increment();
         break;
       default: {
-        opts.no_exchange = true;
         // Last rung: abandon the cost-based plan entirely and run the
-        // greedy baseline's plan — a structurally different tree, in case
-        // the failure tracks a plan shape rather than an engine mode. The
-        // successful greedy attempt replaces r->optimized so the rendered
+        // greedy baseline's plan (which has no Exchange) — a structurally
+        // different tree, in case the failure tracks a plan shape rather
+        // than an engine mode. It replaces r->optimized so the rendered
         // plan is the one that produced the rows; failure to even re-plan
         // (e.g. explicit joins) re-runs the serial rung instead.
-        GreedyOptimizer greedy(catalog_, options_.optimizer.cost);
         Result<OptimizedQuery> fallback =
-            greedy.Optimize(*r->logical, &r->ctx, r->required);
+            GreedyPlan(*r->logical, &r->ctx, r->required,
+                       "exec retry ladder: " + last.ToString());
         if (fallback.ok()) {
-          fallback->stats.degraded = true;
-          fallback->stats.degrade_reason =
-              "exec retry ladder: " + last.ToString();
           r->optimized = std::move(*fallback);
-          plan = r->optimized.plan.get();
           rec.step = "greedy";
           SessionMetrics::Get().ladder_greedy->Increment();
         } else {
           rec.step = "serial";
-          SessionMetrics::Get().ladder_serial->Increment();
         }
         break;
       }
+    }
+    if (rec.step == "serial") {
+      // The same plan with every Exchange replaced by its child, run
+      // unpartitioned on this thread.
+      r->optimized.plan = StripExchanges(r->optimized.plan);
+      r->optimized.cost = r->optimized.plan->total_cost;
+      SessionMetrics::Get().ladder_serial->Increment();
     }
     next_replanned = false;
     ExecProfile attempt_profile;
@@ -373,7 +381,8 @@ Result<ExecStats> Session::ExecuteWithRetry(SessionResult* r,
       opts.profile = &attempt_profile;
     }
 
-    Result<ExecStats> stats = ExecutePlan(*plan, &store_, &r->ctx, opts);
+    Result<ExecStats> stats =
+        ExecutePlan(*r->optimized.plan, &store_, &r->ctx, opts);
     if (!stats.ok() && stats.status().code() == StatusCode::kPlanDrift) {
       // A pipeline breaker saw its input drift past the threshold and
       // aborted the unexecuted suffix. Extract observed cardinalities from

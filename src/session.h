@@ -25,8 +25,9 @@ namespace oodb {
 /// *simulated* time (cold_start resets the clock per attempt, so backoff is
 /// tracked as a separate accumulated quantity) down a degradation ladder:
 ///   attempt 0: planned (the optimized plan, as configured)
-///   attempt 1: serial (every Exchange skipped; no worker threads)
-///   attempt 2+: greedy-baseline re-plan, executed serially
+///   attempt 1: serial (StripExchanges: the plan without its Exchanges)
+///   attempt 2+: greedy-baseline re-plan (no Exchange), verified like the
+///               optimizer's plans under verify_plans
 /// Each retry is charged to the governor's retry budget; a tripped budget
 /// or a non-retryable failure ends the ladder with that typed Status.
 struct RetryPolicy {
@@ -227,6 +228,15 @@ class Session {
   Result<OptimizedQuery> RunOptimizer(const LogicalExpr& input,
                                       QueryContext* ctx,
                                       const PhysProps& required);
+
+  /// The greedy baseline's plan for `input`, marked degraded for `reason`
+  /// and, under OptimizerOptions::verify_plans, verified like the
+  /// optimizer's own plans. Shared by the governor fallback and the retry
+  /// ladder's last rung, so every greedy plan the Session runs is checked.
+  Result<OptimizedQuery> GreedyPlan(const LogicalExpr& input,
+                                    QueryContext* ctx,
+                                    const PhysProps& required,
+                                    std::string reason);
 
   /// The annotation lines shared by Explain and ExplainAnalyze (degraded /
   /// cached / verify / cache counters / governor / exec batch+dop).

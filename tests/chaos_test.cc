@@ -265,6 +265,35 @@ TEST_F(SessionChaosTest, LadderWalksToSerialUnderPersistentExchangeFault) {
     EXPECT_TRUE(last.step == "serial" || last.step == "greedy") << last.step;
     EXPECT_GE(r->retry_backoff_s, 0.5);
   }
+  if (last.step == "serial") {
+    // The serial rung runs (and ANALYZE renders) a plan with no Exchange.
+    EXPECT_EQ(CountOps(*r->optimized.plan, PhysOpKind::kExchange), 0);
+    EXPECT_EQ(r->exec.dop, 1);
+  }
+}
+
+TEST_F(SessionChaosTest, LadderVerifiesTheGreedyRungsPlan) {
+  // Worker 0 dies at its first batch boundary on attempts 0 and 1, so the
+  // planned and serial rungs fail and the greedy rung (attempt 2) runs.
+  // Its plan must be verified like every other plan under verify_plans.
+  Session::Options opts;
+  opts.optimizer.verify_plans = true;
+  opts.exec.exec_faults.fail_worker = 0;
+  opts.exec.exec_faults.fail_after_batches = 1;
+  opts.exec.exec_faults.fail_attempts = 2;
+  opts.retry.max_attempts = 3;
+  std::unique_ptr<Session> s = MakeSession(std::move(opts));
+  auto r = s->Query(
+      "SELECT e.name FROM Employee e IN Employees WHERE e.age >= 30;");
+  ASSERT_TRUE(r.ok()) << r.status();
+  ASSERT_EQ(r->attempts.size(), 3u);
+  EXPECT_FALSE(r->attempts[0].status.ok());
+  EXPECT_FALSE(r->attempts[1].status.ok());
+  EXPECT_EQ(r->attempts.back().step, "greedy");
+  EXPECT_TRUE(r->attempts.back().status.ok()) << r->attempts.back().status;
+  EXPECT_TRUE(r->optimized.stats.degraded);
+  EXPECT_TRUE(r->optimized.stats.verified);
+  EXPECT_EQ(r->optimized.stats.verify_error, "");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SessionChaosTest, ::testing::Range(0, 16));

@@ -110,10 +110,10 @@ TEST_F(LockCheckTest, DiskModelThenBufferPoolIsCaught) {
                   lock_rank::kDiskModel);
 }
 
-TEST_F(LockCheckTest, GovernorThenPlanCacheShardIsCaught) {
+TEST_F(LockCheckTest, GovernorThenPlanCacheIsCaught) {
   Mutex governor(lock_rank::kGovernor);
-  Mutex shard(lock_rank::kPlanCacheShard);
-  ExpectViolation(AcquirePair(governor, shard), lock_rank::kPlanCacheShard,
+  Mutex cache(lock_rank::kPlanCache);
+  ExpectViolation(AcquirePair(governor, cache), lock_rank::kPlanCache,
                   lock_rank::kGovernor);
 }
 
@@ -153,13 +153,13 @@ TEST_F(LockCheckTest, RecursiveSelfLockIsCaught) {
 }
 
 TEST_F(LockCheckTest, SameRankTwoInstancesIsCaught) {
-  // Two plan-cache shards share one rank because no code path nests them;
+  // Two plan caches share one rank because no code path nests them;
   // nesting two instances is therefore a violation by design (an ABBA
-  // deadlock between shards needs no rank inversion).
-  Mutex shard_a(lock_rank::kPlanCacheShard);
-  Mutex shard_b(lock_rank::kPlanCacheShard);
-  ExpectViolation(AcquirePair(shard_a, shard_b), lock_rank::kPlanCacheShard,
-                  lock_rank::kPlanCacheShard);
+  // deadlock between caches needs no rank inversion).
+  Mutex cache_a(lock_rank::kPlanCache);
+  Mutex cache_b(lock_rank::kPlanCache);
+  ExpectViolation(AcquirePair(cache_a, cache_b), lock_rank::kPlanCache,
+                  lock_rank::kPlanCache);
 }
 
 TEST_F(LockCheckTest, ThreeLockChainReportsHighestHeldRank) {
@@ -176,22 +176,6 @@ TEST_F(LockCheckTest, ThreeLockChainReportsHighestHeldRank) {
     MutexLock c(governor);
   }
   ExpectViolation(ViolationCapture::captured(), lock_rank::kGovernor,
-                  lock_rank::kMetrics);
-}
-
-TEST_F(LockCheckTest, SharedReaderThenLowerWriterIsCaught) {
-  // Rank checking is mode-blind: holding a metrics *read* lock while
-  // acquiring a lower-ranked writer is the same deadlock edge as the
-  // exclusive case (a pending writer on the shared mutex blocks new
-  // readers, closing the cycle).
-  ViolationCapture capture;
-  SharedMutex metrics(lock_rank::kMetrics);
-  SharedMutex shard(lock_rank::kPlanCacheShard);
-  {
-    ReaderMutexLock r(metrics);
-    WriterMutexLock w(shard);
-  }
-  ExpectViolation(ViolationCapture::captured(), lock_rank::kPlanCacheShard,
                   lock_rank::kMetrics);
 }
 
@@ -234,12 +218,12 @@ TEST_F(LockCheckTest, InOrderNestingReportsNothing) {
 
 TEST_F(LockCheckTest, SequentialReacquisitionReportsNothing) {
   // Dropping back to rank 0 between acquisitions is the legal way to touch
-  // many same-rank instances (plan-cache stats() iterates shards this way).
+  // many same-rank instances (one session probing two plan caches in turn).
   ViolationCapture capture;
-  Mutex shard_a(lock_rank::kPlanCacheShard);
-  Mutex shard_b(lock_rank::kPlanCacheShard);
-  { MutexLock a(shard_a); }
-  { MutexLock b(shard_b); }
+  Mutex cache_a(lock_rank::kPlanCache);
+  Mutex cache_b(lock_rank::kPlanCache);
+  { MutexLock a(cache_a); }
+  { MutexLock b(cache_b); }
   EXPECT_TRUE(ViolationCapture::captured().empty());
 }
 

@@ -215,6 +215,48 @@ TEST_F(PlanCacheTest, LruEvictsBeyondCapacity) {
   auto r = s.Prepare(q1);
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_FALSE(r->optimized.stats.plan_cached);
+
+  // A capacity-N cache holds N distinct plans: nothing is evicted until
+  // the N+1st, and every one of them is served warm afterwards.
+  const std::vector<std::string> distinct = {
+      std::string(kQuery1Text),
+      std::string(kQuery2Text),
+      std::string(kQuery3Text),
+      std::string(kQuery4Text),
+      q1,
+      q2,
+      "SELECT t.name FROM Task t IN Tasks WHERE t.time == 3;",
+      "SELECT e.name FROM Employee e IN Employees;",
+  };
+  auto eight = std::make_shared<PlanCache>(distinct.size());
+  Session full(&db_.catalog, WithCache(eight));
+  for (const std::string& q : distinct) ASSERT_TRUE(full.Prepare(q).ok()) << q;
+  EXPECT_EQ(eight->stats().entries, static_cast<int64_t>(distinct.size()));
+  EXPECT_EQ(eight->stats().evictions, 0);
+  for (const std::string& q : distinct) {
+    auto warm = full.Prepare(q);
+    ASSERT_TRUE(warm.ok()) << warm.status();
+    EXPECT_TRUE(warm->optimized.stats.plan_cached) << q;
+  }
+
+  // Eviction takes the least recently used entry: the hit on q1 makes q2
+  // the oldest, so inserting q3 evicts q2 and q1 stays warm.
+  const std::string q3 = distinct[6];
+  auto two = std::make_shared<PlanCache>(2);
+  Session lru(&db_.catalog, WithCache(two));
+  ASSERT_TRUE(lru.Prepare(q1).ok());
+  ASSERT_TRUE(lru.Prepare(q2).ok());
+  auto hit = lru.Prepare(q1);
+  ASSERT_TRUE(hit.ok()) << hit.status();
+  EXPECT_TRUE(hit->optimized.stats.plan_cached);
+  ASSERT_TRUE(lru.Prepare(q3).ok());
+  EXPECT_EQ(two->stats().evictions, 1);
+  auto kept = lru.Prepare(q1);
+  ASSERT_TRUE(kept.ok()) << kept.status();
+  EXPECT_TRUE(kept->optimized.stats.plan_cached);
+  auto evicted = lru.Prepare(q2);
+  ASSERT_TRUE(evicted.ok()) << evicted.status();
+  EXPECT_FALSE(evicted->optimized.stats.plan_cached);
 }
 
 TEST_F(PlanCacheTest, ExplainAnnotatesCachedPlan) {
@@ -231,8 +273,8 @@ TEST_F(PlanCacheTest, ExplainAnnotatesCachedPlan) {
 }
 
 // Four sessions on four threads hammering one shared cache over a mix of
-// queries (repeats + literal variants). Exercises the sharded lock paths:
-// concurrent shared-lock hits, insert races on the same key, evictions.
+// queries (repeats + literal variants). Exercises the cache lock paths:
+// concurrent hits, insert races on the same key, evictions.
 TEST_F(PlanCacheTest, ConcurrentSessionsShareCacheSafely) {
   const std::vector<std::string> mix = {
       std::string(kQuery1Text),
@@ -267,9 +309,9 @@ TEST_F(PlanCacheTest, ConcurrentSessionsShareCacheSafely) {
 
 // The heavy concurrency stress: 16 threads hammer one shared cache with a
 // mixed workload — warm repeats, cold keys, and concurrent ANALYZE-style
-// stats_version bumps that invalidate entries mid-flight — so every shard
-// transition (shared-lock hit, exclusive recency refresh, stale-entry
-// reclamation, insert, LRU eviction) races every other. CI repeats exactly
+// stats_version bumps that invalidate entries mid-flight — so every cache
+// transition (hit with recency refresh, stale-entry reclamation, insert,
+// LRU eviction) races every other. CI repeats exactly
 // this binary under ThreadSanitizer; in Debug the lock-rank registry checks
 // every acquisition the workload makes. Correctness bar: no failed Prepare,
 // accounting that adds up, the bump storm forced stale-entry reclamation,
@@ -394,7 +436,7 @@ TEST_F(PlanCacheTest, AnalyzeBracketsMutationWindow) {
 // value through a cache key) while preparer threads hammer the shared cache
 // with Tasks/Employees queries. The catalog has no internal lock around
 // collection statistics, so the races under test are exactly the version
-// atomics and the cache's shard transitions — after the storm, no entry may
+// atomics and the cache's lock transitions — after the storm, no entry may
 // be served stale.
 TEST_F(PlanCacheTest, ThreadedBumpingMutatorsNeverYieldStaleServes) {
   const std::vector<std::string> mix = {
