@@ -11,7 +11,9 @@ using namespace oodb;
 
 namespace {
 
-void RunQuery(Oo7Db* db, ObjectStore* store, const char* title,
+/// Parses, optimizes and executes one query, printing each stage. Returns
+/// false (after printing the error) if any stage fails.
+bool RunQuery(Oo7Db* db, ObjectStore* store, const char* title,
               const std::string& text) {
   std::printf("\n==== %s ====\n%s\n", title, text.c_str());
   QueryContext ctx;
@@ -19,25 +21,25 @@ void RunQuery(Oo7Db* db, ObjectStore* store, const char* title,
   auto logical = ParseAndSimplify(text, &ctx);
   if (!logical.ok()) {
     std::printf("  error: %s\n", logical.status().ToString().c_str());
-    return;
+    return false;
   }
   Optimizer optimizer(&db->catalog);
   auto planned = optimizer.Optimize(**logical, &ctx);
   if (!planned.ok()) {
     std::printf("  error: %s\n", planned.status().ToString().c_str());
-    return;
+    return false;
   }
   std::printf("plan (est. %.3f s):\n%s", planned->cost.total(),
               PrintPlan(*planned->plan, ctx).c_str());
   auto stats = ExecutePlan(*planned->plan, store, &ctx);
-  if (stats.ok()) {
-    std::printf("-> %lld rows, %lld pages read, simulated %.3f s\n",
-                static_cast<long long>(stats->rows),
-                static_cast<long long>(stats->pages_read),
-                stats->sim_total_s());
-  } else {
+  if (!stats.ok()) {
     std::printf("  execute error: %s\n", stats.status().ToString().c_str());
+    return false;
   }
+  std::printf("-> %lld rows, %lld pages read, simulated %.3f s\n",
+              static_cast<long long>(stats->rows),
+              static_cast<long long>(stats->pages_read), stats->sim_total_s());
+  return true;
 }
 
 }  // namespace
@@ -57,21 +59,23 @@ int main() {
               db->modules.size(), db->base_assemblies.size(),
               db->composite_parts.size(), db->atomic_parts.size());
 
-  RunQuery(db, store, "Exact-match atomic part lookup (OO7 Q1)",
-           Oo7QueryExactMatch(123));
+  bool ok = true;
+  ok &= RunQuery(db, store, "Exact-match atomic part lookup (OO7 Q1)",
+                 Oo7QueryExactMatch(123));
 
-  RunQuery(db, store, "Composite parts by document title (path index)",
-           Oo7QueryByDocTitle("Doc3"));
+  ok &= RunQuery(db, store, "Composite parts by document title (path index)",
+                 Oo7QueryByDocTitle("Doc3"));
 
-  RunQuery(db, store,
-           "Assemblies using components newer than themselves (OO7 Q5)",
-           kOo7QueryNewerComponents);
+  ok &= RunQuery(db, store,
+                 "Assemblies using components newer than themselves (OO7 Q5)",
+                 kOo7QueryNewerComponents);
 
-  RunQuery(db, store, "Full design traversal (OO7 T1 style, 3 unnest levels)",
-           kOo7QueryTraversal);
+  ok &= RunQuery(db, store,
+                 "Full design traversal (OO7 T1 style, 3 unnest levels)",
+                 kOo7QueryTraversal);
 
-  RunQuery(db, store, "Out-of-date assemblies below build date 10",
-           "SELECT b.id, b.buildDate FROM BaseAssembly b IN BaseAssemblies "
-           "WHERE b.buildDate < 10;");
-  return 0;
+  ok &= RunQuery(db, store, "Out-of-date assemblies below build date 10",
+                 "SELECT b.id, b.buildDate FROM BaseAssembly b "
+                 "IN BaseAssemblies WHERE b.buildDate < 10;");
+  return ok ? 0 : 1;
 }

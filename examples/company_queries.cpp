@@ -10,7 +10,9 @@ using namespace oodb;
 
 namespace {
 
-void RunQuery(const PaperDb& db, ObjectStore* store, const char* title,
+/// Parses, optimizes and executes one query, printing each stage. Returns
+/// false (after printing the error) if any stage fails.
+bool RunQuery(const PaperDb& db, ObjectStore* store, const char* title,
               const char* text) {
   std::printf("\n==== %s ====\n%s\n", title, text);
   QueryContext ctx;
@@ -18,21 +20,21 @@ void RunQuery(const PaperDb& db, ObjectStore* store, const char* title,
   auto logical = ParseAndSimplify(text, &ctx);
   if (!logical.ok()) {
     std::printf("  simplify error: %s\n", logical.status().ToString().c_str());
-    return;
+    return false;
   }
   Optimizer optimizer(&db.catalog);
   auto optimized = optimizer.Optimize(**logical, &ctx);
   if (!optimized.ok()) {
     std::printf("  optimize error: %s\n",
                 optimized.status().ToString().c_str());
-    return;
+    return false;
   }
   std::printf("plan (cost %.3f s):\n%s", optimized->cost.total(),
               PrintPlan(*optimized->plan, ctx).c_str());
   auto stats = ExecutePlan(*optimized->plan, store, &ctx);
   if (!stats.ok()) {
     std::printf("  execute error: %s\n", stats.status().ToString().c_str());
-    return;
+    return false;
   }
   std::printf("-> %lld rows (simulated %.3f s)",
               static_cast<long long>(stats->rows), stats->sim_total_s());
@@ -48,6 +50,7 @@ void RunQuery(const PaperDb& db, ObjectStore* store, const char* title,
     }
   }
   std::printf("\n");
+  return true;
 }
 
 }  // namespace
@@ -61,28 +64,31 @@ int main() {
     return 1;
   }
 
-  RunQuery(db, &store, "Employees working in a Dallas plant (paper Query 1)",
-           "SELECT e.name, e.job.name, e.dept.name "
-           "FROM Employee e IN Employees "
-           "WHERE e.dept.plant.location == \"Dallas\";");
+  bool ok = true;
+  ok &= RunQuery(db, &store,
+                 "Employees working in a Dallas plant (paper Query 1)",
+                 "SELECT e.name, e.job.name, e.dept.name "
+                 "FROM Employee e IN Employees "
+                 "WHERE e.dept.plant.location == \"Dallas\";");
 
-  RunQuery(db, &store, "Senior employees on floor 3 (explicit join)",
-           "SELECT e.name, d.name "
-           "FROM Employee e IN Employees, Department d IN Department "
-           "WHERE e.dept == d && d.floor == 3 && e.age >= 45;");
+  ok &= RunQuery(db, &store, "Senior employees on floor 3 (explicit join)",
+                 "SELECT e.name, d.name "
+                 "FROM Employee e IN Employees, Department d IN Department "
+                 "WHERE e.dept == d && d.floor == 3 && e.age >= 45;");
 
-  RunQuery(db, &store, "Tasks with a team member named Fred (EXISTS)",
-           "SELECT t.name FROM Task t IN Tasks "
-           "WHERE t.time == 7 && EXISTS (SELECT m FROM Employee m IN "
-           "t.team_members WHERE m.name == \"Fred\");");
+  ok &= RunQuery(db, &store, "Tasks with a team member named Fred (EXISTS)",
+                 "SELECT t.name FROM Task t IN Tasks "
+                 "WHERE t.time == 7 && EXISTS (SELECT m FROM Employee m IN "
+                 "t.team_members WHERE m.name == \"Fred\");");
 
-  RunQuery(db, &store, "Task rosters via a set-valued path range",
-           "SELECT t.name, m.name "
-           "FROM Task t IN Tasks, Employee m IN t.team_members "
-           "WHERE t.time == 3;");
+  ok &= RunQuery(db, &store, "Task rosters via a set-valued path range",
+                 "SELECT t.name, m.name "
+                 "FROM Task t IN Tasks, Employee m IN t.team_members "
+                 "WHERE t.time == 3;");
 
-  RunQuery(db, &store, "Well-paid employees by job (reverse link traversal)",
-           "SELECT e.name, e.job.name FROM Employee e IN Employees "
-           "WHERE e.job.name == \"Job7\" && e.salary >= 100000.0;");
-  return 0;
+  ok &= RunQuery(db, &store,
+                 "Well-paid employees by job (reverse link traversal)",
+                 "SELECT e.name, e.job.name FROM Employee e IN Employees "
+                 "WHERE e.job.name == \"Job7\" && e.salary >= 100000.0;");
+  return ok ? 0 : 1;
 }

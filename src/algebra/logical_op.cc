@@ -26,12 +26,6 @@ const char* LogicalOpKindName(LogicalOpKind kind) {
       return "Unnest";
     case LogicalOpKind::kJoin:
       return "Join";
-    case LogicalOpKind::kUnion:
-      return "Union";
-    case LogicalOpKind::kIntersect:
-      return "Intersect";
-    case LogicalOpKind::kDifference:
-      return "Difference";
   }
   return "?";
 }
@@ -89,12 +83,6 @@ LogicalOp LogicalOp::Join(ScalarExprPtr pred) {
   return op;
 }
 
-LogicalOp LogicalOp::SetOp(LogicalOpKind kind) {
-  LogicalOp op;
-  op.kind = kind;
-  return op;
-}
-
 int LogicalOp::Arity() const {
   switch (kind) {
     case LogicalOpKind::kGet:
@@ -105,9 +93,6 @@ int LogicalOp::Arity() const {
     case LogicalOpKind::kUnnest:
       return 1;
     case LogicalOpKind::kJoin:
-    case LogicalOpKind::kUnion:
-    case LogicalOpKind::kIntersect:
-    case LogicalOpKind::kDifference:
       return 2;
   }
   return 0;
@@ -130,10 +115,6 @@ bool LogicalOp::operator==(const LogicalOp& o) const {
     case LogicalOpKind::kMat:
     case LogicalOpKind::kUnnest:
       return source == o.source && field == o.field && target == o.target;
-    case LogicalOpKind::kUnion:
-    case LogicalOpKind::kIntersect:
-    case LogicalOpKind::kDifference:
-      return true;
   }
   return false;
 }
@@ -157,8 +138,6 @@ size_t LogicalOp::Hash() const {
     case LogicalOpKind::kUnnest:
       h = HashCombine(h, static_cast<size_t>(source) * 1009 +
                              static_cast<size_t>(field + 1) * 31 + target);
-      break;
-    default:
       break;
   }
   return h;
@@ -188,10 +167,6 @@ std::string LogicalOp::ToString(const QueryContext& ctx) const {
              b.def(target).name;
     case LogicalOpKind::kJoin:
       return "Join " + pred->ToString(b, s);
-    case LogicalOpKind::kUnion:
-    case LogicalOpKind::kIntersect:
-    case LogicalOpKind::kDifference:
-      return LogicalOpKindName(kind);
   }
   return "?";
 }
@@ -218,10 +193,6 @@ BindingSet LogicalOp::OutputBindings(
     }
     case LogicalOpKind::kJoin:
       return child_scopes[0].Union(child_scopes[1]);
-    case LogicalOpKind::kUnion:
-    case LogicalOpKind::kIntersect:
-    case LogicalOpKind::kDifference:
-      return child_scopes[0];
   }
   return BindingSet();
 }
@@ -306,13 +277,6 @@ Status LogicalOp::Validate(const QueryContext& ctx,
       if (!child_scopes[0].Union(child_scopes[1])
                .ContainsAll(pred->ReferencedBindings())) {
         return Status::PlanError("Join: predicate references out of scope");
-      }
-      return Status::OK();
-    case LogicalOpKind::kUnion:
-    case LogicalOpKind::kIntersect:
-    case LogicalOpKind::kDifference:
-      if (child_scopes[0] != child_scopes[1]) {
-        return Status::PlanError("set operator: child scopes differ");
       }
       return Status::OK();
   }

@@ -1,7 +1,7 @@
 // The Open OODB logical algebra (paper §3): Get, Select, Project, Join,
-// Unnest, the novel Mat (materialize) operator, and the set operators
-// Union / Intersect / Difference. Operator arguments are deliberately
-// *simple* — all path traversal is explicit in Mat/Unnest operators.
+// Unnest and the novel Mat (materialize) operator. Operator arguments are
+// deliberately *simple* — all path traversal is explicit in Mat/Unnest
+// operators.
 #ifndef OODB_ALGEBRA_LOGICAL_OP_H_
 #define OODB_ALGEBRA_LOGICAL_OP_H_
 
@@ -40,14 +40,11 @@ enum class LogicalOpKind {
   kMat,        ///< materialize: bring a referenced component into scope
   kUnnest,     ///< reveal the references in a set-valued field
   kJoin,       ///< join two scopes on a predicate
-  kUnion,      ///< set union of two inputs with identical scope
-  kIntersect,  ///< set intersection
-  kDifference, ///< set difference
 };
 
 const char* LogicalOpKindName(LogicalOpKind kind);
 
-/// Logical operators are at most binary (Join and the set operators).
+/// Logical operators are at most binary (Join).
 inline constexpr int kMaxLogicalArity = 2;
 
 /// One logical operator (without children — trees and memo m-exprs attach
@@ -81,7 +78,6 @@ struct LogicalOp {
   static LogicalOp MatRef(BindingId ref_binding, BindingId target);
   static LogicalOp Unnest(BindingId source, FieldId set_field, BindingId target);
   static LogicalOp Join(ScalarExprPtr pred);
-  static LogicalOp SetOp(LogicalOpKind kind);
 
   /// Number of children this operator takes (at most kMaxLogicalArity).
   int Arity() const;
@@ -96,8 +92,7 @@ struct LogicalOp {
   BindingSet OutputBindings(const std::vector<BindingSet>& child_scopes) const;
 
   /// Checks operator validity against child scopes: predicate references in
-  /// scope, Mat source in scope & target fresh, join scopes disjoint, set-op
-  /// scopes identical, etc.
+  /// scope, Mat source in scope & target fresh, join scopes disjoint, etc.
   Status Validate(const QueryContext& ctx,
                   const std::vector<BindingSet>& child_scopes) const;
 };

@@ -78,22 +78,6 @@ Result<LogicalProps> DeriveLogicalProps(
       out.tuple_bytes = child_props[0].tuple_bytes + child_props[1].tuple_bytes;
       return out;
     }
-    case LogicalOpKind::kUnion:
-      out.card = child_props[0].card + child_props[1].card;
-      out.tuple_bytes = child_props[0].tuple_bytes;
-      return out;
-    case LogicalOpKind::kIntersect: {
-      // l·r/(l+r): associative and commutative, so every bracketing the
-      // setop rules produce derives the same estimate; 0 if a side is empty.
-      double l = child_props[0].card, r = child_props[1].card;
-      out.card = l + r > 0.0 ? l * r / (l + r) : 0.0;
-      out.tuple_bytes = child_props[0].tuple_bytes;
-      return out;
-    }
-    case LogicalOpKind::kDifference:
-      out.card = 0.5 * child_props[0].card;
-      out.tuple_bytes = child_props[0].tuple_bytes;
-      return out;
   }
   return Status::Internal("unhandled logical operator in DeriveLogicalProps");
 }

@@ -51,7 +51,7 @@ struct GovernorOptions {
   int64_t max_phys_alternatives = 0;
   /// Executor budgets: output rows, simulated page reads, and bytes of
   /// tuples buffered by blocking operators (hash build / sort / nested
-  /// loops / set ops). 0 disables each.
+  /// loops). 0 disables each.
   int64_t max_exec_rows = 0;
   int64_t max_exec_pages = 0;
   int64_t max_tracked_bytes = 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -1042,114 +1041,6 @@ class ProjectExec : public ExecNode {
 };
 
 // ---------------------------------------------------------------------------
-// Hash-based set operations over whole-tuple identity (the slot refs).
-// ---------------------------------------------------------------------------
-class HashSetOpExec : public ExecNode {
- public:
-  HashSetOpExec(ExecEnv env, const PhysicalOp& op, BindingSet scope,
-                std::unique_ptr<ExecNode> left, std::unique_ptr<ExecNode> right)
-      : env_(env), op_(op), scope_(scope), left_(std::move(left)),
-        right_(std::move(right)) {}
-
-  Status Open() override {
-    OODB_RETURN_IF_ERROR(left_->Open());
-    OODB_RETURN_IF_ERROR(right_->Open());
-    BatchReader left_reader(left_.get(), env_.num_bindings(), env_.batch_size);
-    BatchReader right_reader(right_.get(), env_.num_bindings(),
-                             env_.batch_size);
-    TupleRef t;
-    // Materialize the left side keyed by identity.
-    while (true) {
-      OODB_ASSIGN_OR_RETURN(bool more, left_reader.NextRef(&t));
-      if (!more) break;
-      env_.clock().cpu_s += env_.timing().cpu_hash_build_s;
-      OODB_RETURN_IF_ERROR(env_.ChargeBuffered());
-      left_table_.emplace(KeyOf(t), Tuple(t));
-    }
-    left_->Close();
-
-    switch (op_.kind) {
-      case PhysOpKind::kHashUnion: {
-        for (auto& [key, tuple] : left_table_) {
-          (void)key;
-          out_.push_back(tuple);
-        }
-        std::map<std::string, Tuple> seen;
-        while (true) {
-          OODB_ASSIGN_OR_RETURN(bool more, right_reader.NextRef(&t));
-          if (!more) break;
-          env_.clock().cpu_s += env_.timing().cpu_hash_probe_s;
-          std::string k = KeyOf(t);
-          if (left_table_.count(k) == 0 && seen.count(k) == 0) {
-            seen.emplace(k, Tuple(t));
-            out_.emplace_back(t);
-          }
-        }
-        break;
-      }
-      case PhysOpKind::kHashIntersect: {
-        std::map<std::string, Tuple> seen;
-        while (true) {
-          OODB_ASSIGN_OR_RETURN(bool more, right_reader.NextRef(&t));
-          if (!more) break;
-          env_.clock().cpu_s += env_.timing().cpu_hash_probe_s;
-          std::string k = KeyOf(t);
-          if (left_table_.count(k) != 0 && seen.count(k) == 0) {
-            seen.emplace(k, Tuple(t));
-            out_.emplace_back(t);
-          }
-        }
-        break;
-      }
-      default: {  // difference
-        while (true) {
-          OODB_ASSIGN_OR_RETURN(bool more, right_reader.NextRef(&t));
-          if (!more) break;
-          env_.clock().cpu_s += env_.timing().cpu_hash_probe_s;
-          left_table_.erase(KeyOf(t));
-        }
-        for (auto& [key, tuple] : left_table_) {
-          (void)key;
-          out_.push_back(tuple);
-        }
-        break;
-      }
-    }
-    right_->Close();
-    return Status::OK();
-  }
-
-  Result<size_t> Next(TupleBatch* out) override {
-    OODB_RETURN_IF_ERROR(env_.Tick());
-    out->Clear();
-    while (!out->full() && pos_ < out_.size()) {
-      out->AppendRow().CopyFrom(out_[pos_++]);
-    }
-    return out->size();
-  }
-
-  void Close() override {}
-
- private:
-  std::string KeyOf(TupleRef t) {
-    std::string key;
-    for (BindingId b : scope_.ToVector()) {
-      key += std::to_string(t.slot(b).ref);
-      key += '|';
-    }
-    return key;
-  }
-
-  ExecEnv env_;
-  PhysicalOp op_;
-  BindingSet scope_;
-  std::unique_ptr<ExecNode> left_, right_;
-  std::map<std::string, Tuple> left_table_;
-  std::vector<Tuple> out_;
-  size_t pos_ = 0;
-};
-
-// ---------------------------------------------------------------------------
 // Buffered rows of an order operator: a flat Slot arena of fixed-width rows
 // plus the delivery order over them (row indices). Sort and TopK buffer here
 // and emit by gathering through the order.
@@ -1596,7 +1487,7 @@ class StatsExec : public ExecNode {
         prof_(env.profile->Register(node)) {}
 
   Status Open() override {
-    // Blocking operators (hash build, sort, set ops) do their heavy work in
+    // Blocking operators (hash build, sort) do their heavy work in
     // Open — span it so their time lands on the right node.
     Snapshot before = Take();
     Status status = inner_->Open();
@@ -1825,12 +1716,6 @@ Result<std::unique_ptr<ExecNode>> BuildExecNodeImpl(const ExecEnv& env,
     case PhysOpKind::kAlgUnnest:
       return std::unique_ptr<ExecNode>(
           new UnnestExec(env, plan.op, std::move(children[0])));
-    case PhysOpKind::kHashUnion:
-    case PhysOpKind::kHashIntersect:
-    case PhysOpKind::kHashDifference:
-      return std::unique_ptr<ExecNode>(new HashSetOpExec(
-          env, plan.op, plan.logical.scope, std::move(children[0]),
-          std::move(children[1])));
     case PhysOpKind::kSort:
       // The operator shares the decorator's OpProfile slot (Register is
       // idempotent per node) to record its run/heap counters.

@@ -138,7 +138,7 @@ struct ExecEnv {
   }
 
   /// Charges `rows` tuples buffered by a blocking operator (hash build,
-  /// sort, nested-loops buffer, set ops) against the tracked-memory budget.
+  /// sort, nested-loops buffer) against the tracked-memory budget.
   Status ChargeBuffered(int64_t rows = 1) const {
     if (governor == nullptr) return Status::OK();
     return governor->ChargeTrackedBytes(rows *
@@ -156,7 +156,7 @@ inline double LogCeil(size_t n) {
 }
 
 /// Adapts a batch-producing child to tuple-at-a-time consumption for
-/// blocking operators (hash build, sort, set ops) and the merge join's
+/// blocking operators (hash build, sort) and the merge join's
 /// streaming cursors. Owns the child-facing batch; each Next() copies one
 /// row out, so the returned tuple survives batch refills.
 class BatchReader {

@@ -1,7 +1,6 @@
 #include "src/exec/reference.h"
 
-#include <algorithm>
-#include <map>
+#include <utility>
 
 namespace oodb {
 
@@ -87,10 +86,6 @@ class ReferenceEvaluator {
         }
         return out;
       }
-      case LogicalOpKind::kUnion:
-      case LogicalOpKind::kIntersect:
-      case LogicalOpKind::kDifference:
-        return EvalSetOp(expr);
     }
     return Status::Internal("unhandled operator in reference evaluator");
   }
@@ -107,46 +102,6 @@ class ReferenceEvaluator {
                             store_->Read(oid, /*charge_io=*/false));
       t.slot(op.binding) = {oid, obj};
       out.push_back(std::move(t));
-    }
-    return out;
-  }
-
-  Result<std::vector<Tuple>> EvalSetOp(const LogicalExpr& expr) {
-    OODB_ASSIGN_OR_RETURN(std::vector<Tuple> left, Eval(*expr.children[0]));
-    OODB_ASSIGN_OR_RETURN(std::vector<Tuple> right, Eval(*expr.children[1]));
-    BindingSet scope = expr.Scope();
-    auto key = [&](const Tuple& t) {
-      std::string k;
-      for (BindingId b : scope.ToVector()) {
-        k += std::to_string(t.slot(b).ref);
-        k += '|';
-      }
-      return k;
-    };
-    std::map<std::string, Tuple> l, r;
-    for (Tuple& t : left) l.emplace(key(t), std::move(t));
-    for (Tuple& t : right) r.emplace(key(t), std::move(t));
-    std::vector<Tuple> out;
-    switch (expr.op.kind) {
-      case LogicalOpKind::kUnion:
-        for (auto& [k, t] : l) {
-          (void)k;
-          out.push_back(t);
-        }
-        for (auto& [k, t] : r) {
-          if (l.count(k) == 0) out.push_back(t);
-        }
-        break;
-      case LogicalOpKind::kIntersect:
-        for (auto& [k, t] : l) {
-          if (r.count(k) != 0) out.push_back(t);
-        }
-        break;
-      default:
-        for (auto& [k, t] : l) {
-          if (r.count(k) == 0) out.push_back(t);
-        }
-        break;
     }
     return out;
   }

@@ -67,7 +67,7 @@ struct TupleRef {
 };
 
 /// Owning row used where tuples must outlive their source batch (hash-join
-/// build tables, sort buffers, nested-loops buffers, set-op materialization).
+/// build tables, sort buffers, nested-loops buffers).
 struct Tuple {
   std::vector<Slot> slots;
 

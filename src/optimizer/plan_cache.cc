@@ -17,7 +17,6 @@ struct CacheMetrics {
   Counter* misses;
   Counter* evictions;
   Counter* invalidations;
-  Counter* drift_evictions;
 
   static const CacheMetrics& Get() {
     static const CacheMetrics m = [] {
@@ -32,9 +31,6 @@ struct CacheMetrics {
       m.invalidations =
           r.counter("oodb_plan_cache_invalidations_total",
                     "Entries dropped for stale catalog statistics.");
-      m.drift_evictions =
-          r.counter("oodb_plan_cache_drift_evictions_total",
-                    "Entries evicted for observed execution drift.");
       return m;
     }();
     return m;
@@ -140,7 +136,6 @@ void PlanCache::Insert(const PlanCacheKey& key,
   if (it != index_.end()) {
     // A concurrent session optimized the same query; keep the newer result.
     it->second->entry = std::move(entry);
-    it->second->drift = 1.0;
     lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
@@ -151,27 +146,6 @@ void PlanCache::Insert(const PlanCacheKey& key,
     ++stats_.evictions;
     CacheMetrics::Get().evictions->Increment();
   }
-}
-
-bool PlanCache::RecordDrift(const PlanCacheKey& key, double drift,
-                            double evict_threshold) {
-  MutexLock lock(mu_);
-  auto it = index_.find(key);
-  if (it == index_.end()) return false;
-  if (evict_threshold <= 0.0 || drift <= evict_threshold) {
-    it->second->drift = std::max(it->second->drift, drift);
-    return false;
-  }
-  EraseLocked(it->second);
-  ++stats_.drift_evictions;
-  CacheMetrics::Get().drift_evictions->Increment();
-  return true;
-}
-
-double PlanCache::ObservedDrift(const PlanCacheKey& key) {
-  MutexLock lock(mu_);
-  auto it = index_.find(key);
-  return it == index_.end() ? 1.0 : it->second->drift;
 }
 
 PlanCacheStats PlanCache::stats() const {

@@ -65,7 +65,6 @@ struct PlanCacheStats {
   int64_t misses = 0;
   int64_t evictions = 0;      ///< LRU capacity evictions
   int64_t invalidations = 0;  ///< entries dropped on stats_version mismatch
-  int64_t drift_evictions = 0;  ///< entries dropped for observed exec drift
   int64_t entries = 0;        ///< currently resident
 };
 
@@ -104,19 +103,6 @@ class PlanCache {
   void Insert(const PlanCacheKey& key,
               std::shared_ptr<const CachedPlan> entry);
 
-  /// Records an execution's observed MaxDriftRatio on `key`'s entry (kept
-  /// as the per-entry worst) and, when `evict_threshold` > 0 and the drift
-  /// exceeds it, evicts the entry so the next Prepare re-optimizes — the
-  /// drift-feedback path that retires misestimated plans even when no
-  /// ANALYZE ever bumps the stats version. Returns true when the entry was
-  /// evicted. No-op when the key is no longer resident.
-  bool RecordDrift(const PlanCacheKey& key, double drift,
-                   double evict_threshold);
-
-  /// The per-entry worst observed drift for `key` (1.0 when absent or
-  /// never recorded) — test/observability hook.
-  double ObservedDrift(const PlanCacheKey& key);
-
   PlanCacheStats stats() const;
   size_t capacity() const { return capacity_; }
   void Clear();
@@ -125,9 +111,6 @@ class PlanCache {
   struct Slot {
     PlanCacheKey key;
     std::shared_ptr<const CachedPlan> entry;
-    /// Worst MaxDriftRatio observed across executions served from this
-    /// entry (1.0 = none recorded).
-    double drift = 1.0;
   };
   using SlotList = std::list<Slot>;
 

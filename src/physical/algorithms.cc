@@ -95,13 +95,6 @@ Cost AlgUnnestCost(const CostModel& cm, double out_card) {
   return Cost::Cpu(out_card * cm.opts().cpu_unnest_s);
 }
 
-Cost HashSetOpCost(const CostModel& cm, double left_card, double left_bytes,
-                   double right_card, double right_bytes) {
-  Cost c = cm.HashJoinCpu(left_card, right_card);
-  c += cm.HashJoinOverflowIo(left_card * left_bytes, right_card * right_bytes);
-  return c;
-}
-
 Cost SortCost(const CostModel& cm, double card, double bytes) {
   double n = std::max(card, 2.0);
   Cost c = Cost::Cpu(n * std::log2(n) * cm.opts().cpu_hash_probe_s);

@@ -58,10 +58,6 @@ Cost AlgProjectCost(const CostModel& cm, double card, double out_bytes);
 /// Set-valued field expansion: per-output-element CPU.
 Cost AlgUnnestCost(const CostModel& cm, double out_card);
 
-/// Hash-based set operations: build smaller side, probe larger.
-Cost HashSetOpCost(const CostModel& cm, double left_card, double left_bytes,
-                   double right_card, double right_bytes);
-
 /// Sort enforcer: n log n CPU plus external-merge I/O beyond memory.
 Cost SortCost(const CostModel& cm, double card, double bytes);
 

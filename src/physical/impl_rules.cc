@@ -536,49 +536,6 @@ class UnnestToAlgUnnest : public ImplRule {
 };
 
 // ---------------------------------------------------------------------------
-// Union/Intersect/Difference -> hash-based set matching
-// ---------------------------------------------------------------------------
-class SetOpToHash : public ImplRule {
- public:
-  explicit SetOpToHash(LogicalOpKind kind) : kind_(kind) {}
-  const char* name() const override { return kImplHashSetOps; }
-  LogicalOpKind root_kind() const override { return kind_; }
-
-  Status Apply(OptContext& ctx, const LogicalMExpr& mexpr,
-               const PhysProps& required,
-               std::vector<PhysAlternative>* out) const override {
-    GroupId left = ctx.memo->Find(mexpr.children[0]);
-    GroupId right = ctx.memo->Find(mexpr.children[1]);
-    PhysAlternative alt;
-    switch (kind_) {
-      case LogicalOpKind::kUnion:
-        alt.op.kind = PhysOpKind::kHashUnion;
-        break;
-      case LogicalOpKind::kIntersect:
-        alt.op.kind = PhysOpKind::kHashIntersect;
-        break;
-      default:
-        alt.op.kind = PhysOpKind::kHashDifference;
-        break;
-    }
-    PhysProps child_req = required;
-    child_req.sort = SortSpec{};  // hash set-matching scrambles order
-    child_req.limit = 0;
-    alt.inputs = {{left, child_req}, {right, child_req}};
-    alt.delivered = child_req;
-    const LogicalProps& lp = ctx.memo->group(left).props;
-    const LogicalProps& rp = ctx.memo->group(right).props;
-    alt.local_cost = HashSetOpCost(*ctx.cost_model, lp.card, lp.tuple_bytes,
-                                   rp.card, rp.tuple_bytes);
-    out->push_back(std::move(alt));
-    return Status::OK();
-  }
-
- private:
-  LogicalOpKind kind_;
-};
-
-// ---------------------------------------------------------------------------
 // Join -> Merge Join (extension; requires sorted inputs via the Sort
 // enforcer, demonstrating sort-order as a physical property)
 // ---------------------------------------------------------------------------
@@ -648,9 +605,6 @@ std::vector<std::unique_ptr<ImplRule>> MakeDefaultImplRules() {
   rules.push_back(std::make_unique<JoinToNestedLoops>());
   rules.push_back(std::make_unique<ProjectToAlgProject>());
   rules.push_back(std::make_unique<UnnestToAlgUnnest>());
-  rules.push_back(std::make_unique<SetOpToHash>(LogicalOpKind::kUnion));
-  rules.push_back(std::make_unique<SetOpToHash>(LogicalOpKind::kIntersect));
-  rules.push_back(std::make_unique<SetOpToHash>(LogicalOpKind::kDifference));
   rules.push_back(std::make_unique<JoinToMergeJoin>());
   return rules;
 }

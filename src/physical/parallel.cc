@@ -125,8 +125,8 @@ const PlanNode* FindPartitionableScan(const PlanNode& plan) {
     case PhysOpKind::kNestedLoops:     // buffer replicated, right partitioned
       return FindPartitionableScan(*plan.children[1]);
     default:
-      // Merge join and set ops depend on seeing the whole input; a nested
-      // exchange partitions for itself.
+      // Merge join depends on seeing the whole input; a nested exchange
+      // partitions for itself.
       return nullptr;
   }
 }

@@ -19,7 +19,7 @@ namespace oodb {
 /// streaming side of each operator (the probe side of hash joins, the right
 /// side of nested loops, the only child of unary operators) down to a file
 /// or index scan. Null when the chain hits an order- or partition-sensitive
-/// operator (sort, merge join, set ops, another exchange). Shared between
+/// operator (sort, merge join, another exchange). Shared between
 /// this planner pass and the Exchange executor, so the plant decision and
 /// the per-worker partitioned scans agree on the same node.
 const PlanNode* FindPartitionableScan(const PlanNode& plan);

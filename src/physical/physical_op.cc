@@ -22,12 +22,6 @@ const char* PhysOpKindName(PhysOpKind kind) {
       return "Alg-Project";
     case PhysOpKind::kAlgUnnest:
       return "Alg-Unnest";
-    case PhysOpKind::kHashUnion:
-      return "Hash Union";
-    case PhysOpKind::kHashIntersect:
-      return "Hash Intersect";
-    case PhysOpKind::kHashDifference:
-      return "Hash Difference";
     case PhysOpKind::kSort:
       return "Sort";
     case PhysOpKind::kTopK:
@@ -86,10 +80,6 @@ std::string PhysicalOp::ToString(const QueryContext& ctx) const {
       return name + " " + b.def(source).name + "." +
              s.type(b.def(source).type).field(field).name + ": " +
              b.def(target).name;
-    case PhysOpKind::kHashUnion:
-    case PhysOpKind::kHashIntersect:
-    case PhysOpKind::kHashDifference:
-      return name;
     case PhysOpKind::kSort:
     case PhysOpKind::kTopK: {
       std::vector<std::string> parts;

@@ -1,8 +1,8 @@
 // The physical algebra: the execution algorithms of the Open OODB engine
 // (paper §3 "Execution Algorithms"): file and index scans, filter, hybrid
 // hash join, pointer-based join, complex-object assembly (also the enforcer
-// of presence-in-memory), Alg-Project, Alg-Unnest, hash-based set matching,
-// plus Sort and MergeJoin extension algorithms.
+// of presence-in-memory), Alg-Project and Alg-Unnest, plus Sort and
+// MergeJoin extension algorithms.
 #ifndef OODB_PHYSICAL_PHYSICAL_OP_H_
 #define OODB_PHYSICAL_PHYSICAL_OP_H_
 
@@ -22,9 +22,6 @@ enum class PhysOpKind {
   kAssembly,       ///< windowed complex-object assembly (Keller et al.)
   kAlgProject,     ///< output construction
   kAlgUnnest,      ///< set-valued field expansion
-  kHashUnion,      ///< hash-based duplicate-eliminating union
-  kHashIntersect,  ///< hash-based intersection
-  kHashDifference, ///< hash-based difference
   kSort,           ///< sort enforcer (extension)
   kTopK,           ///< bounded-heap top-k: ORDER BY ... LIMIT enforcer
   kMergeJoin,      ///< merge join on sorted inputs (extension)

@@ -148,10 +148,6 @@ struct FingerprintWalker {
               static_cast<uint64_t>(op.field) * 8191 +
               static_cast<uint64_t>(op.target));
         break;
-      case LogicalOpKind::kUnion:
-      case LogicalOpKind::kIntersect:
-      case LogicalOpKind::kDifference:
-        break;
     }
   }
 

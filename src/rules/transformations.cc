@@ -130,54 +130,6 @@ class SelectJoinPush : public TransformationRule {
   }
 };
 
-// ---------------------------------------------------------------------------
-// Set-operator commutativity / associativity (Union, Intersect)
-// ---------------------------------------------------------------------------
-class SetOpCommute : public TransformationRule {
- public:
-  explicit SetOpCommute(LogicalOpKind kind) : kind_(kind) {}
-  const char* name() const override { return kRuleSetOpCommute; }
-  LogicalOpKind root_kind() const override { return kind_; }
-  bool self_inverse() const override { return true; }
-
-  Status Apply(OptContext& ctx, const LogicalMExpr& mexpr,
-               std::vector<RuleExprPtr>* out) const override {
-    (void)ctx;
-    out->push_back(RuleExpr::Op(mexpr.op,
-                                {RuleExpr::GroupLeaf(mexpr.children[1]),
-                                 RuleExpr::GroupLeaf(mexpr.children[0])}));
-    return Status::OK();
-  }
-
- private:
-  LogicalOpKind kind_;
-};
-
-class SetOpAssoc : public TransformationRule {
- public:
-  explicit SetOpAssoc(LogicalOpKind kind) : kind_(kind) {}
-  const char* name() const override { return kRuleSetOpAssoc; }
-  LogicalOpKind root_kind() const override { return kind_; }
-  bool matches_children() const override { return true; }
-
-  Status Apply(OptContext& ctx, const LogicalMExpr& mexpr,
-               std::vector<RuleExprPtr>* out) const override {
-    GroupId c = ctx.memo->Find(mexpr.children[1]);
-    ChildMExprs(ctx, mexpr, kind_, [&](const LogicalMExpr& lower) {
-      out->push_back(RuleExpr::Op(
-          LogicalOp::SetOp(kind_),
-          {RuleExpr::GroupLeaf(ctx.memo->Find(lower.children[0])),
-           RuleExpr::Op(LogicalOp::SetOp(kind_),
-                        {RuleExpr::GroupLeaf(ctx.memo->Find(lower.children[1])),
-                         RuleExpr::GroupLeaf(c)})}));
-    });
-    return Status::OK();
-  }
-
- private:
-  LogicalOpKind kind_;
-};
-
 }  // namespace
 
 std::vector<std::unique_ptr<TransformationRule>> MakeDefaultTransformations() {
@@ -189,10 +141,6 @@ std::vector<std::unique_ptr<TransformationRule>> MakeDefaultTransformations() {
       std::make_unique<SelectPushBelow>(K::kUnnest, kRuleSelectUnnestCommute));
   for (auto& rule : MakeJoinOrderRules()) rules.push_back(std::move(rule));
   rules.push_back(std::make_unique<SelectJoinPush>());
-  rules.push_back(std::make_unique<SetOpCommute>(LogicalOpKind::kUnion));
-  rules.push_back(std::make_unique<SetOpCommute>(LogicalOpKind::kIntersect));
-  rules.push_back(std::make_unique<SetOpAssoc>(LogicalOpKind::kUnion));
-  rules.push_back(std::make_unique<SetOpAssoc>(LogicalOpKind::kIntersect));
   return rules;
 }
 

@@ -1,8 +1,8 @@
 // The transformation rule set (paper §3 "Transformation Rules"): Selects
-// pushed below Mats, Unnests and joins, the set-operator rules, and the
-// join-order rule (src/rules/join_order.h), which places every join, Mat
-// and Unnest of a join graph and carries the Mat -> Join rewrite that lets
-// set-matching algorithms compete with pointer chasing.
+// pushed below Mats, Unnests and joins, and the join-order rule
+// (src/rules/join_order.h), which places every join, Mat and Unnest of a
+// join graph and carries the Mat -> Join rewrite that lets set-matching
+// algorithms compete with pointer chasing.
 #ifndef OODB_RULES_TRANSFORMATIONS_H_
 #define OODB_RULES_TRANSFORMATIONS_H_
 

@@ -262,11 +262,6 @@ Result<SessionResult> Session::Prepare(const std::string& zql) {
   cache_props.limit = LimitBucket(limit);
   PlanCacheKey key{qfp.fp, cache_props,
                    HashOptimizerOptions(options_.optimizer)};
-  // Remember the key: Query records post-execution drift against the entry
-  // (drift-based eviction needs to find it again).
-  out.cache_key = key;
-  out.cache_keyed = true;
-
   if (std::optional<OptimizedQuery> hit = cache->Lookup(
           key, version, *out.logical, out.ctx.bindings, qfp.literals)) {
     out.optimized = std::move(*hit);
@@ -496,11 +491,6 @@ void Session::MaybeAdapt(SessionResult* r, const ExecProfile& profile) {
   const double drift = MaxDriftRatio(*r->optimized.plan, profile);
   r->observed_drift = drift;
   ++executed_since_analyze_;
-  if (PlanCache* cache = plan_cache();
-      cache != nullptr && r->cache_keyed) {
-    r->drift_evicted =
-        cache->RecordDrift(r->cache_key, drift, a.evict_drift_threshold);
-  }
   if (a.analyze_drift_threshold > 0.0 && drift > a.analyze_drift_threshold &&
       executed_since_analyze_ >= std::max(1, a.analyze_cooldown)) {
     // Statistics are provably stale enough to mis-plan; refresh them now,
@@ -603,11 +593,9 @@ Result<std::string> Session::ExplainAnalyze(const std::string& zql) {
   if (r.replans > 0 && r.feedback != nullptr) {
     out += "replan: " + r.feedback->Summary() + "\n";
   }
-  if (r.drift_evicted || r.auto_analyzed) {
-    out += "adaptive: drift=" + FormatDouble(r.observed_drift, 2) + "x";
-    if (r.drift_evicted) out += " cache=evicted";
-    if (r.auto_analyzed) out += " analyze=triggered";
-    out += "\n";
+  if (r.auto_analyzed) {
+    out += "adaptive: drift=" + FormatDouble(r.observed_drift, 2) +
+           "x analyze=triggered\n";
   }
   if (!stats.ok()) {
     out += "exec: FAILED(" + stats.status().ToString() + ")";

@@ -44,9 +44,8 @@ struct RetryPolicy {
 };
 
 /// Drift-driven adaptation (Session::Options::adaptive). Inert by default:
-/// every threshold 0 means no drift checks, no drift-based cache eviction,
-/// and no auto-ANALYZE — exactly the seed behavior. Three layers, armed
-/// independently:
+/// every threshold 0 means no drift checks and no auto-ANALYZE — exactly the
+/// seed behavior. Two layers, armed independently:
 ///   - replan_drift_threshold: mid-query re-optimization. Pipeline-breaker
 ///     inputs (hash-join build, Sort/TopK input) abort with kPlanDrift when
 ///     actual rows drift past the estimate by this factor; the session
@@ -54,10 +53,6 @@ struct RetryPolicy {
 ///     with observed cardinalities, and re-executes the corrected plan. The
 ///     re-plan rides the retry trail (SessionResult::attempts) and is
 ///     charged to the governor's retry budget.
-///   - evict_drift_threshold: post-execution, the observed MaxDriftRatio is
-///     recorded on the plan-cache entry; past the threshold the entry is
-///     evicted so the next Prepare re-optimizes — retiring misestimated
-///     plans even when no ANALYZE ever bumps the stats version.
 ///   - analyze_drift_threshold: past this drift, the session triggers a
 ///     rate-limited ANALYZE of the store (charged to the statement's
 ///     governor), bumping the stats version and invalidating *all* plans
@@ -71,9 +66,6 @@ struct AdaptiveOptions {
   /// with drift checks disarmed once the budget is spent, so a statement
   /// always terminates.
   int max_replans = 1;
-  /// Post-execution drift past which the served plan-cache entry is evicted
-  /// (0 = off).
-  double evict_drift_threshold = 0.0;
   /// Post-execution drift past which an automatic ANALYZE refreshes catalog
   /// statistics (0 = off).
   double analyze_drift_threshold = 0.0;
@@ -84,10 +76,8 @@ struct AdaptiveOptions {
   /// with the statement's governor).
   AnalyzeOptions analyze;
 
-  /// Any post-execution layer armed (requires a profile even on Query).
-  bool feedback_enabled() const {
-    return evict_drift_threshold > 0.0 || analyze_drift_threshold > 0.0;
-  }
+  /// The post-execution layer armed (requires a profile even on Query).
+  bool feedback_enabled() const { return analyze_drift_threshold > 0.0; }
   bool replan_enabled() const {
     return replan_drift_threshold > 0.0 && max_replans > 0;
   }
@@ -135,14 +125,9 @@ struct SessionResult {
   std::shared_ptr<const CardFeedback> feedback;
   /// Mid-query re-optimizations performed for this statement.
   int replans = 0;
-  /// Plan-cache key the statement was keyed under (valid when cache_keyed);
-  /// Query records post-execution drift against it.
-  PlanCacheKey cache_key;
-  bool cache_keyed = false;
-  /// Post-execution adaptation outcome (meaningful after Query /
-  /// ExplainAnalyze when Options::adaptive is armed).
+  /// Worst cardinality drift observed on the executed plan (meaningful
+  /// after Query / ExplainAnalyze when auto-ANALYZE is armed).
   double observed_drift = 1.0;
-  bool drift_evicted = false;
   bool auto_analyzed = false;
 
   std::string PlanText(bool with_costs = false) const {
@@ -171,8 +156,8 @@ class Session {
     /// Query-level execution retry and degradation ladder. Inert by
     /// default (single attempt).
     RetryPolicy retry;
-    /// Drift-driven adaptation: mid-query re-planning, drift-based plan
-    /// cache eviction, and auto-ANALYZE. Inert by default.
+    /// Drift-driven adaptation: mid-query re-planning and auto-ANALYZE.
+    /// Inert by default.
     AdaptiveOptions adaptive;
     /// A plan cache shared with other sessions over the *same catalog*
     /// (the throughput path for concurrent multi-session traffic). When
@@ -260,10 +245,8 @@ class Session {
   /// drift checks and re-executes the original plan.
   Status ReplanWithFeedback(SessionResult* r, const ExecProfile& profile);
 
-  /// Post-execution adaptation: records the observed MaxDriftRatio on the
-  /// plan-cache entry (evicting past Options::adaptive.evict_drift_threshold)
-  /// and triggers the rate-limited auto-ANALYZE past
-  /// analyze_drift_threshold.
+  /// Post-execution adaptation: triggers the rate-limited auto-ANALYZE when
+  /// the statement's observed drift passes analyze_drift_threshold.
   void MaybeAdapt(SessionResult* r, const ExecProfile& profile);
 
   Catalog* catalog_;

@@ -65,7 +65,6 @@ inline constexpr const char* kPlanJoinOverlap = "plan-join-scope-overlap";
 inline constexpr const char* kPlanHashJoinPred = "plan-hash-join-pred-shape";
 inline constexpr const char* kPlanHashJoinOrientation =
     "plan-hash-join-orientation";
-inline constexpr const char* kPlanSetOpScope = "plan-setop-scope-mismatch";
 inline constexpr const char* kPlanExchange = "plan-exchange-illegal";
 inline constexpr const char* kPlanFusion = "plan-fusion-conjunct-drift";
 /// Row-limit discipline: a delivered limit must be produced by a TopK (or

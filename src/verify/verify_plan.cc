@@ -31,9 +31,6 @@ int PhysArity(PhysOpKind kind) {
     case PhysOpKind::kExchange:
       return 1;
     case PhysOpKind::kHybridHashJoin:
-    case PhysOpKind::kHashUnion:
-    case PhysOpKind::kHashIntersect:
-    case PhysOpKind::kHashDifference:
     case PhysOpKind::kMergeJoin:
     case PhysOpKind::kNestedLoops:
       return 2;
@@ -203,15 +200,6 @@ void PlanChecker::CheckScope(const PlanNode& node, const std::string& path,
       if (child_scopes[0].Intersects(child_scopes[1])) {
         Add(invariant::kPlanJoinOverlap, path,
             "join children's scopes overlap");
-      }
-      break;
-    case PhysOpKind::kHashUnion:
-    case PhysOpKind::kHashIntersect:
-    case PhysOpKind::kHashDifference:
-      expected = child_scopes[0];
-      if (!(child_scopes[0] == child_scopes[1])) {
-        Add(invariant::kPlanSetOpScope, path,
-            "set-operator children's scopes differ");
       }
       break;
   }
@@ -816,13 +804,6 @@ BindingSet PlanChecker::Check(const PlanNode& node, const std::string& path,
       }
       break;
     }
-    case PhysOpKind::kHashUnion:
-    case PhysOpKind::kHashIntersect:
-    case PhysOpKind::kHashDifference:
-      // Either input may produce the surviving tuple: only bindings loaded
-      // on *both* sides are reliably loaded in the output.
-      loaded = child_loaded[0].Intersect(child_loaded[1]);
-      break;
     case PhysOpKind::kSort:
     case PhysOpKind::kTopK: {
       const bool topk = node.op.kind == PhysOpKind::kTopK;

@@ -136,8 +136,6 @@ inline constexpr const char* kRuleMatToJoin = "mat-to-join";
 inline constexpr const char* kRuleSelectMatCommute = "select-mat-commute";
 inline constexpr const char* kRuleSelectUnnestCommute = "select-unnest-commute";
 inline constexpr const char* kRuleSelectJoinPush = "select-join-pushdown";
-inline constexpr const char* kRuleSetOpCommute = "setop-commutativity";
-inline constexpr const char* kRuleSetOpAssoc = "setop-associativity";
 inline constexpr const char* kImplFileScan = "file-scan";
 inline constexpr const char* kImplIndexScan = "collapse-to-index-scan";
 inline constexpr const char* kImplFilter = "filter";
@@ -146,7 +144,6 @@ inline constexpr const char* kImplPointerJoin = "pointer-join";
 inline constexpr const char* kImplAssembly = "assembly";
 inline constexpr const char* kImplAlgProject = "alg-project";
 inline constexpr const char* kImplAlgUnnest = "alg-unnest";
-inline constexpr const char* kImplHashSetOps = "hash-set-ops";
 inline constexpr const char* kImplMergeJoin = "merge-join";
 inline constexpr const char* kImplNestedLoops = "nested-loops";
 inline constexpr const char* kEnforcerAssembly = "assembly-enforcer";

@@ -1,7 +1,6 @@
 // Drift-driven adaptive re-optimization (Session::Options::adaptive):
-// mid-query re-planning at pipeline breakers, post-execution drift
-// recording, and drift-triggered auto-ANALYZE — plus the CardFeedback
-// extraction the re-plan consumes.
+// mid-query re-planning at pipeline breakers and drift-triggered
+// auto-ANALYZE — plus the CardFeedback extraction the re-plan consumes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,8 +21,8 @@ namespace {
 /// the plan always carries a Sort whose input gets the drift check.
 const char kSortQuery[] =
     "SELECT e.name FROM Employee e IN Employees ORDER BY e.salary;";
-/// Breaker-free scan used by the post-execution (auto-ANALYZE / eviction)
-/// tests — drift there is computed from the completed profile, no abort.
+/// Breaker-free scan used by the post-execution (auto-ANALYZE) tests —
+/// drift there is computed from the completed profile, no abort.
 const char kScanQuery[] = "SELECT e.name FROM Employee e IN Employees;";
 
 class AdaptiveTest : public ::testing::Test {

@@ -489,41 +489,6 @@ TEST_F(ExecTest, BatchPoolSteadyStateHoldsUnderCancelAndFault) {
       << "a cancelled or faulted execution leaked a pooled batch arena";
 }
 
-TEST_F(ExecTest, SetOperationExecution) {
-  // Intersection of Cities with itself (via two ranges is not expressible;
-  // build the set-op tree directly): |Cities ∩ Cities| = |Cities|.
-  QueryContext ctx;
-  ctx.catalog = &db_.catalog;
-  BindingId c = ctx.bindings.AddGet("c", db_.city);
-  auto cities = LogicalExpr::Make(
-      LogicalOp::Get(CollectionId::Set("Cities", db_.city), c));
-  auto tree = LogicalExpr::Make(LogicalOp::SetOp(LogicalOpKind::kIntersect),
-                                {cities, cities});
-  Optimizer opt(&db_.catalog);
-  auto planned = opt.Optimize(*tree, &ctx);
-  ASSERT_TRUE(planned.ok()) << planned.status();
-  auto stats = ExecutePlan(*planned->plan, &store_, &ctx);
-  ASSERT_TRUE(stats.ok()) << stats.status();
-  EXPECT_EQ(stats->rows,
-            static_cast<int64_t>(data_.cities.size()));
-}
-
-TEST_F(ExecTest, DifferenceOfSelfIsEmpty) {
-  QueryContext ctx;
-  ctx.catalog = &db_.catalog;
-  BindingId c = ctx.bindings.AddGet("c", db_.city);
-  auto cities = LogicalExpr::Make(
-      LogicalOp::Get(CollectionId::Set("Cities", db_.city), c));
-  auto tree = LogicalExpr::Make(LogicalOp::SetOp(LogicalOpKind::kDifference),
-                                {cities, cities});
-  Optimizer opt(&db_.catalog);
-  auto planned = opt.Optimize(*tree, &ctx);
-  ASSERT_TRUE(planned.ok()) << planned.status();
-  auto stats = ExecutePlan(*planned->plan, &store_, &ctx);
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->rows, 0);
-}
-
 // OODB_EXEC_FAULTS grammar: every key's accepted and rejected values.
 // Integer keys parse as integers (a seed above 2^53 stays exact, "0.7" is
 // not truncated to worker 0) and every key rejects values outside its

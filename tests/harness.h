@@ -36,9 +36,7 @@ enum class Slice {
 };
 
 /// The rules oracle 1 switches off one at a time, in the ablation tests
-/// and as each generated case's `ablate=` draw. The set-operator rules are
-/// not among them: ZQL has no set operators, so no deck line or generated
-/// query could exercise them.
+/// and as each generated case's `ablate=` draw.
 inline constexpr const char* kAblatedRules[] = {
     kRuleJoinCommute,      kRuleJoinOrder,           kRuleMatToJoin,
     kRuleSelectMatCommute, kRuleSelectUnnestCommute, kRuleSelectJoinPush,

@@ -30,7 +30,6 @@ TEST_F(LogicalOpTest, Arity) {
   EXPECT_EQ(LogicalOp::Select(ScalarExpr::Self(c_)).Arity(), 1);
   EXPECT_EQ(LogicalOp::Mat(c_, db_.city_mayor, m_).Arity(), 1);
   EXPECT_EQ(LogicalOp::Join(ScalarExpr::Self(c_)).Arity(), 2);
-  EXPECT_EQ(LogicalOp::SetOp(LogicalOpKind::kUnion).Arity(), 2);
 }
 
 TEST_F(LogicalOpTest, EqualityAndHash) {
@@ -120,12 +119,6 @@ TEST_F(LogicalOpTest, JoinScopesMustBeDisjoint) {
   EXPECT_FALSE(join.Validate(ctx_, {BindingSet::Of(c_), BindingSet::Of(c_)}).ok());
 }
 
-TEST_F(LogicalOpTest, SetOpRequiresIdenticalScopes) {
-  LogicalOp u = LogicalOp::SetOp(LogicalOpKind::kUnion);
-  EXPECT_TRUE(u.Validate(ctx_, {BindingSet::Of(c_), BindingSet::Of(c_)}).ok());
-  EXPECT_FALSE(u.Validate(ctx_, {BindingSet::Of(c_), BindingSet::Of(n_)}).ok());
-}
-
 TEST_F(LogicalOpTest, OutputBindings) {
   LogicalOp get = LogicalOp::Get(CollectionId::Set("Cities", db_.city), c_);
   EXPECT_EQ(get.OutputBindings({}), BindingSet::Of(c_));
@@ -177,7 +170,7 @@ TEST_F(LogicalOpTest, PrintMatchesPaperStyle) {
 TEST_F(LogicalOpTest, KindNames) {
   EXPECT_STREQ(LogicalOpKindName(LogicalOpKind::kGet), "Get");
   EXPECT_STREQ(LogicalOpKindName(LogicalOpKind::kMat), "Mat");
-  EXPECT_STREQ(LogicalOpKindName(LogicalOpKind::kDifference), "Difference");
+  EXPECT_STREQ(LogicalOpKindName(LogicalOpKind::kUnnest), "Unnest");
 }
 
 TEST_F(LogicalOpTest, WrongArityRejected) {

@@ -139,35 +139,6 @@ TEST_F(LogicalPropsTest, ProjectBytesFromEmittedFields) {
   EXPECT_EQ(p.scope, BindingSet::Of(c));
 }
 
-TEST_F(LogicalPropsTest, SetOps) {
-  BindingId c = ctx_.bindings.AddGet("c", db_.city);
-  auto cities = LogicalExpr::Make(
-      LogicalOp::Get(CollectionId::Set("Cities", db_.city), c));
-  auto dup = LogicalExpr::Make(
-      LogicalOp::Get(CollectionId::Set("Cities", db_.city), c));
-  auto u = LogicalExpr::Make(LogicalOp::SetOp(LogicalOpKind::kUnion),
-                             {cities, dup});
-  EXPECT_DOUBLE_EQ(Derive(u).card, 20000);
-  auto i = LogicalExpr::Make(LogicalOp::SetOp(LogicalOpKind::kIntersect),
-                             {cities, dup});
-  EXPECT_DOUBLE_EQ(Derive(i).card, 5000);
-  // l·r/(l+r) is associative: both bracketings of 10000 ∩ 10000 ∩ 1000
-  // derive the same estimate (0.5·min gave 500 and 250).
-  auto small = LogicalExpr::Make(
-      LogicalOp::Select(ScalarExpr::AttrEqInt(c, db_.city_population, 5)),
-      {dup});
-  auto left = LogicalExpr::Make(LogicalOp::SetOp(LogicalOpKind::kIntersect),
-                                {i, small});
-  auto right = LogicalExpr::Make(
-      LogicalOp::SetOp(LogicalOpKind::kIntersect),
-      {cities, LogicalExpr::Make(LogicalOp::SetOp(LogicalOpKind::kIntersect),
-                                 {dup, small})});
-  EXPECT_NEAR(Derive(left).card, Derive(right).card, 1e-9);
-  auto d = LogicalExpr::Make(LogicalOp::SetOp(LogicalOpKind::kDifference),
-                             {cities, dup});
-  EXPECT_DOUBLE_EQ(Derive(d).card, 5000);
-}
-
 TEST_F(LogicalPropsTest, RangePredicateSelectivity) {
   // emp.age has [20, 70] range statistics: age >= 32 keeps 38/50.
   BindingId e = ctx_.bindings.AddGet("e", db_.employee);

@@ -391,19 +391,6 @@ TEST_F(OperatorTest, MergeJoinEqualKeyRuns) {
   EXPECT_EQ(stats->rows, 4);
 }
 
-TEST_F(OperatorTest, HashUnionDeduplicates) {
-  for (int i = 0; i < 4; ++i) store_.Create(db_.job);
-  BindingId j = ctx_.bindings.AddGet("j", db_.job);
-  PlanNodePtr scan1 = Scan(CollectionId::Extent(db_.job), j);
-  PlanNodePtr scan2 = Scan(CollectionId::Extent(db_.job), j);
-  PhysicalOp u;
-  u.kind = PhysOpKind::kHashUnion;
-  PlanNodePtr plan = Node(u, {scan1, scan2}, BindingSet::Of(j));
-  auto stats = Run(plan);
-  ASSERT_TRUE(stats.ok()) << stats.status();
-  EXPECT_EQ(stats->rows, 4);  // identical inputs: union is a set
-}
-
 TEST_F(OperatorTest, UnnestEmptySetProducesNothing) {
   Oid t = store_.Create(db_.task);  // no team members added
   (void)t;

@@ -488,65 +488,6 @@ TEST_F(PlanCacheTest, ThreadedBumpingMutatorsNeverYieldStaleServes) {
   ASSERT_TRUE(db_.catalog.SetCardinality(cities, base).ok());
 }
 
-// Drift-based eviction: a cached plan whose execution shows cardinality
-// drift past adaptive.evict_drift_threshold is retired from the cache even
-// though no ANALYZE ever bumped the version — the next Prepare re-optimizes.
-TEST_F(PlanCacheTest, DriftEvictionRetiresMisestimatedPlan) {
-  Session::Options opts = WithCache(cache_);
-  opts.adaptive.evict_drift_threshold = 8.0;
-  Session s(&db_.catalog, opts);
-  GenOptions gen;
-  gen.num_plants = 20;
-  ASSERT_TRUE(GeneratePaperData(db_, &s.store(), gen).ok());
-
-  CollectionId employees = CollectionId::Set("Employees", db_.employee);
-  const int64_t truth =
-      (*db_.catalog.FindCollection(employees))->cardinality;
-  ASSERT_TRUE(db_.catalog.SetCardinality(employees, 1).ok());
-
-  const std::string q = "SELECT e.name FROM Employee e IN Employees;";
-  auto r = s.Query(q);
-  ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_GT(r->observed_drift, 8.0);
-  EXPECT_TRUE(r->drift_evicted);
-  EXPECT_GE(cache_->stats().drift_evictions, 1);
-  auto again = s.Prepare(q);
-  ASSERT_TRUE(again.ok()) << again.status();
-  EXPECT_FALSE(again->optimized.stats.plan_cached);
-
-  ASSERT_TRUE(db_.catalog.SetCardinality(employees, truth).ok());
-}
-
-// Below the eviction threshold the drift is still recorded on the entry
-// (the observability hook sees it) but the plan keeps being served.
-TEST_F(PlanCacheTest, DriftBelowThresholdIsRecordedNotEvicted) {
-  Session::Options opts = WithCache(cache_);
-  opts.adaptive.evict_drift_threshold = 1e6;
-  Session s(&db_.catalog, opts);
-  GenOptions gen;
-  gen.num_plants = 20;
-  ASSERT_TRUE(GeneratePaperData(db_, &s.store(), gen).ok());
-
-  CollectionId employees = CollectionId::Set("Employees", db_.employee);
-  const int64_t truth =
-      (*db_.catalog.FindCollection(employees))->cardinality;
-  ASSERT_TRUE(db_.catalog.SetCardinality(employees, 1).ok());
-
-  const std::string q = "SELECT e.name FROM Employee e IN Employees;";
-  auto r = s.Query(q);
-  ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_GT(r->observed_drift, 8.0);
-  EXPECT_FALSE(r->drift_evicted);
-  ASSERT_TRUE(r->cache_keyed);
-  EXPECT_GE(cache_->ObservedDrift(r->cache_key), r->observed_drift);
-  EXPECT_EQ(cache_->stats().drift_evictions, 0);
-  auto again = s.Prepare(q);
-  ASSERT_TRUE(again.ok()) << again.status();
-  EXPECT_TRUE(again->optimized.stats.plan_cached);
-
-  ASSERT_TRUE(db_.catalog.SetCardinality(employees, truth).ok());
-}
-
 // Regression for the selectivity-bucket boundary: the bucket used to come
 // from llround(log2(sel) * 2), whose libm last-ulp jitter made literals
 // sitting exactly on a half-octave edge (powers of two and their sqrt(1/2)

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "src/rules/transformations.h"
-#include "src/verify/verify.h"
 #include "tests/test_util.h"
 
 namespace oodb {
@@ -379,38 +378,6 @@ TEST_F(TransformationTest, ExplorationTerminates) {
   Explored e = Explore(*logical);
   EXPECT_LT(e.memo->num_mexprs(), 4000);
   EXPECT_GT(e.memo->num_mexprs(), 5);
-}
-
-TEST_F(TransformationTest, SetOpCommuteAndAssoc) {
-  BindingId c = ctx_.bindings.AddGet("c", db_.capital);
-  auto caps = LogicalExpr::Make(
-      LogicalOp::Get(CollectionId::Set("Capitals", db_.capital), c));
-  auto u1 = LogicalExpr::Make(LogicalOp::SetOp(LogicalOpKind::kIntersect),
-                              {caps, caps});
-  auto tree = LogicalExpr::Make(LogicalOp::SetOp(LogicalOpKind::kIntersect),
-                                {u1, caps});
-  Explored e = Explore(tree);
-  EXPECT_GE(CountInRoot(e, LogicalOpKind::kIntersect), 2);
-}
-
-TEST_F(TransformationTest, IntersectChainKeepsOneCardinalityPerGroup) {
-  // Inputs of 10000, 10000 and 1000 rows: every bracketing and ordering the
-  // setop rules produce must derive its group's estimate.
-  BindingId c = ctx_.bindings.AddGet("c", db_.city);
-  auto cities = LogicalExpr::Make(
-      LogicalOp::Get(CollectionId::Set("Cities", db_.city), c));
-  auto small = LogicalExpr::Make(
-      LogicalOp::Select(ScalarExpr::AttrEqInt(c, db_.city_population, 5)),
-      {cities});
-  auto pair = LogicalExpr::Make(LogicalOp::SetOp(LogicalOpKind::kIntersect),
-                                {cities, cities});
-  auto tree = LogicalExpr::Make(LogicalOp::SetOp(LogicalOpKind::kIntersect),
-                                {pair, small});
-  Explored e = Explore(tree);
-  EXPECT_GE(CountAll(e, LogicalOpKind::kIntersect), 4);
-  VerifyReport report = VerifyMemoReport(*e.memo);
-  EXPECT_TRUE(report.ok()) << report.ToString();
-  EXPECT_NEAR(e.memo->group(e.root).props.card, 1.0 / (2e-4 + 1e-3), 1e-9);
 }
 
 }  // namespace
