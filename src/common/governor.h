@@ -55,11 +55,10 @@ struct GovernorOptions {
   int64_t max_exec_rows = 0;
   int64_t max_exec_pages = 0;
   int64_t max_tracked_bytes = 0;
-  /// Retry budget: execution re-attempts (Session retry ladder) and
-  /// partition re-executions (Exchange recovery) each charge one retry.
-  /// Exceeding the budget is a terminal kBudgetExhausted. 0 disables the
-  /// budget (retries are then bounded by RetryPolicy / recovery attempt
-  /// caps and the deadline alone).
+  /// Retry budget: each execution re-attempt (Session retry ladder or
+  /// mid-query re-plan) charges one retry. Exceeding the budget is a
+  /// terminal kBudgetExhausted. 0 disables the budget (retries are then
+  /// bounded by RetryPolicy and the deadline alone).
   int64_t max_retries = 0;
   /// Optional external cancellation; observed at every governor check.
   std::shared_ptr<CancelToken> cancel;
@@ -138,8 +137,8 @@ class QueryGovernor {
   /// tracked-memory budget (a high-water mark; buffers are not credited
   /// back on release).
   Status ChargeTrackedBytes(int64_t bytes);
-  /// Charges one execution re-attempt (Session retry) or partition
-  /// re-execution (Exchange recovery) against the retry budget.
+  /// Charges one execution re-attempt (Session retry or re-plan) against
+  /// the retry budget.
   Status ChargeRetry();
 
   const GovernorOptions& options() const { return options_; }

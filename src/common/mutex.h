@@ -43,11 +43,6 @@ namespace lock_rank {
 // order mirrors the call graph's nesting today:
 //
 //   plan_cache        -> metrics                  (counters under lock)
-//   exchange.part     -> exchange.error           (duplicate-delivery check)
-//                     -> exchange.pending         (DispatchLocked)
-//                     -> exchange.batch_queue     (terminal Abort)
-//                     -> worker_pool              (DispatchLocked -> Submit)
-//                     -> governor                 (retry-budget charge)
 //   exchange.batch_queue -> batch_pool            (Abort drains to pool)
 //   buffer_pool       -> disk_model               (miss reads the disk)
 //                     -> storage_fault            (AccessMany fault check)

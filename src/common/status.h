@@ -32,9 +32,8 @@ enum class StatusCode {
   kStorageFault,
   // Exec-layer fault category (see exec/exec_fault.h): a parallel worker
   // died (or was made to die by the injector) mid-pipeline. Transient by
-  // definition — the partition's input is a read-only store — so it is the
-  // retryable class the Exchange recovery path and Session retry ladder
-  // re-execute.
+  // definition — the statement's input is a read-only store — so it is the
+  // retryable class the Session retry ladder re-executes.
   kWorkerFault,
   // Adaptive re-optimization (see session.h AdaptiveOptions): a drift check
   // at a pipeline breaker observed actual cardinality off from the estimate

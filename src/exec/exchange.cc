@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/common/metrics.h"
 #include "src/common/mutex.h"
 #include "src/common/thread_annotations.h"
 #include "src/exec/batch_pool.h"
@@ -22,36 +21,10 @@ namespace oodb {
 namespace {
 
 /// How long the consumer waits on an empty queue before it ticks the
-/// governor (a hung worker must never hang the consumer past its deadline)
-/// and checks for stragglers. End of stream never waits on this: the
-/// delivery that ends a stream closes its queue.
+/// governor (a hung worker must never hang the consumer past its deadline).
+/// End of stream never waits on this: the delivery that ends a stream closes
+/// its queue.
 constexpr double kCheckIntervalMs = 10.0;
-
-/// Process-wide recovery counters (per-execution counts travel on
-/// ExecFaultStats). Resolved once; never freed.
-struct RecoveryMetrics {
-  Counter* partitions_retried;
-  Counter* partitions_speculated;
-  Counter* duplicate_suppressed;
-
-  static const RecoveryMetrics& Get() {
-    static const RecoveryMetrics m = [] {
-      MetricsRegistry& r = MetricsRegistry::Global();
-      RecoveryMetrics m;
-      m.partitions_retried = r.counter(
-          "oodb_exec_partitions_retried_total",
-          "Exchange partitions re-executed after a retryable fault.");
-      m.partitions_speculated = r.counter(
-          "oodb_exec_partitions_speculated_total",
-          "Straggling partitions speculatively re-dispatched.");
-      m.duplicate_suppressed = r.counter(
-          "oodb_exec_duplicate_attempts_suppressed_total",
-          "Losing partition attempts whose staged output was discarded.");
-      return m;
-    }();
-    return m;
-  }
-};
 
 /// Bounded MPSC queue of TupleBatches. Producers block when full, the
 /// consumer waits (boundedly) when empty; Close() ends the stream once the
@@ -169,7 +142,6 @@ class ExchangeExec : public ExecNode {
     dop_ = driver_ != nullptr ? std::max(1, plan_->op.dop) : 1;
     env_.clock().cpu_s +=
         env_.timing().exchange_startup_s * static_cast<double>(dop_);
-    max_attempts_ = std::max(1, env_.recovery.max_partition_attempts);
     merge_ = plan_->op.merge;
     if (merge_) {
       codec_.emplace(plan_->op.sort.keys, env_.store, env_.ctx);
@@ -191,9 +163,20 @@ class ExchangeExec : public ExecNode {
       queues_.push_back(
           std::make_unique<BatchQueue>(16 * static_cast<size_t>(dop_)));
     }
-    MutexLock lock(part_mu_);
-    parts_.assign(static_cast<size_t>(dop_), PartitionState{});
-    for (int p = 0; p < dop_; ++p) DispatchLocked(p, /*speculative=*/false);
+    // Fixed before any worker starts: each worker writes only its own
+    // entry, and the consumer reads them after the join.
+    workers_ = std::vector<Worker>(static_cast<size_t>(dop_));
+    {
+      MutexLock plock(pending_mu_);
+      pending_ = dop_;
+    }
+    for (int p = 0; p < dop_; ++p) {
+      WorkerPool::Instance().Submit([this, p] {
+        RunWorker(p);
+        MutexLock plock(pending_mu_);
+        if (--pending_ == 0) pending_cv_.NotifyAll();
+      });
+    }
     return Status::OK();
   }
 
@@ -227,9 +210,8 @@ class ExchangeExec : public ExecNode {
   }
 
   /// Pops the next batch of queue `q` for the consumer. While the queue
-  /// stays empty it wakes every kCheckIntervalMs to tick the governor and
-  /// speculate stragglers. False at end of stream: the queue was closed and
-  /// drained, or aborted.
+  /// stays empty it wakes every kCheckIntervalMs to tick the governor.
+  /// False at end of stream: the queue was closed and drained, or aborted.
   Result<bool> PopBatch(size_t q, TupleBatch* out) {
     while (true) {
       switch (queues_[q]->PopFor(out, kCheckIntervalMs)) {
@@ -244,8 +226,6 @@ class ExchangeExec : public ExecNode {
         OODB_RETURN_IF_ERROR(
             env_.governor->CheckExec(env_.store->disk().reads()));
       }
-      MutexLock lock(part_mu_);
-      CheckStragglersLocked();
     }
   }
 
@@ -259,8 +239,8 @@ class ExchangeExec : public ExecNode {
     for (std::unique_ptr<BatchQueue>& q : queues_) q->Abort();
   }
 
-  ExecEnv MakeWorkerEnv(SimClock* clock, ExecProfile* profile, int partition,
-                        int attempt) {
+  ExecEnv MakeWorkerEnv(SimClock* clock, ExecProfile* profile,
+                        int partition) {
     ExecEnv wenv = env_;
     wenv.cpu_clock = clock;
     wenv.profile = profile;
@@ -271,7 +251,6 @@ class ExchangeExec : public ExecNode {
     }
     wenv.merge_sort = merge_ ? &plan_->op.sort : nullptr;
     wenv.fault_worker = partition;
-    wenv.fault_attempt = env_.fault_attempt + attempt;
     return wenv;
   }
 
@@ -299,11 +278,6 @@ class ExchangeExec : public ExecNode {
   // per-partition sorts reproduces the *global* stable sort order exactly.
   // op.limit > 0 stops the merge after k rows (each producer was already
   // limited to k by its local TopK; the merge re-truncates the union).
-  //
-  // Recovery needs nothing merge-specific: a partition's FIFO receives
-  // exactly one attempt's complete stream (the winner's), so retries and
-  // speculative rivals keep stream identity and the merged sequence is the
-  // fault-free one.
   //
   // Keys: the workers' Sort/TopK attach the order words they encoded to
   // each batch (ExecEnv::merge_sort), and SortKeyCodec::Encode serves them;
@@ -454,95 +428,40 @@ class ExchangeExec : public ExecNode {
     return Finish();
   }
 
-  // ------------------------ partition attempts -----------------------
+  // ---------------------------- partitions ---------------------------
   //
-  // Every Exchange, plain or merging, runs its partitions as attempts: one
-  // per partition at Open, another after a retryable fault (up to
-  // max_partition_attempts, each charged to the governor's retry budget),
-  // and a speculative rival for a straggler. The first successful attempt
-  // of a partition claims it and delivers into the partition's destination
-  // queue; every other attempt is suppressed, and the delivery check
-  // asserts exactly-once delivery per partition.
-  //
-  // Staging rule: an attempt stages its batches locally and publishes them
-  // only after its whole chunk succeeded iff the partition may run more
-  // than once (max_partition_attempts > 1). A failed or superseded attempt
-  // then contributed nothing downstream, so re-executing its chunk (legal
-  // because scan partitions are side-effect-free over the read-only store)
-  // cannot duplicate or lose rows. With one attempt no rival can exist —
-  // retries and speculation both respect the cap — so batches go straight
-  // to the queue and the consumer overlaps the producers.
+  // Every Exchange, plain or merging, runs exactly one worker per
+  // partition, dispatched at Open. Its batches stream straight into the
+  // partition's destination queue, so the consumer overlaps the producers.
+  // A worker that fails ends the query with its error; recovering from a
+  // retryable fault is the Session retry ladder's job, which re-runs the
+  // whole statement.
 
-  struct PartitionState {
-    int attempts_started = 0;
-    bool winner_claimed = false;
-    bool delivered = false;
-    bool speculated = false;
-    std::chrono::steady_clock::time_point dispatched_at;
-  };
-
-  struct Attempt {
-    int partition = 0;
-    int attempt = 0;
-    bool won = false;
+  struct Worker {
     SimClock clock;
     std::unique_ptr<ExecProfile> profile;
   };
 
-  /// Launches the next attempt of partition `p`.
-  void DispatchLocked(int p, bool speculative) REQUIRES(part_mu_) {
-    PartitionState& ps = parts_[static_cast<size_t>(p)];
-    int attempt = ps.attempts_started++;
-    ps.dispatched_at = std::chrono::steady_clock::now();
-    attempts_.emplace_back();
-    Attempt* at = &attempts_.back();  // deque: stable across later growth
-    at->partition = p;
-    at->attempt = attempt;
+  /// Runs partition `p` on a fresh worker pipeline — the only loop that
+  /// pulls batches from a worker pipeline — then settles it.
+  void RunWorker(int p) {
+    Worker& w = workers_[static_cast<size_t>(p)];
     if (env_.profile != nullptr) {
-      at->profile = std::make_unique<ExecProfile>();
-      at->profile->set_io_timed(false);
+      w.profile = std::make_unique<ExecProfile>();
+      w.profile->set_io_timed(false);
     }
-    if (speculative) {
-      ps.speculated = true;
-      ++speculated_;
-      if (env_.fault_stats != nullptr) {
-        env_.fault_stats->partitions_speculated.fetch_add(
-            1, std::memory_order_relaxed);
-      }
-      RecoveryMetrics::Get().partitions_speculated->Increment();
-    }
-    {
-      MutexLock plock(pending_mu_);
-      ++pending_;
-    }
-    WorkerPool::Instance().Submit([this, at] {
-      RunAttempt(*at);
-      MutexLock plock(pending_mu_);
-      if (--pending_ == 0) pending_cv_.NotifyAll();
-    });
-  }
-
-  /// Runs one attempt of one partition on a fresh worker pipeline — the
-  /// only loop that pulls batches from a worker pipeline — then settles it.
-  void RunAttempt(Attempt& at) {
-    const int p = at.partition;
-    ExecEnv wenv = MakeWorkerEnv(&at.clock, at.profile.get(), p, at.attempt);
-    std::vector<TupleBatch> staged;
+    ExecEnv wenv = MakeWorkerEnv(&w.clock, w.profile.get(), p);
     Status status = Status::OK();
     Result<std::unique_ptr<ExecNode>> node =
         BuildExecNode(wenv, *plan_->children[0]);
     if (!node.ok()) status = node.status();
     if (status.ok()) status = (*node)->Open();
     while (status.ok()) {
-      // A rival attempt already won this partition, or the exchange is
-      // shutting down: stop early and discard. Keeps a superseded
-      // straggler from burning a pool thread for the rest of its chunk.
+      // The exchange is shutting down: stop early rather than burn a pool
+      // thread on the rest of the chunk.
       {
         MutexLock lock(part_mu_);
-        if (shutdown_ || parts_[static_cast<size_t>(p)].winner_claimed) {
-          status = Status::Cancelled("partition attempt superseded");
-          break;
-        }
+        if (shutdown_) break;
       }
       TupleBatch batch =
           BatchPool::Instance().Take(wenv.num_bindings(), wenv.batch_size);
@@ -569,64 +488,37 @@ class ExchangeExec : public ExecNode {
           break;
         }
       }
-      if (max_attempts_ > 1) {
-        staged.push_back(std::move(batch));
-      } else if (!Destination(p).Push(std::move(batch))) {
+      if (!Destination(p).Push(std::move(batch))) {
         // The queue was aborted: the push left the batch with us.
         BatchPool::Instance().Return(std::move(batch));
         status = Status::Cancelled("exchange aborted");
       }
     }
     if (node.ok()) (*node)->Close();
-    Settle(at, status, &staged);
+    Settle(p, status);
   }
 
-  /// Settles a finished attempt. The first successful attempt of its
-  /// partition wins and publishes; a losing attempt's staged output is
-  /// suppressed; a failed attempt is retried while the fault is retryable
-  /// and attempts and retry budget remain, and otherwise ends the query
-  /// with its error.
-  void Settle(Attempt& at, const Status& status,
-              std::vector<TupleBatch>* staged) {
-    const size_t p = static_cast<size_t>(at.partition);
-    bool won = false;
-    if (status.ok()) {
+  /// Settles a finished worker. A worker cut loose by StopWorkers neither
+  /// delivers nor reports. A successful one ends its destination's stream
+  /// once nothing more can arrive there — on the last partition of a plain
+  /// Exchange, on every partition of a merging one. A failed one records
+  /// the query's first error and drains the pipeline.
+  void Settle(int p, const Status& status) {
+    bool end_of_stream = false;
+    {
       MutexLock lock(part_mu_);
-      // The winner claim is the exactly-once gate: the first successful
-      // attempt of a partition delivers, every other one (a speculative
-      // rival, a retry racing a slow original) is suppressed wholesale.
-      if (!parts_[p].winner_claimed && !shutdown_) {
-        parts_[p].winner_claimed = true;
-        at.won = won = true;
-      }
+      if (shutdown_) return;
+      if (status.ok()) end_of_stream = merge_ || ++delivered_count_ == dop_;
     }
-    if (won) {
-      Publish(at.partition, staged);
+    if (status.ok()) {
+      BatchQueue& dest = Destination(p);
+      if (end_of_stream) {
+        dest.Close();
+      } else {
+        dest.Kick();
+      }
       return;
     }
-    if (!staged->empty()) {
-      RecoveryMetrics::Get().duplicate_suppressed->Increment();
-    }
-    for (TupleBatch& b : *staged) BatchPool::Instance().Return(std::move(b));
-    staged->clear();
-    if (status.ok()) return;  // lost the race; the winner delivered
-
-    MutexLock lock(part_mu_);
-    if (parts_[p].winner_claimed || shutdown_) return;
-    if (IsRetryableExecFault(status.code()) &&
-        parts_[p].attempts_started < max_attempts_ &&
-        ChargeRetryBudget().ok()) {
-      ++retried_;
-      if (env_.fault_stats != nullptr) {
-        env_.fault_stats->partitions_retried.fetch_add(
-            1, std::memory_order_relaxed);
-      }
-      RecoveryMetrics::Get().partitions_retried->Increment();
-      DispatchLocked(at.partition, /*speculative=*/false);
-      return;
-    }
-    // Terminal: no recovery path left for this partition. Surface the
-    // first error and drain the pipeline.
     {
       MutexLock elock(error_mu_);
       if (first_error_.ok()) first_error_ = status;
@@ -634,90 +526,9 @@ class ExchangeExec : public ExecNode {
     AbortQueues();
   }
 
-  /// The winning attempt's delivery: publishes its staged batches (none
-  /// when it streamed), marks the partition delivered, and ends the
-  /// destination's stream once nothing more can arrive there — on the last
-  /// partition of a plain Exchange, on every partition of a merging one.
-  void Publish(int p, std::vector<TupleBatch>* staged) {
-    BatchQueue& dest = Destination(p);
-    bool pushed = true;
-    for (TupleBatch& b : *staged) {
-      if (pushed && dest.Push(std::move(b))) continue;
-      pushed = false;
-      BatchPool::Instance().Return(std::move(b));
-    }
-    staged->clear();
-    bool duplicate = false;
-    bool end_of_stream = false;
-    {
-      MutexLock lock(part_mu_);
-      PartitionState& ps = parts_[static_cast<size_t>(p)];
-      // Delivery invariant (duplicate suppression): a partition is
-      // delivered at most once. A second delivery would mean duplicated
-      // rows downstream — surface it as a hard internal error rather than
-      // silently corrupt results.
-      duplicate = ps.delivered;
-      if (!duplicate) {
-        ps.delivered = true;
-        end_of_stream = merge_ || ++delivered_count_ == dop_;
-      }
-    }
-    if (duplicate) {
-      // Record the error and abort with no lock held across the queue /
-      // pool acquisitions the abort makes.
-      {
-        MutexLock elock(error_mu_);
-        if (first_error_.ok()) {
-          first_error_ = Status::Internal("exchange recovery: partition " +
-                                          std::to_string(p) +
-                                          " delivered twice");
-        }
-      }
-      AbortQueues();
-      return;
-    }
-    if (end_of_stream) {
-      dest.Close();
-    } else {
-      dest.Kick();
-    }
-  }
-
-  Status ChargeRetryBudget() {
-    if (env_.governor == nullptr) return Status::OK();
-    return env_.governor->ChargeRetry();
-  }
-
-  /// Speculative re-dispatch of straggling partitions: a partition not
-  /// delivered within straggler_threshold * governor-deadline of its last
-  /// dispatch gets one rival attempt of the same chunk (first result wins).
-  void CheckStragglersLocked() REQUIRES(part_mu_) {
-    if (env_.recovery.straggler_threshold <= 0.0 ||
-        env_.governor == nullptr) {
-      return;
-    }
-    double deadline_ms = env_.governor->options().deadline_ms;
-    if (deadline_ms <= 0.0) return;
-    double threshold_ms = env_.recovery.straggler_threshold * deadline_ms;
-    auto now = std::chrono::steady_clock::now();
-    for (int p = 0; p < dop_; ++p) {
-      PartitionState& ps = parts_[static_cast<size_t>(p)];
-      if (ps.winner_claimed || ps.speculated ||
-          ps.attempts_started >= max_attempts_) {
-        continue;
-      }
-      double waited_ms =
-          std::chrono::duration<double, std::milli>(now - ps.dispatched_at)
-              .count();
-      if (waited_ms < threshold_ms) continue;
-      if (!ChargeRetryBudget().ok()) return;
-      DispatchLocked(p, /*speculative=*/true);
-    }
-  }
-
   // --------------------------- join/close ----------------------------
 
-  /// Waits for the attempts (once), merges their private clocks, and
+  /// Waits for the workers (once), merges their private clocks, and
   /// reports the first worker error — or a clean end of stream.
   Result<size_t> Finish() {
     JoinWorkers();
@@ -726,6 +537,9 @@ class ExchangeExec : public ExecNode {
     return static_cast<size_t>(0);
   }
 
+  /// Every worker's clock merges, and its profile (a failed query's
+  /// partial profile still shows what its workers observed). Runs once,
+  /// after pending_ reached 0: workers_ is quiescent from then on.
   void JoinWorkers() {
     if (joined_) return;
     joined_ = true;
@@ -733,40 +547,22 @@ class ExchangeExec : public ExecNode {
       UniqueLock lock(pending_mu_);
       while (pending_ != 0) pending_cv_.Wait(lock);
     }
-    // All attempts joined (pending_ == 0): attempts_ and parts_ are
-    // quiescent. The lock is uncontended here and keeps the reads visible
-    // to the analysis instead of relying on the quiescence argument alone.
-    // Every attempt's clock merges — work done by losing speculative rivals
-    // and failed attempts was really done. Profiles merge once per
-    // partition, so ANALYZE row counts reflect delivered results, not
-    // suppressed duplicates: the winner's, or for a partition that never
-    // delivered its last attempt's (a failed query's partial profile still
-    // shows what its workers observed).
-    MutexLock lock(part_mu_);
     const PlanNode* child = plan_->children[0].get();
-    for (const Attempt& at : attempts_) {
-      env_.store->clock().MergeFrom(at.clock);
-      const PartitionState& ps = parts_[static_cast<size_t>(at.partition)];
-      const bool counts = ps.winner_claimed
-                              ? at.won
-                              : at.attempt == ps.attempts_started - 1;
-      if (!counts || env_.profile == nullptr || at.profile == nullptr) {
-        continue;
-      }
-      const OpProfile* root = at.profile->Find(child);
+    for (size_t p = 0; p < workers_.size(); ++p) {
+      const Worker& w = workers_[p];
+      env_.store->clock().MergeFrom(w.clock);
+      if (env_.profile == nullptr || w.profile == nullptr) continue;
+      const OpProfile* root = w.profile->Find(child);
       WorkerUtilization u;
-      u.worker = at.partition;
+      u.worker = static_cast<int>(p);
       u.rows = root != nullptr ? root->rows : 0;
-      u.cpu_s = at.clock.cpu_s;
+      u.cpu_s = w.clock.cpu_s;
       env_.profile->AddWorker(plan_, u);
-      env_.profile->MergeFrom(*at.profile);
-    }
-    if (env_.profile != nullptr) {
-      env_.profile->AddRecovery(retried_, speculated_);
+      env_.profile->MergeFrom(*w.profile);
     }
   }
 
-  /// Cuts every running attempt loose: each exits at its next batch
+  /// Cuts every running worker loose: each exits at its next batch
   /// boundary or push and settles without delivering or reporting an error.
   void StopWorkers() {
     {
@@ -791,7 +587,6 @@ class ExchangeExec : public ExecNode {
   const PlanNode* plan_;
   const PlanNode* driver_ = nullptr;
   int dop_ = 1;
-  int max_attempts_ = 1;
   bool merge_ = false;
   /// Destination queues, fixed after Open: one shared queue (plain) or one
   /// FIFO per partition (merge).
@@ -802,17 +597,14 @@ class ExchangeExec : public ExecNode {
   bool merge_primed_ = false;
   int64_t merge_emitted_ = 0;
   OpProfile* merge_prof_ = nullptr;  ///< this node's ANALYZE row, if any
+  /// One per partition, fixed after Open (see JoinWorkers).
+  std::vector<Worker> workers_;
   Mutex pending_mu_{lock_rank::kExchangePending};
   CondVar pending_cv_;
   int pending_ GUARDED_BY(pending_mu_) = 0;
-  /// Acquired before error_mu_ / pending_mu_ / the queue's lock (rank
-  /// kExchangePartition is the outermost of the exchange's three).
+  /// Guards the settle state below; no other lock is taken under it.
   Mutex part_mu_{lock_rank::kExchangePartition};
-  std::vector<PartitionState> parts_ GUARDED_BY(part_mu_);
-  std::deque<Attempt> attempts_ GUARDED_BY(part_mu_);
   int delivered_count_ GUARDED_BY(part_mu_) = 0;
-  int64_t retried_ GUARDED_BY(part_mu_) = 0;
-  int64_t speculated_ GUARDED_BY(part_mu_) = 0;
   bool shutdown_ GUARDED_BY(part_mu_) = false;
   Mutex error_mu_{lock_rank::kExchangeError};
   Status first_error_ GUARDED_BY(error_mu_);

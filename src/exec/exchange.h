@@ -17,12 +17,12 @@
 // the lower partition index — which, over contiguous slices and stable
 // local sorts, reproduces the global stable sort order exactly.
 //
-// Delivery: both variants run partitions as attempts under one protocol
-// (per-partition winner claim, retry of retryable faults, straggler
-// speculation; see ExecRecoveryOptions). Attempts stage their batches until
-// they succeed only when a partition may run more than once.
+// Delivery: both variants run exactly one worker per partition, and its
+// batches stream straight to the destination queue. A worker fault ends
+// the query with its typed Status; the Session retry ladder is the only
+// recovery layer (it re-runs the whole statement).
 //
-// Accounting: each attempt charges CPU to a private SimClock merged into
+// Accounting: each worker charges CPU to a private SimClock merged into
 // the store's clock after the join (I/O is charged by the shared disk model
 // under its own mutex). A governor trip on any worker is sticky in the
 // shared QueryGovernor, so every other worker trips at its next checkpoint

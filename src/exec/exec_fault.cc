@@ -84,8 +84,6 @@ Result<ExecFaultPolicy> ParseExecFaultSpec(const std::string& spec) {
     } else if (key == "slow_sim_s") {
       st = ParseNumber(kv, val, 0.0, std::numeric_limits<double>::max(),
                        &policy.slow_sim_s);
-    } else if (key == "slow_attempts") {
-      st = ParseNumber(kv, val, 0, kIntMax, &policy.slow_attempts);
     } else if (key == "stall_pushes") {
       st = ParseNumber(kv, val, int64_t{0}, kInt64Max, &policy.stall_pushes);
     } else if (key == "stall_ms") {
@@ -124,7 +122,7 @@ ExecFaultInjector::Action ExecFaultInjector::OnBatchBoundary(int worker,
   MutexLock lock(mu_);
   WorkerState& s = StateLocked(worker, attempt);
   ++s.batches;
-  if (policy_.slow_worker == worker && attempt < policy_.slow_attempts) {
+  if (policy_.slow_worker == worker) {
     act.sleep_ms += policy_.slow_ms;
     act.sim_delay_s += policy_.slow_sim_s;
   }

@@ -1,23 +1,22 @@
-// Deterministic exec-layer fault injection and the recovery knobs that
-// tolerate it. The storage layer's FaultPolicy (storage/fault.h) fails
-// charged page reads; this module extends the same seeded, replayable model
-// one layer up, where parallelism lives: a worker pipeline can be made to
-// *die* at a batch boundary (kWorkerFault), to *straggle* (a per-batch
-// wall-clock sleep plus a simulated-clock charge on one worker), or to
-// *stall* its exchange-queue pushes for a bounded number of batches. The
-// injector is threaded through ExecEnv so every operator Next() is a
-// potential fault site (Tick-level probabilistic kills) and every pipeline
+// Deterministic exec-layer fault injection. The storage layer's FaultPolicy
+// (storage/fault.h) fails charged page reads; this module extends the same
+// seeded, replayable model one layer up, where parallelism lives: a worker
+// pipeline can be made to *die* at a batch boundary (kWorkerFault), to
+// *straggle* (a per-batch wall-clock sleep plus a simulated-clock charge on one
+// worker), or to *stall* its exchange-queue pushes for a bounded number of
+// batches. The injector is threaded through ExecEnv so every operator Next() is
+// a potential fault site (Tick-level probabilistic kills) and every pipeline
 // root batch is a deterministic one.
 //
-// Identity model: a fault site is (worker, attempt). `worker` is the
-// Exchange partition index (0 for serial execution); `attempt` is the sum
-// of the Session-level query attempt and the Exchange-level partition
-// attempt, so a policy with fail_attempts = 1 produces a *transient* fault
-// — attempt 0 dies, every re-execution of the same chunk succeeds — which
-// is exactly the shape recovery and retry must win against. Per-worker
-// counters and RNG streams make the fault sequence independent of thread
-// interleaving: the same policy over the same per-worker access sequence
-// fires identically on every run, at any DOP.
+// Identity model: a fault site is (worker, attempt). `worker` is the Exchange
+// partition index (0 for serial execution); `attempt` is the Session-level
+// query attempt (each Exchange partition runs exactly once per attempt), so a
+// policy with fail_attempts = 1 produces a *transient* fault — attempt 0 dies,
+// every re-execution of the statement succeeds — which is exactly the shape the
+// Session retry ladder must win against. Under a bare ExecutePlan the same
+// fault surfaces as kWorkerFault. Per-worker counters and RNG streams make the
+// fault sequence independent of thread interleaving: the same policy over the
+// same per-worker access sequence fires identically on every run, at any DOP.
 #ifndef OODB_EXEC_EXEC_FAULT_H_
 #define OODB_EXEC_EXEC_FAULT_H_
 
@@ -46,27 +45,24 @@ struct ExecFaultPolicy {
   /// `fail_after_batches`-th batch boundary of each attempt of that
   /// worker's pipeline root, for every attempt below fail_attempts — so a
   /// transient policy kills attempt 0 and lets the retry run clean, while a
-  /// permanent one kills every re-execution until recovery gives up.
+  /// permanent one kills every re-execution until the retry ladder gives up.
   int fail_worker = -1;
   int64_t fail_after_batches = 1;
   /// Independent per-Tick (operator Next) kill probability in [0, 1), drawn
   /// from a per-worker RNG stream. 0 disables.
   double fail_probability = 0.0;
   /// Attempts [0, fail_attempts) are killed; later attempts of the same
-  /// site run clean. 1 = transient (the recovery-must-win shape); a large
+  /// site run clean. 1 = transient (the retry-must-win shape); a large
   /// value = permanent (the typed-terminal-Status shape).
   int fail_attempts = 1;
 
   // --- straggler (slow worker) ---
   /// Worker index that straggles, or -1 for none. Each batch boundary on
   /// that worker sleeps `slow_ms` of real time and charges `slow_sim_s`
-  /// simulated seconds to the worker's private clock.
+  /// simulated seconds to the worker's private clock, on every attempt.
   int slow_worker = -1;
   double slow_ms = 0.0;
   double slow_sim_s = 0.0;
-  /// Attempts [0, slow_attempts) straggle; later attempts run at speed (so
-  /// a speculative re-dispatch observably beats the original).
-  int slow_attempts = 1;
 
   // --- bounded queue stall ---
   /// The first `stall_pushes` exchange-queue pushes (across all workers)
@@ -90,43 +86,13 @@ inline constexpr double kMaxFaultSleepMs = 60000.0;
 ///   seed                          unsigned 64-bit integer
 ///   fail_worker, slow_worker      integer >= -1 (-1 disables)
 ///   fail_after_batches            integer >= 1
-///   fail_attempts, slow_attempts  integer >= 0
-///   stall_pushes                  integer >= 0
+///   fail_attempts, stall_pushes   integer >= 0
 ///   fail_probability              real in [0, 1)
 ///   slow_ms, stall_ms             real in [0, kMaxFaultSleepMs]
 ///   slow_sim_s                    finite real >= 0
 /// Integer keys take decimal integers only ("0.7" is rejected, not
 /// truncated). Unknown keys and out-of-range values are InvalidArgument.
 Result<ExecFaultPolicy> ParseExecFaultSpec(const std::string& spec);
-
-/// Aggregated fault/recovery counters for one plan execution, owned by
-/// ExecutePlan and updated by Exchange when a partition is retried or
-/// speculated.
-/// Atomic because losing speculative attempts may still be running when the
-/// consumer reads the totals.
-struct ExecFaultStats {
-  std::atomic<int64_t> partitions_retried{0};
-  std::atomic<int64_t> partitions_speculated{0};
-};
-
-/// Recovery configuration for parallel execution (ExecOptions::recovery).
-/// Every Exchange runs its partitions as attempts under a first-result-wins
-/// winner claim. With the default single attempt a worker fault surfaces as
-/// its typed Status and batches stream straight to the consumer. With more,
-/// each attempt stages its partition's batches and publishes them only
-/// after the whole chunk succeeded, so a failed or superseded attempt
-/// contributes nothing: re-execution is duplicate-free and exactly-once
-/// delivery is asserted per partition.
-struct ExecRecoveryOptions {
-  /// Attempts per partition (including the first) before the fault goes
-  /// terminal. Values below 1 count as 1.
-  int max_partition_attempts = 1;
-  /// Straggler threshold as a fraction of the governor deadline: a
-  /// partition not delivered within threshold * deadline_ms of its dispatch
-  /// is speculatively re-dispatched (first result wins, loser suppressed).
-  /// 0, no governor deadline, or a single attempt disables speculation.
-  double straggler_threshold = 0.0;
-};
 
 /// Per-execution injector. Thread-safe; all state is per-worker so the
 /// fault sequence is interleaving-independent.
@@ -171,9 +137,9 @@ class ExecFaultInjector {
   };
 
   /// State is keyed by the full fault-site identity (worker, attempt): each
-  /// re-execution of a partition (or of the whole query) restarts its batch
-  /// and tick counters, so deterministic faults fire at the same point of
-  /// *every* attempt the policy arms — not just the first.
+  /// re-execution of the query restarts its batch and tick counters, so
+  /// deterministic faults fire at the same point of *every* attempt the
+  /// policy arms — not just the first.
   WorkerState& StateLocked(int worker, int attempt) REQUIRES(mu_);
   void CountInjected();
 
@@ -185,8 +151,9 @@ class ExecFaultInjector {
 };
 
 /// True for the exec-fault classes that re-execution can cure: the
-/// partition's input is a read-only store, so a dead worker (kWorkerFault)
-/// or a transient media error (kStorageFault) may succeed on retry.
+/// statement's input is a read-only store, so a dead worker (kWorkerFault)
+/// or a transient media error (kStorageFault) may succeed when the Session
+/// retry ladder re-runs it.
 /// Governor trips and cancellation are sticky/terminal by design.
 inline bool IsRetryableExecFault(StatusCode code) {
   return code == StatusCode::kWorkerFault || code == StatusCode::kStorageFault;

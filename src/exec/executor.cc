@@ -75,15 +75,12 @@ Result<ExecStats> ExecutePlan(const PlanNode& plan, ObjectStore* store,
   env.topk = options.topk;
   env.fault_attempt = options.fault_attempt;
   env.replan_drift_threshold = options.replan_drift_threshold;
-  // Injector and recovery state live on this frame: the root is destroyed
-  // (joining every Exchange worker) before they go out of scope.
+  // The injector lives on this frame: the root is destroyed (joining every
+  // Exchange worker) before it goes out of scope.
   const ExecFaultPolicy& fault_policy =
       options.exec_faults.enabled() ? options.exec_faults : EnvExecFaults();
   ExecFaultInjector injector(fault_policy);
   if (fault_policy.enabled()) env.exec_faults = &injector;
-  ExecFaultStats fault_stats;
-  env.recovery = options.recovery;
-  env.fault_stats = &fault_stats;
   std::shared_ptr<ExecProfile> profile;
   if (options.profile != nullptr) {
     env.profile = options.profile;
@@ -165,10 +162,6 @@ Result<ExecStats> ExecutePlan(const PlanNode& plan, ObjectStore* store,
   if (options.governor != nullptr) {
     stats.governor = options.governor->stats();
   }
-  stats.partitions_retried =
-      fault_stats.partitions_retried.load(std::memory_order_relaxed);
-  stats.partitions_speculated =
-      fault_stats.partitions_speculated.load(std::memory_order_relaxed);
   stats.faults_injected = injector.injected();
   stats.profile = std::move(profile);
   return stats;

@@ -27,11 +27,7 @@ struct ExecStats {
   int dop = 1;
   /// Governor trip/charge counters (zero when the run was ungoverned).
   GovernorStats governor;
-  /// Fault-tolerance counters for this execution: partitions re-executed
-  /// after a retryable worker/storage fault, speculative straggler
-  /// re-dispatches, and faults the exec-layer injector actually fired.
-  int64_t partitions_retried = 0;
-  int64_t partitions_speculated = 0;
+  /// Faults the exec-layer injector actually fired.
   int64_t faults_injected = 0;
 
   double sim_total_s() const { return sim_io_s + sim_cpu_s; }
@@ -83,10 +79,6 @@ struct ExecOptions {
   /// passes its attempt index so "fail the first N attempts" policies make
   /// faults transient across query-level retries too.
   int fault_attempt = 0;
-  /// Parallel-execution recovery (partition re-execution, straggler
-  /// speculation). One attempt per partition by default: a worker fault
-  /// surfaces as its typed Status and no batch is staged.
-  ExecRecoveryOptions recovery;
   /// Mid-query re-planning trigger (0 = off): pipeline-breaker inputs fail
   /// with kPlanDrift when actual rows drift past the estimate by this
   /// factor (see ExecEnv::replan_drift_threshold). Armed by the Session's

@@ -94,18 +94,10 @@ struct ExecEnv {
   /// and outlives every worker of the execution.
   ExecFaultInjector* exec_faults = nullptr;
   /// Fault-site identity for the injector: the Exchange partition index
-  /// (0 for serial pipelines) and the attempt number — the Session-level
-  /// query attempt plus the Exchange-level partition attempt, so
-  /// "attempts < N fail" policies shape transient faults at either layer.
+  /// (0 for serial pipelines) and the Session-level query attempt, so
+  /// "attempts < N fail" policies shape faults the retry ladder outlives.
   int fault_worker = 0;
   int fault_attempt = 0;
-
-  /// Parallel-execution recovery knobs: partition attempts and straggler
-  /// speculation in Exchange.
-  ExecRecoveryOptions recovery;
-  /// Per-execution recovery counters, owned by ExecutePlan; updated by
-  /// Exchange when a partition is retried or speculated.
-  ExecFaultStats* fault_stats = nullptr;
 
   /// Mid-query re-planning trigger (0 = off). When positive, the input of
   /// every pipeline breaker (hash-join build, Sort/TopK input — including

@@ -117,10 +117,9 @@ bool DegradableTrip(StatusCode code) {
 }
 
 /// Renders the execution attempt trail — one line per attempt with its
-/// ladder step, outcome, fault/recovery counters, and the simulated backoff
-/// charged before the next attempt. Empty on the untried clean path (a
-/// single OK attempt), so ANALYZE output is unchanged unless something
-/// actually went wrong.
+/// ladder step, outcome and injected-fault count. Empty on the untried
+/// clean path (a single OK attempt), so ANALYZE output is unchanged unless
+/// something actually went wrong.
 std::string RenderRetryTrail(const std::vector<ExecAttempt>& attempts) {
   if (attempts.size() <= 1 &&
       (attempts.empty() || attempts[0].status.ok())) {
@@ -133,16 +132,6 @@ std::string RenderRetryTrail(const std::vector<ExecAttempt>& attempts) {
     out += " status=" + (a.status.ok() ? "OK" : a.status.ToString());
     if (a.faults_injected > 0) {
       out += " faults=" + std::to_string(a.faults_injected);
-    }
-    if (a.partitions_retried > 0) {
-      out += " partitions_retried=" + std::to_string(a.partitions_retried);
-    }
-    if (a.partitions_speculated > 0) {
-      out +=
-          " partitions_speculated=" + std::to_string(a.partitions_speculated);
-    }
-    if (a.backoff_s > 0.0) {
-      out += " backoff=" + FormatDouble(a.backoff_s, 6) + "s";
     }
     out += "\n";
   }
@@ -306,7 +295,6 @@ Result<ExecStats> Session::ExecuteWithRetry(SessionResult* r,
                                             ExecProfile* profile) {
   const RetryPolicy& retry = options_.retry;
   const int max_attempts = std::max(1, retry.max_attempts);
-  double total_backoff = 0.0;
   Status last = Status::OK();
   // Mid-query re-planning shares this loop with the fault-retry ladder but
   // keeps separate books: `attempt` indexes ladder rungs (fault retries
@@ -387,8 +375,6 @@ Result<ExecStats> Session::ExecuteWithRetry(SessionResult* r,
       // after extraction, so operator accounting stays exactly-once.
       rec.status = stats.status();
       rec.sim_s = store_.clock().io_s + store_.clock().cpu_s;
-      rec.partitions_retried = attempt_profile.partitions_retried();
-      rec.partitions_speculated = attempt_profile.partitions_speculated();
       Status replanned = ReplanWithFeedback(r, attempt_profile);
       next_replanned = replanned.ok();
       if (replanned.ok()) {
@@ -404,7 +390,6 @@ Result<ExecStats> Session::ExecuteWithRetry(SessionResult* r,
         Status charged = governor_->ChargeRetry();
         if (!charged.ok()) {
           r->attempts.push_back(std::move(rec));
-          r->retry_backoff_s = total_backoff;
           if (profile != nullptr) profile->MergeFrom(attempt_profile);
           return charged;
         }
@@ -418,19 +403,12 @@ Result<ExecStats> Session::ExecuteWithRetry(SessionResult* r,
     rec.status = stats.ok() ? Status::OK() : stats.status();
     if (stats.ok()) {
       rec.faults_injected = stats->faults_injected;
-      rec.partitions_retried = stats->partitions_retried;
-      rec.partitions_speculated = stats->partitions_speculated;
       rec.sim_s = stats->sim_total_s();
     } else {
-      // ExecutePlan returns only a Status on failure; the attempt profile
-      // still carries what the Exchange recovery path observed.
-      rec.partitions_retried = attempt_profile.partitions_retried();
-      rec.partitions_speculated = attempt_profile.partitions_speculated();
       rec.sim_s = store_.clock().io_s + store_.clock().cpu_s;
     }
     if (terminal) {
       r->attempts.push_back(std::move(rec));
-      r->retry_backoff_s = total_backoff;
       // Only the final attempt's profile merges: earlier attempts ran the
       // same plan nodes and would double-count every operator.
       if (profile != nullptr) profile->MergeFrom(attempt_profile);
@@ -443,18 +421,10 @@ Result<ExecStats> Session::ExecuteWithRetry(SessionResult* r,
       Status charged = governor_->ChargeRetry();
       if (!charged.ok()) {
         r->attempts.push_back(std::move(rec));
-        r->retry_backoff_s = total_backoff;
         if (profile != nullptr) profile->MergeFrom(attempt_profile);
         return charged;
       }
     }
-    // Exponential backoff in simulated time. cold_start resets the
-    // simulated clock per attempt, so backoff accumulates on its own
-    // tally instead of the clock.
-    double backoff =
-        retry.backoff_s * static_cast<double>(int64_t{1} << std::min(attempt, 30));
-    rec.backoff_s = backoff;
-    total_backoff += backoff;
     r->attempts.push_back(std::move(rec));
     SessionMetrics::Get().exec_retries->Increment();
     ++attempt;  // fault retries consume ladder rungs; re-plans do not
@@ -620,9 +590,6 @@ Result<std::string> Session::ExplainAnalyze(const std::string& zql) {
       out += " governor_rows=" + std::to_string(stats->governor.rows_charged) +
              " governor_pages=" +
              std::to_string(stats->governor.pages_charged);
-    }
-    if (r.retry_backoff_s > 0.0) {
-      out += " retry_backoff=" + FormatDouble(r.retry_backoff_s, 6) + "s";
     }
     out += "\n";
   }

@@ -18,12 +18,12 @@
 
 namespace oodb {
 
-/// Query-level execution retry (Session::Options::retry). Inert by default
-/// (one attempt, exactly the seed execution path). When armed, a retryable
-/// execution failure (kWorkerFault / kStorageFault — see
-/// IsRetryableExecFault) triggers re-execution with exponential backoff in
-/// *simulated* time (cold_start resets the clock per attempt, so backoff is
-/// tracked as a separate accumulated quantity) down a degradation ladder:
+/// Query-level execution retry (Session::Options::retry), the engine's only
+/// fault-recovery layer: an Exchange runs each partition once, so a worker
+/// fault fails the whole execution and recovery re-runs the statement.
+/// Inert by default (one attempt, exactly the seed execution path). When
+/// armed, a retryable execution failure (kWorkerFault / kStorageFault — see
+/// IsRetryableExecFault) triggers re-execution down a degradation ladder:
 ///   attempt 0: planned (the optimized plan, as configured)
 ///   attempt 1: serial (StripExchanges: the plan without its Exchanges)
 ///   attempt 2+: greedy-baseline re-plan (no Exchange), verified like the
@@ -33,9 +33,6 @@ namespace oodb {
 struct RetryPolicy {
   /// Total attempts, including the first. 1 = no retry (seed behavior).
   int max_attempts = 1;
-  /// Base backoff in simulated seconds before the first retry; doubles per
-  /// subsequent retry. Accumulated on SessionResult::retry_backoff_s.
-  double backoff_s = 0.0;
   /// Walk the degradation ladder across attempts. False: every attempt
   /// re-runs the original configuration (pure retry).
   bool degrade = true;
@@ -85,18 +82,14 @@ struct AdaptiveOptions {
 };
 
 /// One execution attempt's outcome in the Session retry trail: the ladder
-/// step it ran at, its terminal status (OK on success), the fault/recovery
-/// counters it observed, and the simulated backoff charged before the
-/// *next* attempt (0 on the last). Rendered by EXPLAIN ANALYZE so a
-/// recovered query's history is visible on the final profile.
+/// step it ran at, its terminal status (OK on success) and the faults it
+/// observed. Rendered by EXPLAIN ANALYZE so a recovered query's history is
+/// visible on the final profile.
 struct ExecAttempt {
   int attempt = 0;
   std::string step;  ///< "planned" | "serial" | "greedy"
   Status status = Status::OK();
   int64_t faults_injected = 0;
-  int64_t partitions_retried = 0;
-  int64_t partitions_speculated = 0;
-  double backoff_s = 0.0;
   /// This attempt ran a plan re-optimized from the previous attempt's
   /// observed cardinalities (mid-query re-planning).
   bool replanned = false;
@@ -118,8 +111,6 @@ struct SessionResult {
   /// Execution attempt history (one entry per attempt; a single OK entry on
   /// the clean path). Empty when the statement was only prepared.
   std::vector<ExecAttempt> attempts;
-  /// Total simulated backoff charged across retries.
-  double retry_backoff_s = 0.0;
   /// Cardinality feedback the final plan was optimized with (null unless a
   /// mid-query re-plan happened). Owns the object ctx.feedback points at.
   std::shared_ptr<const CardFeedback> feedback;

@@ -39,8 +39,6 @@ void ExecProfile::MergeFrom(const ExecProfile& other) {
     std::vector<WorkerUtilization>& mine = workers_[node];
     mine.insert(mine.end(), ws.begin(), ws.end());
   }
-  partitions_retried_ += other.partitions_retried_;
-  partitions_speculated_ += other.partitions_speculated_;
 }
 
 void ExecProfile::AddWorker(const PlanNode* exchange, WorkerUtilization u) {
@@ -137,12 +135,6 @@ std::string RenderAnalyzedPlan(const PlanNode& plan, const QueryContext& ctx,
                                const ExecProfile& profile) {
   std::ostringstream os;
   RenderRec(plan, ctx, profile, 0, os);
-  // Recovery events are per query (not per operator): a recovered run is
-  // visibly distinct from a clean one right in the ANALYZE output.
-  if (profile.partitions_retried() > 0 || profile.partitions_speculated() > 0) {
-    os << "recovery: partitions retried " << profile.partitions_retried()
-       << ", speculated " << profile.partitions_speculated() << "\n";
-  }
   return os.str();
 }
 

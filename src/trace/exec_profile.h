@@ -96,24 +96,11 @@ class ExecProfile {
   void AddWorker(const PlanNode* exchange, WorkerUtilization u);
   const std::vector<WorkerUtilization>* workers(const PlanNode* exchange) const;
 
-  /// Recovery events observed while this profile's query executed: Exchange
-  /// partitions re-executed after a retryable fault, and straggling
-  /// partitions speculatively re-dispatched. Rendered on the ANALYZE
-  /// summary line so a recovered run is visibly distinct from a clean one.
-  void AddRecovery(int64_t retried, int64_t speculated) {
-    partitions_retried_ += retried;
-    partitions_speculated_ += speculated;
-  }
-  int64_t partitions_retried() const { return partitions_retried_; }
-  int64_t partitions_speculated() const { return partitions_speculated_; }
-
   size_t num_ops() const { return ops_.size(); }
 
  private:
   std::unordered_map<const PlanNode*, OpProfile> ops_;
   std::unordered_map<const PlanNode*, std::vector<WorkerUtilization>> workers_;
-  int64_t partitions_retried_ = 0;
-  int64_t partitions_speculated_ = 0;
   bool io_timed_ = true;
 };
 

@@ -537,9 +537,6 @@ TEST(ExecFaultSpecTest, ParsesEveryKeyAndRejectsOutOfRange) {
       {"slow_sim_s=0.001", [](const ExecFaultPolicy& p) {
          return p.slow_sim_s == 0.001;
        }},
-      {"slow_attempts=2", [](const ExecFaultPolicy& p) {
-         return p.slow_attempts == 2;
-       }},
       {"stall_pushes=4", [](const ExecFaultPolicy& p) {
          return p.stall_pushes == 4;
        }},
@@ -582,6 +579,7 @@ TEST(ExecFaultSpecTest, ParsesEveryKeyAndRejectsOutOfRange) {
       "slow_ms=inf",
       "slow_sim_s=-1",
       "slow_sim_s=inf",
+      "slow_attempts=2",  // unknown key
       "slow_attempts=-1",
       "stall_pushes=-1",
       "stall_pushes=1e3",

@@ -331,7 +331,7 @@ struct Settings {
   std::string db = "paper";  // "oo7", "paper" (scale 0.02), "paperN" (N/100)
   OptimizerOptions opt;
   std::string ablate;  // oracle 1's extra disabled rule
-  int dop = 1, batch = 1024, attempts = 1;
+  int dop = 1, batch = 1024;
   bool topk = true;
   ExecFaultPolicy xf;
   FaultPolicy sf;
@@ -382,7 +382,6 @@ Result<Settings> ParseSettings(const std::vector<std::string>& tokens) {
     else if (k == "ablate") s.ablate = v;
     else if (k == "dop") s.dop = static_cast<int>(n);
     else if (k == "batch") s.batch = static_cast<int>(n);
-    else if (k == "attempts") s.attempts = static_cast<int>(n);
     else if (k == "topk") s.topk = n != 0;
     else if (k == "nth") s.sf.fail_every_nth_read = n;
     else if (k == "sp") s.sf.fail_probability = std::stod(v);
@@ -467,7 +466,6 @@ std::vector<std::string> DrawConfig(Rng& rng, Slice slice, bool oo7) {
               ",stall_ms=0.5";
     }
     t.push_back(xf);
-    t.push_back(slice == Slice::kSession ? "attempts=2" : "attempts=3");
   }
   if (slice == Slice::kSession) {
     t.push_back(rng.Bernoulli(0.7) ? "session=4" : "session=2");
@@ -879,7 +877,7 @@ GovernorOptions WithRowCap(GovernorOptions gov, const Rows& ref) {
 }
 
 void RunSession(const Settings& s, const Case& c, const Parsed& p,
-                const Rows& ref) {
+                const Rows& ref, LineRun* out) {
   Session::Options so;
   so.optimizer = s.opt;
   so.optimizer.max_dop = s.dop;
@@ -887,12 +885,10 @@ void RunSession(const Settings& s, const Case& c, const Parsed& p,
   so.exec.batch_size = s.batch;
   so.exec.topk = s.topk;
   so.exec.exec_faults = s.xf;
-  so.exec.recovery.max_partition_attempts = s.attempts;
   so.governor = WithRowCap(s.gov, ref);
   so.governor.degrade_to_greedy = s.degrade;
   so.governor.max_retries = 64;
   so.retry.max_attempts = s.session;
-  so.retry.backoff_s = 0.001;
   so.retry.degrade = s.degrade;
   if (s.adaptive) so.adaptive.replan_drift_threshold = 4.0;
   std::unique_ptr<Oo7Db> oo7 =
@@ -903,6 +899,14 @@ void RunSession(const Settings& s, const Case& c, const Parsed& p,
   sess.store().SetFaultPolicy(s.sf);
   Result<SessionResult> r = sess.Query(c.Text());
   sess.store().SetFaultPolicy(FaultPolicy{});
+  if (out != nullptr) {
+    out->ran = true;
+    out->status = r.status();
+    if (r.ok()) {
+      out->stats = r->exec;
+      out->attempts = r->attempts;
+    }
+  }
   // A fault that ends two attempts before the ladder does must be survived.
   if (!s.sf.enabled() && !s.gov.enabled() &&
       (!s.xf.enabled() || s.xf.fail_attempts + 2 <= s.session)) {
@@ -968,7 +972,7 @@ void CheckCase(const Case& c, bool execute, LineRun* out = nullptr,
   ASSERT_LE(widest, 2e5) << "a deck line this wide needs `noexec`";
   ObjectStore* store = Db(s.db, true).store.get();
   const Rows ref = ReferenceRows(*p, store);
-  if (s.session > 0) return RunSession(s, c, *p, ref);
+  if (s.session > 0) return RunSession(s, c, *p, ref, out);
   OptimizerOptions opts = s.opt;
   opts.max_dop = s.dop;
   QueryGovernor governor(WithRowCap(s.gov, ref));
@@ -990,7 +994,6 @@ void CheckCase(const Case& c, bool execute, LineRun* out = nullptr,
   eo.topk = s.topk;
   eo.governor = &governor;
   eo.exec_faults = s.xf;
-  eo.recovery.max_partition_attempts = s.attempts;
   store->SetFaultPolicy(s.sf);
   Result<ExecStats> run = ExecutePlan(plan, store, &p->ctx, eo);
   store->SetFaultPolicy(FaultPolicy{});

@@ -1,7 +1,7 @@
 // The differential harness: one seeded ZQL generator, one configuration
 // space and three oracles. A case is one deck line, `<config> | <ZQL>`:
 //
-//   dop=4 batch=7 off=join-order xf=fail_worker=1 attempts=3 | SELECT ...;
+//   dop=4 batch=7 off=join-order xf=fail_worker=1 session=4 | SELECT ...;
 //
 // Oracle 1 (metamorphic): the optimum never gets cheaper when one more rule
 // is disabled. Oracle 2 (join order): on a join graph of ranges, paths and
@@ -31,7 +31,7 @@ enum class Slice {
   kSerial,    ///< dop 1: rules, pruning, merge join, warm start, batch, topk
   kFaults,    ///< kSerial plus storage faults and governor budgets
   kParallel,  ///< dop 2/4 with batch sizes, storage faults and budgets
-  kChaos,     ///< exec faults with partition attempts, dop 1/2/4
+  kChaos,     ///< exec faults under a bare ExecutePlan, dop 1/2/4
   kSession,   ///< Session retry/degrade ladder, adaptive re-planning
 };
 
@@ -50,6 +50,7 @@ struct LineRun {
   bool ran = false;  // oracle 3 executed the plan
   Status status;     // the run's outcome
   ExecStats stats;   // the run's statistics when it returned OK
+  std::vector<ExecAttempt> attempts;  // the retry trail of a `session=` run
 
   int64_t rows() const { return ran && status.ok() ? stats.rows : -1; }
 };
