@@ -29,7 +29,7 @@ DECL_RE = re.compile(
 )
 
 # Any declaration shape, to spot names that are *also* declared with a
-# non-Status return type somewhere (DiskModel::Read vs ObjectStore::Read).
+# non-Status return type somewhere (SimStream::Read vs ObjectStore::Read).
 # A grep-level lint cannot resolve which overload a call hits, so ambiguous
 # names are excluded from checking rather than risking false positives.
 ANY_DECL_RE = re.compile(

@@ -55,79 +55,75 @@ Status AnalyzeStore(const ObjectStore& store, Catalog* catalog,
     }
   }
 
-  if (options.field_statistics) {
-    // One pass over every stored object, accumulating per (type, field).
-    std::vector<std::vector<FieldStats>> stats(schema.num_types());
-    for (TypeId t = 0; t < schema.num_types(); ++t) {
-      stats[t].resize(schema.type(t).fields().size());
-    }
-    for (Oid oid = 0; oid < store.num_objects(); ++oid) {
-      OODB_ASSIGN_OR_RETURN(const ObjectData* obj_ptr, store.Peek(oid));
-      const ObjectData& obj = *obj_ptr;
-      const TypeDef& td = schema.type(obj.type);
-      int ref_set_slot = 0;
-      for (FieldId f = 0; f < static_cast<FieldId>(td.fields().size()); ++f) {
-        const FieldDef& def = td.field(f);
-        FieldStats& fs = stats[obj.type][f];
-        ++fs.rows;
-        switch (def.kind) {
-          case FieldKind::kInt: {
-            int64_t v = obj.value(f).i;
-            if (!fs.any_int || v < fs.min_value) fs.min_value = v;
-            if (!fs.any_int || v > fs.max_value) fs.max_value = v;
-            fs.any_int = true;
-            fs.distinct.insert(std::to_string(v));
-            break;
-          }
-          case FieldKind::kDouble:
-          case FieldKind::kString:
-            fs.distinct.insert(obj.value(f).ToString());
-            break;
-          case FieldKind::kRef:
-            break;
-          case FieldKind::kRefSet:
-            fs.set_elements +=
-                static_cast<double>(obj.ref_sets[ref_set_slot].size());
-            ++ref_set_slot;
-            break;
+  // One pass over every stored object, accumulating per (type, field).
+  std::vector<std::vector<FieldStats>> stats(schema.num_types());
+  for (TypeId t = 0; t < schema.num_types(); ++t) {
+    stats[t].resize(schema.type(t).fields().size());
+  }
+  for (Oid oid = 0; oid < store.num_objects(); ++oid) {
+    OODB_ASSIGN_OR_RETURN(const ObjectData* obj_ptr, store.Peek(oid));
+    const ObjectData& obj = *obj_ptr;
+    const TypeDef& td = schema.type(obj.type);
+    int ref_set_slot = 0;
+    for (FieldId f = 0; f < static_cast<FieldId>(td.fields().size()); ++f) {
+      const FieldDef& def = td.field(f);
+      FieldStats& fs = stats[obj.type][f];
+      ++fs.rows;
+      switch (def.kind) {
+        case FieldKind::kInt: {
+          int64_t v = obj.value(f).i;
+          if (!fs.any_int || v < fs.min_value) fs.min_value = v;
+          if (!fs.any_int || v > fs.max_value) fs.max_value = v;
+          fs.any_int = true;
+          fs.distinct.insert(std::to_string(v));
+          break;
         }
+        case FieldKind::kDouble:
+        case FieldKind::kString:
+          fs.distinct.insert(obj.value(f).ToString());
+          break;
+        case FieldKind::kRef:
+          break;
+        case FieldKind::kRefSet:
+          fs.set_elements +=
+              static_cast<double>(obj.ref_sets[ref_set_slot].size());
+          ++ref_set_slot;
+          break;
       }
     }
-    for (TypeId t = 0; t < schema.num_types(); ++t) {
-      TypeDef& td = catalog->schema().mutable_type(t);
-      for (FieldId f = 0; f < static_cast<FieldId>(td.fields().size()); ++f) {
-        const FieldStats& fs = stats[t][f];
-        if (fs.rows == 0) continue;
-        FieldDef& def = td.mutable_field(f);
-        switch (def.kind) {
-          case FieldKind::kInt:
-            def.distinct_values = static_cast<int64_t>(fs.distinct.size());
-            def.min_value = fs.min_value;
-            def.max_value = fs.max_value;
-            break;
-          case FieldKind::kDouble:
-          case FieldKind::kString:
-            def.distinct_values = static_cast<int64_t>(fs.distinct.size());
-            break;
-          case FieldKind::kRef:
-            break;
-          case FieldKind::kRefSet:
-            def.avg_set_card =
-                fs.set_elements / static_cast<double>(fs.rows);
-            break;
-        }
+  }
+  for (TypeId t = 0; t < schema.num_types(); ++t) {
+    TypeDef& td = catalog->schema().mutable_type(t);
+    for (FieldId f = 0; f < static_cast<FieldId>(td.fields().size()); ++f) {
+      const FieldStats& fs = stats[t][f];
+      if (fs.rows == 0) continue;
+      FieldDef& def = td.mutable_field(f);
+      switch (def.kind) {
+        case FieldKind::kInt:
+          def.distinct_values = static_cast<int64_t>(fs.distinct.size());
+          def.min_value = fs.min_value;
+          def.max_value = fs.max_value;
+          break;
+        case FieldKind::kDouble:
+        case FieldKind::kString:
+          def.distinct_values = static_cast<int64_t>(fs.distinct.size());
+          break;
+        case FieldKind::kRef:
+          break;
+        case FieldKind::kRefSet:
+          def.avg_set_card =
+              fs.set_elements / static_cast<double>(fs.rows);
+          break;
       }
     }
   }
 
-  if (options.index_statistics) {
-    for (const IndexInfo& info : catalog->indexes()) {
-      Result<const StoredIndex*> idx = store.FindIndex(info.name);
-      if (!idx.ok()) continue;  // not built in this store
-      Result<IndexInfo*> mutable_info = catalog->FindIndex(info.name);
-      if (mutable_info.ok()) {
-        (*mutable_info)->distinct_keys = (*idx)->num_keys();
-      }
+  for (const IndexInfo& info : catalog->indexes()) {
+    Result<const StoredIndex*> idx = store.FindIndex(info.name);
+    if (!idx.ok()) continue;  // not built in this store
+    Result<IndexInfo*> mutable_info = catalog->FindIndex(info.name);
+    if (mutable_info.ok()) {
+      (*mutable_info)->distinct_keys = (*idx)->num_keys();
     }
   }
   // Field and index statistics above mutate the catalog directly (not

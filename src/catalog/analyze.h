@@ -14,12 +14,8 @@ namespace oodb {
 class QueryGovernor;
 
 struct AnalyzeOptions {
-  /// Update per-field distinct counts / ranges / fanouts.
-  bool field_statistics = true;
   /// Update collection cardinalities.
   bool cardinalities = true;
-  /// Update index distinct-key counts from the built indexes.
-  bool index_statistics = true;
   /// When set, the full-store statistics scan is charged against this
   /// governor's row budget before any catalog mutation happens. Used by the
   /// session's drift-triggered auto-ANALYZE so background refresh work runs

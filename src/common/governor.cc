@@ -115,13 +115,14 @@ Status QueryGovernor::ChargeAlternative() {
   return Status::OK();
 }
 
-Status QueryGovernor::CheckExec(int64_t pages_read) {
+Status QueryGovernor::CheckExec(int64_t new_pages) {
   MutexLock lock(mu_);
   OODB_RETURN_IF_ERROR(CheckCancelAndDeadlineLocked("execute"));
-  if (pages_read > stats_.pages_charged) stats_.pages_charged = pages_read;
-  if (options_.max_exec_pages > 0 && pages_read > options_.max_exec_pages) {
+  pages_ += new_pages;
+  stats_.pages_charged = pages_;
+  if (options_.max_exec_pages > 0 && pages_ > options_.max_exec_pages) {
     return TripLocked(Status::BudgetExhausted(
-        "simulated I/O budget exhausted: " + std::to_string(pages_read) +
+        "simulated I/O budget exhausted: " + std::to_string(pages_) +
         " pages > " + std::to_string(options_.max_exec_pages)));
   }
   return Status::OK();

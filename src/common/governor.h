@@ -129,8 +129,9 @@ class QueryGovernor {
   // --- executor-side checkpoints ---
 
   /// Per-batch checkpoint: cancellation, deadline, simulated-page budget.
-  /// `pages_read` is the store's cumulative disk-read counter.
-  Status CheckExec(int64_t pages_read);
+  /// Charges `new_pages`, the pages the calling pipeline read since its
+  /// last checkpoint; every pipeline's reads count against one budget.
+  Status CheckExec(int64_t new_pages);
   /// Charges `n` output rows against the row budget.
   Status ChargeRows(int64_t n);
   /// Charges `bytes` of tuples buffered by a blocking operator against the
@@ -165,6 +166,7 @@ class QueryGovernor {
   mutable Mutex mu_{lock_rank::kGovernor};  ///< guards everything below
   Status trip_ GUARDED_BY(mu_);  // OK until the first trip, then sticky
   int64_t rows_ GUARDED_BY(mu_) = 0;
+  int64_t pages_ GUARDED_BY(mu_) = 0;
   int64_t alternatives_ GUARDED_BY(mu_) = 0;
   int64_t tracked_bytes_ GUARDED_BY(mu_) = 0;
   int64_t retries_ GUARDED_BY(mu_) = 0;

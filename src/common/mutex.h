@@ -44,9 +44,11 @@ namespace lock_rank {
 //
 //   plan_cache        -> metrics                  (counters under lock)
 //   exchange.batch_queue -> batch_pool            (Abort drains to pool)
-//   buffer_pool       -> disk_model               (miss reads the disk)
-//                     -> storage_fault            (AccessMany fault check)
+//   buffer_pool       -> storage_fault            (AccessMany fault check)
 //   governor / exec_fault / batch_pool / *        -> metrics
+//
+// A buffer-pool miss charges the caller's own SimStream under the pool
+// lock; streams are thread-private and take no lock.
 //
 // Gaps between ranks leave room for future locks without renumbering.
 
@@ -59,7 +61,6 @@ inline constexpr LockRank kWorkerPool{45, "worker_pool"};
 inline constexpr LockRank kGovernor{50, "governor"};
 inline constexpr LockRank kExecFault{55, "exec_fault"};
 inline constexpr LockRank kBufferPool{60, "buffer_pool"};
-inline constexpr LockRank kDiskModel{65, "disk_model"};
 inline constexpr LockRank kStorageFault{70, "storage_fault"};
 inline constexpr LockRank kBatchPool{80, "batch_pool"};
 inline constexpr LockRank kStoreColumns{85, "object_store.columns"};

@@ -40,19 +40,10 @@ Cost CostModel::AssemblyIo(const Catalog& catalog, TypeId type, double n_refs,
                            int window) const {
   double faults = n_refs;
   if (std::optional<int64_t> population = catalog.TypeCardinality(type)) {
-    if (opts_.yao_page_faults) {
-      // Yao's formula (approximated): expected distinct pages touched by
-      // n_refs uniform references into a `pages`-page extent — a refinement
-      // of the paper's bound, enabled by clustering statistics.
-      double pages = PagesFor(catalog, type, static_cast<double>(*population));
-      double expected = pages * (1.0 - std::pow(1.0 - 1.0 / pages, n_refs));
-      faults = std::min(faults, expected);
-    } else {
-      // With a known population (an extent exists) the optimizer "can place
-      // an upper bound on the number of I/O operations needed" (paper §4):
-      // at most one fault per distinct referenced object.
-      faults = std::min(faults, static_cast<double>(*population));
-    }
+    // With a known population (an extent exists) the optimizer "can place
+    // an upper bound on the number of I/O operations needed" (paper §4): at
+    // most one fault per distinct referenced object.
+    faults = std::min(faults, static_cast<double>(*population));
   }
   // The window discount models the elevator pattern over physical disk
   // locations; a window of 1 assembles one object at a time and "becomes

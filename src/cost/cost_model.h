@@ -43,11 +43,6 @@ struct CostModelOptions {
   double assembly_window_discount_floor = 0.55;
   /// Default open-reference window size (paper's w/o-window ablation sets 1).
   int assembly_window = 32;
-  /// Estimate assembly faults with Yao's distinct-page formula instead of
-  /// the paper's simple population bound (future-work refinement: "more
-  /// accurate cost estimation" from clustering statistics). Off by default
-  /// to match the paper's model.
-  bool yao_page_faults = false;
 
   /// Memory available to hash tables; hybrid hash join spills beyond this.
   double memory_bytes = 8.0 * 1024 * 1024;

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <deque>
 #include <optional>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -222,10 +221,7 @@ class ExchangeExec : public ExecNode {
         case BatchQueue::PopResult::kTimeout:
           break;
       }
-      if (env_.governor != nullptr) {
-        OODB_RETURN_IF_ERROR(
-            env_.governor->CheckExec(env_.store->disk().reads()));
-      }
+      OODB_RETURN_IF_ERROR(env_.CheckGovernor());
     }
   }
 
@@ -239,10 +235,10 @@ class ExchangeExec : public ExecNode {
     for (std::unique_ptr<BatchQueue>& q : queues_) q->Abort();
   }
 
-  ExecEnv MakeWorkerEnv(SimClock* clock, ExecProfile* profile,
+  ExecEnv MakeWorkerEnv(SimStream* stream, ExecProfile* profile,
                         int partition) {
     ExecEnv wenv = env_;
-    wenv.cpu_clock = clock;
+    wenv.stream = stream;
     wenv.profile = profile;
     if (driver_ != nullptr && dop_ > 1) {
       wenv.partition_node = driver_;
@@ -252,19 +248,6 @@ class ExchangeExec : public ExecNode {
     wenv.merge_sort = merge_ ? &plan_->op.sort : nullptr;
     wenv.fault_worker = partition;
     return wenv;
-  }
-
-  /// Applies an injector action to a worker pipeline: charges the simulated
-  /// straggler delay to the worker's private clock, sleeps the real
-  /// component, and surfaces the injected kill.
-  static Status ApplyFault(const ExecFaultInjector::Action& act,
-                           SimClock* clock) {
-    clock->cpu_s += act.sim_delay_s;
-    if (act.sleep_ms > 0.0) {
-      std::this_thread::sleep_for(
-          std::chrono::duration<double, std::milli>(act.sleep_ms));
-    }
-    return act.status;
   }
 
   // --------------------- order-preserving merge ----------------------
@@ -438,7 +421,7 @@ class ExchangeExec : public ExecNode {
   // whole statement.
 
   struct Worker {
-    SimClock clock;
+    SimStream stream;
     std::unique_ptr<ExecProfile> profile;
   };
 
@@ -446,11 +429,8 @@ class ExchangeExec : public ExecNode {
   /// pulls batches from a worker pipeline — then settles it.
   void RunWorker(int p) {
     Worker& w = workers_[static_cast<size_t>(p)];
-    if (env_.profile != nullptr) {
-      w.profile = std::make_unique<ExecProfile>();
-      w.profile->set_io_timed(false);
-    }
-    ExecEnv wenv = MakeWorkerEnv(&w.clock, w.profile.get(), p);
+    if (env_.profile != nullptr) w.profile = std::make_unique<ExecProfile>();
+    ExecEnv wenv = MakeWorkerEnv(&w.stream, w.profile.get(), p);
     Status status = Status::OK();
     Result<std::unique_ptr<ExecNode>> node =
         BuildExecNode(wenv, *plan_->children[0]);
@@ -476,12 +456,11 @@ class ExchangeExec : public ExecNode {
       // flow-tuple charge stays per *live* row.
       batch.Compact();
       if (wenv.exec_faults != nullptr) {
-        status = ApplyFault(
-            wenv.exec_faults->OnBatchBoundary(p, wenv.fault_attempt),
-            wenv.cpu_clock);
+        status = wenv.exec_faults->OnBatchBoundary(p, wenv.fault_attempt)
+                     .Apply(&w.stream);
         if (status.ok()) {
-          status = ApplyFault(wenv.exec_faults->OnPush(p, wenv.fault_attempt),
-                              wenv.cpu_clock);
+          status = wenv.exec_faults->OnPush(p, wenv.fault_attempt)
+                       .Apply(&w.stream);
         }
         if (!status.ok()) {
           BatchPool::Instance().Return(std::move(batch));
@@ -528,7 +507,7 @@ class ExchangeExec : public ExecNode {
 
   // --------------------------- join/close ----------------------------
 
-  /// Waits for the workers (once), merges their private clocks, and
+  /// Waits for the workers (once), merges their private streams, and
   /// reports the first worker error — or a clean end of stream.
   Result<size_t> Finish() {
     JoinWorkers();
@@ -537,9 +516,10 @@ class ExchangeExec : public ExecNode {
     return static_cast<size_t>(0);
   }
 
-  /// Every worker's clock merges, and its profile (a failed query's
-  /// partial profile still shows what its workers observed). Runs once,
-  /// after pending_ reached 0: workers_ is quiescent from then on.
+  /// Every worker's stream merges into the consumer's, and its profile (a
+  /// failed query's partial profile still shows what its workers observed).
+  /// Runs once, after pending_ reached 0: workers_ is quiescent from then
+  /// on.
   void JoinWorkers() {
     if (joined_) return;
     joined_ = true;
@@ -550,13 +530,13 @@ class ExchangeExec : public ExecNode {
     const PlanNode* child = plan_->children[0].get();
     for (size_t p = 0; p < workers_.size(); ++p) {
       const Worker& w = workers_[p];
-      env_.store->clock().MergeFrom(w.clock);
+      env_.stream->MergeFrom(w.stream);
       if (env_.profile == nullptr || w.profile == nullptr) continue;
       const OpProfile* root = w.profile->Find(child);
       WorkerUtilization u;
       u.worker = static_cast<int>(p);
       u.rows = root != nullptr ? root->rows : 0;
-      u.cpu_s = w.clock.cpu_s;
+      u.cpu_s = w.stream.clock.cpu_s;
       env_.profile->AddWorker(plan_, u);
       env_.profile->MergeFrom(*w.profile);
     }

@@ -22,11 +22,12 @@
 // the query with its typed Status; the Session retry ladder is the only
 // recovery layer (it re-runs the whole statement).
 //
-// Accounting: each worker charges CPU to a private SimClock merged into
-// the store's clock after the join (I/O is charged by the shared disk model
-// under its own mutex). A governor trip on any worker is sticky in the
-// shared QueryGovernor, so every other worker trips at its next checkpoint
-// and the whole pipeline drains; the first error is reported from Next().
+// Accounting: each worker charges its CPU and its page reads to a private
+// SimStream — its own clock, disk arm and read counters — which the join
+// merges into the consumer's stream. A governor trip on any worker is
+// sticky in the shared QueryGovernor, so every other worker trips at its
+// next checkpoint and the whole pipeline drains; the first error is
+// reported from Next().
 #ifndef OODB_EXEC_EXCHANGE_H_
 #define OODB_EXEC_EXCHANGE_H_
 

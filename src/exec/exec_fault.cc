@@ -1,9 +1,11 @@
 #include "src/exec/exec_fault.h"
 
 #include <charconv>
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <system_error>
+#include <thread>
 
 #include "src/common/metrics.h"
 
@@ -108,6 +110,15 @@ ExecFaultInjector::WorkerState& ExecFaultInjector::StateLocked(int worker,
     s.rng_seeded = true;
   }
   return s;
+}
+
+Status ExecFaultInjector::Action::Apply(SimStream* stream) const {
+  stream->clock.cpu_s += sim_delay_s;
+  if (sleep_ms > 0.0) {
+    std::this_thread::sleep_for(
+        std::chrono::duration<double, std::milli>(sleep_ms));
+  }
+  return status;
 }
 
 void ExecFaultInjector::CountInjected() {

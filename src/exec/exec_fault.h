@@ -30,6 +30,7 @@
 #include "src/common/rng.h"
 #include "src/common/status.h"
 #include "src/common/thread_annotations.h"
+#include "src/storage/disk_model.h"
 
 namespace oodb {
 
@@ -107,6 +108,11 @@ class ExecFaultInjector {
     Status status;
     double sleep_ms = 0.0;
     double sim_delay_s = 0.0;
+
+    /// Applies the action to the pipeline that owns `stream`: charges the
+    /// simulated delay to the stream's clock, sleeps the real component,
+    /// and returns the injected status.
+    Status Apply(SimStream* stream) const;
   };
 
   /// Batch boundary at a pipeline root (Exchange worker loop, or the

@@ -1,10 +1,8 @@
 #include "src/exec/executor.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <thread>
 #include <utility>
 
 #include "src/exec/batch_pool.h"
@@ -68,6 +66,11 @@ Result<ExecStats> ExecutePlan(const PlanNode& plan, ObjectStore* store,
   env.store = store;
   env.ctx = ctx;
   env.governor = options.governor;
+  // The drain is the serial pipeline: it charges the store's stream, whose
+  // earlier reads (a warm start) are not this run's to govern.
+  SimStream& stream = store->stream();
+  stream.governed_reads = stream.reads();
+  env.stream = &stream;
   env.batch_size = options.batch_size > 0
                        ? static_cast<size_t>(options.batch_size)
                        : static_cast<size_t>(std::max(
@@ -87,13 +90,6 @@ Result<ExecStats> ExecutePlan(const PlanNode& plan, ObjectStore* store,
   } else if (options.analyze || ForceAnalyze()) {
     profile = std::make_shared<ExecProfile>();
     env.profile = profile.get();
-  }
-  if (env.profile != nullptr) {
-    // Per-node I/O / buffer deltas read store-shared counters, which is
-    // only race-free while no Exchange worker thread runs concurrently —
-    // even a dop=1 Exchange pipelines its single worker against this
-    // thread, so the gate is "no Exchange anywhere", not MaxDop.
-    env.profile->set_io_timed(CountOps(plan, PhysOpKind::kExchange) == 0);
   }
   OODB_ASSIGN_OR_RETURN(std::unique_ptr<ExecNode> root,
                         BuildExecNode(env, plan));
@@ -120,14 +116,8 @@ Result<ExecStats> ExecutePlan(const PlanNode& plan, ObjectStore* store,
     OODB_ASSIGN_OR_RETURN(size_t n, root->Next(&batch));
     if (n == 0) break;
     if (root_fault_sites) {
-      ExecFaultInjector::Action act =
-          injector.OnBatchBoundary(0, options.fault_attempt);
-      env.clock().cpu_s += act.sim_delay_s;
-      if (act.sleep_ms > 0.0) {
-        std::this_thread::sleep_for(
-            std::chrono::duration<double, std::milli>(act.sleep_ms));
-      }
-      OODB_RETURN_IF_ERROR(act.status);
+      OODB_RETURN_IF_ERROR(
+          injector.OnBatchBoundary(0, options.fault_attempt).Apply(&stream));
     }
     stats.rows += static_cast<int64_t>(n);
     if (options.governor != nullptr) {
@@ -153,12 +143,12 @@ Result<ExecStats> ExecutePlan(const PlanNode& plan, ObjectStore* store,
   }
   root->Close();
 
-  stats.sim_io_s = store->clock().io_s;
-  stats.sim_cpu_s = store->clock().cpu_s;
-  stats.pages_read = store->disk().reads();
-  stats.seq_reads = store->disk().seq_reads();
-  stats.random_reads = store->disk().random_reads();
-  stats.buffer_hits = store->buffer().hits();
+  stats.sim_io_s = stream.clock.io_s;
+  stats.sim_cpu_s = stream.clock.cpu_s;
+  stats.pages_read = stream.reads();
+  stats.seq_reads = stream.seq_reads;
+  stats.random_reads = stream.random_reads;
+  stats.buffer_hits = stream.buffer_hits;
   if (options.governor != nullptr) {
     stats.governor = options.governor->stats();
   }

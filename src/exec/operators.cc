@@ -80,7 +80,8 @@ class FileScanExec : public ExecNode {
       const Oid* oids = members_->data() + pos_;
       pos_ += n;
       scratch_objs_.resize(n);
-      OODB_RETURN_IF_ERROR(env_.store->ReadMany(oids, n, scratch_objs_.data()));
+      OODB_RETURN_IF_ERROR(
+          env_.store->ReadMany(oids, n, scratch_objs_.data(), env_.stream));
       cpu += static_cast<double>(n) * env_.timing().cpu_scan_tuple_s;
       if (vectorized_) {
         scratch_sel_.resize(n);
@@ -174,7 +175,8 @@ class IndexScanExec : public ExecNode {
     size_t evals = 0;  // residual conjunct evaluations
     while (!out->full() && pos_ < end_) {
       Oid oid = matches_[pos_++];
-      OODB_ASSIGN_OR_RETURN(const ObjectData* obj, env_.store->Read(oid));
+      OODB_ASSIGN_OR_RETURN(const ObjectData* obj,
+                            env_.store->Read(oid, env_.stream));
       TupleRow row = out->AppendRow();
       row.slot(op_.binding) = {oid, obj};
       OODB_ASSIGN_OR_RETURN(bool pass,
@@ -687,8 +689,8 @@ class AssemblyExec : public ExecNode {
           const std::vector<Oid>* members,
           env_.store->CollectionMembers(CollectionId::Extent(t)));
       for (Oid oid : *members) {
-        OODB_ASSIGN_OR_RETURN(const ObjectData* obj,
-                              env_.store->Read(oid));  // sequential scan
+        OODB_ASSIGN_OR_RETURN(  // sequential scan
+            const ObjectData* obj, env_.store->Read(oid, env_.stream));
         pinned_[oid] = obj;
         env_.clock().cpu_s += env_.timing().cpu_hash_build_s;
       }
@@ -742,7 +744,7 @@ class AssemblyExec : public ExecNode {
         if (pin != pinned_.end()) {
           obj = pin->second;
         } else {
-          OODB_ASSIGN_OR_RETURN(obj, env_.store->Read(target));
+          OODB_ASSIGN_OR_RETURN(obj, env_.store->Read(target, env_.stream));
         }
         window_rows_[i].slot(step.target) = {target, obj};
       }
@@ -801,7 +803,8 @@ class PointerJoinExec : public ExecNode {
           target = src.obj->ref(step.field);
         }
         if (target == kInvalidOid || !env_.store->Exists(target)) continue;
-        OODB_ASSIGN_OR_RETURN(const ObjectData* obj, env_.store->Read(target));
+        OODB_ASSIGN_OR_RETURN(const ObjectData* obj,
+                              env_.store->Read(target, env_.stream));
         if (i != kept) out->CopyRow(kept, i);
         out->row(kept).slot(step.target) = {target, obj};
         ++kept;
@@ -1474,10 +1477,9 @@ class MergeJoinExec : public ExecNode {
 // records rows/batches plus simulated-time deltas into the ExecEnv's
 // profile, keyed by the plan node the operator was built from. Counters are
 // inclusive of the subtree (the deltas span the inner call, children
-// included); the wrapped profile is thread-private (see exec_profile.h), so
-// recording is plain stores. I/O-side deltas read store-shared state and
-// are only taken when the profile is io_timed() — i.e. on serial plans,
-// where no worker can be mutating the disk/buffer counters concurrently.
+// included, and an Exchange's span covers the worker streams it merges);
+// the wrapped profile and the pipeline's stream are both thread-private, so
+// recording is plain loads and stores.
 // ---------------------------------------------------------------------------
 class StatsExec : public ExecNode {
  public:
@@ -1489,14 +1491,14 @@ class StatsExec : public ExecNode {
   Status Open() override {
     // Blocking operators (hash build, sort) do their heavy work in
     // Open — span it so their time lands on the right node.
-    Snapshot before = Take();
+    SimStream before = *env_.stream;
     Status status = inner_->Open();
     Record(before);
     return status;
   }
 
   Result<size_t> Next(TupleBatch* out) override {
-    Snapshot before = Take();
+    SimStream before = *env_.stream;
     Result<size_t> n = inner_->Next(out);
     Record(before);
     if (n.ok() && *n > 0) {
@@ -1510,37 +1512,20 @@ class StatsExec : public ExecNode {
     return n;
   }
 
-  void Close() override { inner_->Close(); }
-
- private:
-  struct Snapshot {
-    double cpu_s = 0.0;
-    double io_s = 0.0;
-    int64_t pages = 0;
-    int64_t hits = 0;
-    int64_t misses = 0;
-  };
-
-  Snapshot Take() const {
-    Snapshot s;
-    s.cpu_s = env_.clock().cpu_s;
-    if (env_.profile->io_timed()) {
-      s.io_s = env_.store->clock().io_s;
-      s.pages = env_.store->disk().reads();
-      s.hits = env_.store->buffer().hits();
-      s.misses = env_.store->buffer().misses();
-    }
-    return s;
+  void Close() override {
+    // An Exchange cut loose early joins (and merges) its workers here.
+    SimStream before = *env_.stream;
+    inner_->Close();
+    Record(before);
   }
 
-  void Record(const Snapshot& before) {
-    prof_->cpu_s += env_.clock().cpu_s - before.cpu_s;
-    if (env_.profile->io_timed()) {
-      prof_->io_s += env_.store->clock().io_s - before.io_s;
-      prof_->pages_read += env_.store->disk().reads() - before.pages;
-      prof_->buffer_hits += env_.store->buffer().hits() - before.hits;
-      prof_->buffer_misses += env_.store->buffer().misses() - before.misses;
-    }
+ private:
+  void Record(const SimStream& before) {
+    const SimStream& now = *env_.stream;
+    prof_->cpu_s += now.clock.cpu_s - before.clock.cpu_s;
+    prof_->io_s += now.clock.io_s - before.clock.io_s;
+    prof_->pages_read += now.reads() - before.reads();
+    prof_->buffer_hits += now.buffer_hits - before.buffer_hits;
   }
 
   ExecEnv env_;
@@ -1756,17 +1741,6 @@ Result<std::unique_ptr<ExecNode>> BuildExecNode(const ExecEnv& env,
     node = std::make_unique<StatsExec>(env, &plan, std::move(node));
   }
   return node;
-}
-
-Result<std::unique_ptr<ExecNode>> BuildExecTree(const PlanNode& plan,
-                                                ObjectStore* store,
-                                                QueryContext* ctx,
-                                                QueryGovernor* governor) {
-  ExecEnv env;
-  env.store = store;
-  env.ctx = ctx;
-  env.governor = governor;
-  return BuildExecNode(env, plan);
 }
 
 }  // namespace oodb

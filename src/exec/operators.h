@@ -39,18 +39,18 @@ class ExecNode {
 
 /// Shared state for all nodes of one executing (sub-)plan. Exchange builds
 /// one ExecEnv per worker: the store/ctx/governor are shared (each
-/// internally synchronized), while `cpu_clock` points at a worker-private
-/// SimClock merged into the store's clock after the worker joins, and the
+/// internally synchronized), while `stream` points at a worker-private
+/// SimStream merged into the consumer's after the worker joins, and the
 /// partition fields carve the driver scan into disjoint contiguous chunks.
 struct ExecEnv {
   ObjectStore* store = nullptr;
   QueryContext* ctx = nullptr;
   QueryGovernor* governor = nullptr;
 
-  /// Clock receiving operator CPU charges. Null means the store's shared
-  /// clock (single-threaded execution); Exchange workers substitute a
-  /// private clock so CPU accounting never races.
-  SimClock* cpu_clock = nullptr;
+  /// The pipeline's accounting stream: every CPU charge and every page read
+  /// of this (sub-)plan lands on it. The serial drain uses the store's
+  /// stream; each Exchange worker a private one, so accounting never races.
+  SimStream* stream = nullptr;
 
   /// Rows per batch for every operator of this tree (the exec_batch_size
   /// knob; capacity of internal child-facing batches).
@@ -68,7 +68,7 @@ struct ExecEnv {
   /// decorators are built and every code path is bit-identical). When set,
   /// BuildExecNode wraps each operator in a recording decorator writing
   /// into this profile; Exchange workers substitute a private profile
-  /// merged at join, mirroring `cpu_clock`.
+  /// merged at join, mirroring `stream`.
   ExecProfile* profile = nullptr;
 
   /// Partitioning for Exchange workers: the scan built from the plan node
@@ -112,21 +112,28 @@ struct ExecEnv {
   /// cannot be compared against whole-input estimates.
   double replan_drift_threshold = 0.0;
 
-  SimClock& clock() const {
-    return cpu_clock != nullptr ? *cpu_clock : store->clock();
-  }
+  SimClock& clock() const { return stream->clock; }
   const CostModelOptions& timing() const { return store->timing(); }
   int num_bindings() const { return ctx->bindings.size(); }
 
-  /// Cooperative governor checkpoint, called once per operator Next() —
-  /// i.e. at batch granularity. Free when ungoverned; one extra pointer
-  /// compare when exec faults are not injected.
+  /// Cooperative checkpoint, called once per operator Next() — i.e. at
+  /// batch granularity: the exec-fault tick site, then the governor. Free
+  /// when ungoverned; one extra pointer compare when exec faults are not
+  /// injected.
   Status Tick() const {
     if (exec_faults != nullptr) {
       OODB_RETURN_IF_ERROR(exec_faults->OnTick(fault_worker, fault_attempt));
     }
+    return CheckGovernor();
+  }
+
+  /// Governor checkpoint: charges the pages this stream read since its last
+  /// checkpoint to the page budget.
+  Status CheckGovernor() const {
     if (governor == nullptr) return Status::OK();
-    return governor->CheckExec(store->disk().reads());
+    const int64_t pages = stream->reads() - stream->governed_reads;
+    stream->governed_reads += pages;
+    return governor->CheckExec(pages);
   }
 
   /// Charges `rows` tuples buffered by a blocking operator (hash build,
@@ -197,15 +204,6 @@ class BatchReader {
 /// its child plan with partitioned ExecEnvs.
 Result<std::unique_ptr<ExecNode>> BuildExecNode(const ExecEnv& env,
                                                 const PlanNode& plan);
-
-/// Builds an executable iterator tree from a physical plan. A non-null
-/// `governor` is checked cooperatively at every operator Next() (including
-/// inside blocking Open() phases, which drain their children through
-/// Next()), so cancellation and deadline/budget trips surface mid-pipeline.
-Result<std::unique_ptr<ExecNode>> BuildExecTree(const PlanNode& plan,
-                                                ObjectStore* store,
-                                                QueryContext* ctx,
-                                                QueryGovernor* governor = nullptr);
 
 }  // namespace oodb
 

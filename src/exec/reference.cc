@@ -44,7 +44,7 @@ class ReferenceEvaluator {
           // A dangling reference drops the tuple (Mat == Join semantics).
           if (target == kInvalidOid || !store_->Exists(target)) continue;
           OODB_ASSIGN_OR_RETURN(const ObjectData* obj,
-                                store_->Read(target, /*charge_io=*/false));
+                                store_->Read(target, /*stream=*/nullptr));
           t.slot(expr.op.target) = {target, obj};
           out.push_back(std::move(t));
         }
@@ -99,7 +99,7 @@ class ReferenceEvaluator {
     for (Oid oid : *members) {
       Tuple t(ctx_.bindings.size());
       OODB_ASSIGN_OR_RETURN(const ObjectData* obj,
-                            store_->Read(oid, /*charge_io=*/false));
+                            store_->Read(oid, /*stream=*/nullptr));
       t.slot(op.binding) = {oid, obj};
       out.push_back(std::move(t));
     }

@@ -199,7 +199,6 @@ uint64_t HashOptimizerOptions(const OptimizerOptions& opts) {
     h.Mix(std::bit_cast<uint64_t>(v));
   }
   h.Mix(static_cast<uint64_t>(c.assembly_window));
-  h.Mix(static_cast<uint64_t>(c.yao_page_faults));
   h.Mix(static_cast<uint64_t>(c.exec_batch_size));
   h.Mix(static_cast<uint64_t>(opts.max_dop));
   h.Mix(opts.disabled_rules.size());

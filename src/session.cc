@@ -374,7 +374,7 @@ Result<ExecStats> Session::ExecuteWithRetry(SessionResult* r,
       // not an engine fault). The aborted attempt's profile is dropped
       // after extraction, so operator accounting stays exactly-once.
       rec.status = stats.status();
-      rec.sim_s = store_.clock().io_s + store_.clock().cpu_s;
+      rec.sim_s = store_.stream().clock.total();
       Status replanned = ReplanWithFeedback(r, attempt_profile);
       next_replanned = replanned.ok();
       if (replanned.ok()) {
@@ -405,7 +405,7 @@ Result<ExecStats> Session::ExecuteWithRetry(SessionResult* r,
       rec.faults_injected = stats->faults_injected;
       rec.sim_s = stats->sim_total_s();
     } else {
-      rec.sim_s = store_.clock().io_s + store_.clock().cpu_s;
+      rec.sim_s = store_.stream().clock.total();
     }
     if (terminal) {
       r->attempts.push_back(std::move(rec));

@@ -185,10 +185,10 @@ class Session {
   /// EXPLAIN ANALYZE: optimizes *and executes* the query with per-operator
   /// runtime counters, then renders the plan annotated with estimated vs
   /// actual cardinality (drift ratio), batches, simulated CPU/I/O seconds,
-  /// buffer traffic (serial plans only — see ExecProfile::io_timed), and
-  /// per-worker utilization under Exchange. When execution fails mid-plan
-  /// (governor trip, injected storage fault) the partial profile is still
-  /// rendered, prefixed with an `exec: FAILED(...)` line.
+  /// pages and buffer traffic, and per-worker utilization under Exchange.
+  /// When execution fails mid-plan (governor trip, injected storage fault)
+  /// the partial profile is still rendered, prefixed with an
+  /// `exec: FAILED(...)` line.
   Result<std::string> ExplainAnalyze(const std::string& zql);
 
   /// Refreshes the catalog's statistics from the stored data (bumps the

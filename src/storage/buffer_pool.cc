@@ -6,8 +6,9 @@ namespace oodb {
 
 namespace {
 
-/// Process-wide hit/miss totals across every pool instance (per-pool counts
-/// live in hits()/misses()). Resolved once; counters are never deallocated.
+/// Process-wide hit/miss totals across every pool instance (per-pipeline
+/// counts live on each SimStream). Resolved once; counters are never
+/// deallocated.
 struct BufferMetrics {
   Counter* hits;
   Counter* misses;
@@ -29,10 +30,7 @@ struct BufferMetrics {
 }  // namespace
 
 // One page touch with mu_ held: returns true on a hit, false on a miss
-// (after faulting the page in). The disk read stays inside the critical
-// section so that the miss, its arm movement, and the eviction are one
-// atomic event — concurrent workers observe a consistent LRU and a
-// serializable read sequence.
+// (after faulting the page in; the caller charges the read).
 bool BufferPool::AccessLocked(PageId page) {
   const size_t p = static_cast<size_t>(page);
   if (p >= frame_of_.size()) frame_of_.resize(p + 1, -1);
@@ -41,7 +39,6 @@ bool BufferPool::AccessLocked(PageId page) {
     ToFront(f, true);
     return true;
   }
-  disk_->Read(page);
   const bool evict =
       static_cast<int64_t>(frames_.size()) >= capacity_ && !frames_.empty();
   if (evict) {
@@ -71,28 +68,16 @@ void BufferPool::ToFront(int32_t f, bool linked) {
   head_ = f;
 }
 
-Status BufferPool::Access(PageId page) {
-  if (faults_ != nullptr) OODB_RETURN_IF_ERROR(faults_->OnPageAccess(page));
-  MutexLock lock(mu_);
-  if (AccessLocked(page)) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    BufferMetrics::Get().hits->Increment();
-  } else {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    BufferMetrics::Get().misses->Increment();
-  }
-  return Status::OK();
-}
-
-Status BufferPool::AccessMany(const PageId* pages, size_t n) {
+Status BufferPool::AccessMany(const PageId* pages, size_t n,
+                              SimStream* stream) {
   if (n == 0) return Status::OK();
   int64_t hits = 0, misses = 0;
   Status status = Status::OK();
   {
     MutexLock lock(mu_);
     for (size_t i = 0; i < n; ++i) {
-      // Per-page fault check in sequence, as n Access() calls would do:
-      // pages before the faulting one are already touched and charged.
+      // Per-page fault check in sequence: pages before the faulting one are
+      // already touched and charged.
       if (faults_ != nullptr) {
         status = faults_->OnPageAccess(pages[i]);
         if (!status.ok()) break;
@@ -101,11 +86,11 @@ Status BufferPool::AccessMany(const PageId* pages, size_t n) {
         ++hits;
       } else {
         ++misses;
+        stream->Read(pages[i], *timing_);
       }
     }
   }
-  hits_.fetch_add(hits, std::memory_order_relaxed);
-  misses_.fetch_add(misses, std::memory_order_relaxed);
+  stream->buffer_hits += hits;
   if (hits > 0) BufferMetrics::Get().hits->Increment(hits);
   if (misses > 0) BufferMetrics::Get().misses->Increment(misses);
   return status;
@@ -116,8 +101,6 @@ void BufferPool::Reset() {
   frame_of_.clear();
   frames_.clear();
   head_ = tail_ = -1;
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace oodb

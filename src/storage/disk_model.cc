@@ -5,28 +5,26 @@
 
 namespace oodb {
 
-void DiskModel::Read(PageId page) {
-  MutexLock lock(mu_);
-  bool sequential = position_ != kInvalidPage &&
-                    (page == position_ || page == position_ + 1);
+void SimStream::Read(PageId page, const CostModelOptions& timing) {
+  bool sequential =
+      arm != kInvalidPage && (page == arm || page == arm + 1);
   if (sequential) {
-    seq_reads_.fetch_add(1, std::memory_order_relaxed);
-    clock_->io_s += timing_->seq_io_s;
+    ++seq_reads;
+    clock.io_s += timing.seq_io_s;
   } else {
-    random_reads_.fetch_add(1, std::memory_order_relaxed);
+    ++random_reads;
     // Short forward seeks (the elevator pattern) cost less than full random
     // repositioning: interpolate between sequential and random cost on a
     // log scale of the seek distance.
-    double cost = timing_->random_io_s;
-    if (position_ != kInvalidPage && page > position_) {
-      double distance = static_cast<double>(page - position_);
+    double cost = timing.random_io_s;
+    if (arm != kInvalidPage && page > arm) {
+      double distance = static_cast<double>(page - arm);
       double t = std::min(1.0, std::log2(distance + 1.0) / 16.0);
-      cost = timing_->seq_io_s +
-             t * (timing_->random_io_s - timing_->seq_io_s);
+      cost = timing.seq_io_s + t * (timing.random_io_s - timing.seq_io_s);
     }
-    clock_->io_s += cost;
+    clock.io_s += cost;
   }
-  position_ = page;
+  arm = page;
 }
 
 }  // namespace oodb

@@ -5,11 +5,8 @@
 #ifndef OODB_STORAGE_DISK_MODEL_H_
 #define OODB_STORAGE_DISK_MODEL_H_
 
-#include <atomic>
 #include <cstdint>
 
-#include "src/common/mutex.h"
-#include "src/common/thread_annotations.h"
 #include "src/cost/cost_model.h"
 
 namespace oodb {
@@ -18,11 +15,6 @@ using PageId = int64_t;
 inline constexpr PageId kInvalidPage = -1;
 
 /// Accumulates simulated I/O and CPU time during execution.
-///
-/// Thread-compatible, not thread-safe: each thread charges its own SimClock.
-/// The store clock's io_s is only written by DiskModel::Read (serialized by
-/// the disk mutex); Exchange workers charge CPU to private clocks that are
-/// merged after the workers are joined.
 struct SimClock {
   double io_s = 0.0;
   double cpu_s = 0.0;
@@ -35,50 +27,41 @@ struct SimClock {
   }
 };
 
-/// The disk-arm model. A read of page p is *sequential* if p immediately
-/// follows the previous read (or re-reads it), otherwise *random*. Assembly's
-/// elevator pattern benefits automatically: refs sorted by page produce
-/// short forward seeks which are charged an interpolated cost.
+/// One pipeline's accounting stream: its simulated clock, its disk arm and
+/// its read counters. The serial drain charges the store's stream; each
+/// Exchange worker charges a fresh one that the Exchange merges into its
+/// consumer's after the join, so every stream is written by one thread at a
+/// time and needs no lock or atomic.
 ///
-/// Thread safety: Read() serializes on an internal mutex (there is one disk
-/// arm; concurrent readers contend for it exactly as real spindles do). The
-/// read counters are atomic so statistics can be sampled lock-free.
-class DiskModel {
- public:
-  DiskModel(const CostModelOptions* timing, SimClock* clock)
-      : timing_(timing), clock_(clock) {}
+/// The disk-arm model: a read of page p is *sequential* if p immediately
+/// follows the stream's previous read (or re-reads it), otherwise *random*.
+/// Assembly's elevator pattern benefits automatically: refs sorted by page
+/// produce short forward seeks which are charged an interpolated cost.
+struct SimStream {
+  SimClock clock;
+  PageId arm = kInvalidPage;  ///< the last page this stream read
+  int64_t seq_reads = 0;
+  int64_t random_reads = 0;
+  int64_t buffer_hits = 0;
+  /// Reads already charged to the query governor's page budget.
+  int64_t governed_reads = 0;
 
-  /// Records a physical read of `page`. Thread-safe.
-  void Read(PageId page);
+  /// Physical reads (every one a buffer-pool miss).
+  int64_t reads() const { return seq_reads + random_reads; }
 
-  int64_t reads() const { return seq_reads() + random_reads(); }
-  int64_t seq_reads() const {
-    return seq_reads_.load(std::memory_order_relaxed);
-  }
-  int64_t random_reads() const {
-    return random_reads_.load(std::memory_order_relaxed);
-  }
-  PageId position() const {
-    MutexLock lock(mu_);
-    return position_;
-  }
+  /// Classifies a physical read of `page` on this stream's arm and charges
+  /// its simulated time.
+  void Read(PageId page, const CostModelOptions& timing);
 
-  void Reset() {
-    MutexLock lock(mu_);
-    seq_reads_.store(0, std::memory_order_relaxed);
-    random_reads_.store(0, std::memory_order_relaxed);
-    position_ = kInvalidPage;
+  /// Adds a joined worker's clock and counters; the arm stays where this
+  /// stream left it.
+  void MergeFrom(const SimStream& o) {
+    clock.MergeFrom(o.clock);
+    seq_reads += o.seq_reads;
+    random_reads += o.random_reads;
+    buffer_hits += o.buffer_hits;
+    governed_reads += o.governed_reads;
   }
-
- private:
-  const CostModelOptions* timing_;
-  /// The store clock. Its io_s is only ever written under mu_ (there is one
-  /// disk arm; the charge and the arm movement are one atomic event).
-  SimClock* clock_ PT_GUARDED_BY(mu_);
-  mutable Mutex mu_{lock_rank::kDiskModel};
-  PageId position_ GUARDED_BY(mu_) = kInvalidPage;
-  std::atomic<int64_t> seq_reads_{0};
-  std::atomic<int64_t> random_reads_{0};
 };
 
 }  // namespace oodb

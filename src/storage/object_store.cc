@@ -8,9 +8,8 @@ namespace oodb {
 ObjectStore::ObjectStore(const Catalog* catalog, StoreOptions options)
     : catalog_(catalog),
       options_(options),
-      disk_(&options_.timing, &clock_),
       faults_(options_.faults),
-      buffer_(&disk_, options_.buffer_pages,
+      buffer_(&options_.timing, options_.buffer_pages,
               options_.faults.enabled() ? &faults_ : nullptr) {
   placement_.resize(catalog_->schema().num_types());
   extents_.resize(catalog_->schema().num_types());
@@ -132,27 +131,27 @@ Status ObjectStore::AddToSet(const std::string& set_name, Oid oid) {
   return Status::OK();
 }
 
-Result<const ObjectData*> ObjectStore::Read(Oid oid, bool charge_io) {
+Result<const ObjectData*> ObjectStore::Read(Oid oid, SimStream* stream) {
   if (!Exists(oid)) {
     return Status::InvalidArgument("read of invalid oid " +
                                    std::to_string(oid));
   }
-  if (charge_io) {
+  if (stream != nullptr) {
     if (options_.faults.enabled()) {
       OODB_RETURN_IF_ERROR(faults_.OnObjectRead(oid));
     }
-    OODB_RETURN_IF_ERROR(buffer_.Access(object_page_[oid]));
+    OODB_RETURN_IF_ERROR(buffer_.AccessMany(&object_page_[oid], 1, stream));
   }
   return &objects_[oid];
 }
 
 Status ObjectStore::ReadMany(const Oid* oids, size_t n,
-                             const ObjectData** out) {
+                             const ObjectData** out, SimStream* stream) {
   if (options_.faults.enabled()) {
     // Faulted reads keep per-object access granularity so the injector's
     // deterministic access counter advances exactly as in n Read() calls.
     for (size_t i = 0; i < n; ++i) {
-      OODB_ASSIGN_OR_RETURN(out[i], Read(oids[i]));
+      OODB_ASSIGN_OR_RETURN(out[i], Read(oids[i], stream));
     }
     return Status::OK();
   }
@@ -160,7 +159,7 @@ Status ObjectStore::ReadMany(const Oid* oids, size_t n,
   // pages are batched through AccessMany so the pool lock and statistics
   // are touched once per group of runs instead of once per run. Charges
   // are flushed before reporting a bad OID, so the pages read ahead of the
-  // failure are accounted exactly as per-run Access() calls would.
+  // failure are accounted exactly as per-run accesses would.
   constexpr size_t kMaxRuns = 64;
   PageId run_pages[kMaxRuns];
   size_t runs = 0;
@@ -168,7 +167,7 @@ Status ObjectStore::ReadMany(const Oid* oids, size_t n,
   while (i < n) {
     Oid oid = oids[i];
     if (!Exists(oid)) {
-      OODB_RETURN_IF_ERROR(buffer_.AccessMany(run_pages, runs));
+      OODB_RETURN_IF_ERROR(buffer_.AccessMany(run_pages, runs, stream));
       return Status::InvalidArgument("read of invalid oid " +
                                      std::to_string(oid));
     }
@@ -181,11 +180,11 @@ Status ObjectStore::ReadMany(const Oid* oids, size_t n,
       out[i] = &objects_[next];
     }
     if (runs == kMaxRuns) {
-      OODB_RETURN_IF_ERROR(buffer_.AccessMany(run_pages, runs));
+      OODB_RETURN_IF_ERROR(buffer_.AccessMany(run_pages, runs, stream));
       runs = 0;
     }
   }
-  return buffer_.AccessMany(run_pages, runs);
+  return buffer_.AccessMany(run_pages, runs, stream);
 }
 
 PageId ObjectStore::PageOf(Oid oid) const { return object_page_[oid]; }
@@ -239,8 +238,7 @@ Result<const StoredIndex*> ObjectStore::FindIndex(const std::string& name) const
 }
 
 void ObjectStore::ResetSimulation() {
-  clock_.Reset();
-  disk_.Reset();
+  stream_ = SimStream{};
   buffer_.Reset();
   faults_.Reset();
 }

@@ -77,22 +77,22 @@ class ObjectStore {
   /// Builds every index registered in the catalog from the stored data.
   Status BuildIndexes();
 
-  // --- reads (charged to the simulated clock unless charge_io = false) ---
+  // --- reads (charged to the caller's pipeline stream) ---
 
-  /// Fetches an object, charging a buffer-pool access of its page. Fails
-  /// with kInvalidArgument on a dangling/out-of-range OID and with
-  /// kStorageFault when the fault policy trips on a charged read (uncharged
-  /// reads bypass the storage path and cannot fault).
+  /// Fetches an object, charging a buffer-pool access of its page to
+  /// `stream`. Fails with kInvalidArgument on a dangling/out-of-range OID
+  /// and with kStorageFault when the fault policy trips on a charged read.
+  /// A null stream bypasses the storage path: no pool access, no fault.
   ///
   /// Thread safety (audited for Exchange workers): population (Create /
   /// SetValue / AddToSet / BuildIndexes) must complete before execution
   /// starts; during execution `objects_`, `object_page_`, `sets_`,
   /// `extents_`, and `indexes_` are immutable, so concurrent Read()s only
-  /// share the fault injector, the buffer pool, and the disk model — each
-  /// internally synchronized with atomic statistics. Returned ObjectData
-  /// pointers are stable (no eviction of object memory; the buffer pool
-  /// only simulates page residency).
-  Result<const ObjectData*> Read(Oid oid, bool charge_io = true);
+  /// share the fault injector and the buffer pool — each internally
+  /// synchronized — and each charges its own pipeline's stream. Returned
+  /// ObjectData pointers are stable (no eviction of object memory; the
+  /// buffer pool only simulates page residency).
+  Result<const ObjectData*> Read(Oid oid, SimStream* stream);
 
   /// Batched read of `n` OIDs into `out[0..n)` — the vectorized scan path.
   /// Objects are clustered by type in creation order, so a scan batch
@@ -105,7 +105,8 @@ class ObjectStore {
   /// the loop degrades to exactly n individual charged reads so the
   /// injector's every-Nth-access and per-OID semantics stay bit-identical
   /// to the tuple-at-a-time era. Thread-safe (same audit as Read).
-  Status ReadMany(const Oid* oids, size_t n, const ObjectData** out);
+  Status ReadMany(const Oid* oids, size_t n, const ObjectData** out,
+                  SimStream* stream);
 
   /// Const access without any simulation accounting (statistics, tests).
   /// Bounds-checked: a dangling OID is kInvalidArgument, never UB.
@@ -141,13 +142,14 @@ class ObjectStore {
   Result<const StoredIndex*> FindIndex(const std::string& name) const;
 
   // --- simulation accounting ---
-  SimClock& clock() { return clock_; }
-  DiskModel& disk() { return disk_; }
+  /// The serial pipeline's stream: the executor's drain charges it, and
+  /// Exchanges merge their workers' streams into it after the join.
+  SimStream& stream() { return stream_; }
   BufferPool& buffer() { return buffer_; }
   const CostModelOptions& timing() const { return options_.timing; }
 
-  /// Clears simulated clock, disk stats, buffer contents, and fault-
-  /// injector state (cold start; a seeded fault policy replays identically).
+  /// Clears the serial stream, buffer contents, and fault-injector state
+  /// (cold start; a seeded fault policy replays identically).
   void ResetSimulation();
 
   /// Replaces the fault policy at runtime (ops/testing hook). The injector
@@ -164,8 +166,7 @@ class ObjectStore {
 
   const Catalog* catalog_;
   StoreOptions options_;
-  SimClock clock_;
-  DiskModel disk_;
+  SimStream stream_;
   FaultInjector faults_;
   BufferPool buffer_;
 

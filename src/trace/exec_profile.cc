@@ -15,7 +15,6 @@ void OpProfile::MergeFrom(const OpProfile& other) {
   io_s += other.io_s;
   pages_read += other.pages_read;
   buffer_hits += other.buffer_hits;
-  buffer_misses += other.buffer_misses;
   // Worker-private TopK heaps are the same bounded size; max, not sum.
   topk_heap = std::max(topk_heap, other.topk_heap);
   sort_runs += other.sort_runs;
@@ -106,12 +105,8 @@ void RenderRec(const PlanNode& node, const QueryContext& ctx,
       os << ", merge " << p->merge_streams << ", runs " << p->merge_runs
          << ", encoded " << p->merge_encoded;
     }
-    if (profile.io_timed()) {
-      os << ", io " << FormatDouble(p->io_s, 6) << "s, pages "
-         << p->pages_read << ", buf " << p->buffer_hits << "h/"
-         << p->buffer_misses << "m";
-    }
-    os << "]";
+    os << ", io " << FormatDouble(p->io_s, 6) << "s, pages " << p->pages_read
+       << ", buf " << p->buffer_hits << "h/" << p->pages_read << "m]";
   }
   os << "\n";
   if (const std::vector<WorkerUtilization>* ws = profile.workers(&node)) {

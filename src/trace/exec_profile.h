@@ -11,14 +11,12 @@
 // locks and no atomics, and a dop>1 ANALYZE run is race-free by
 // construction rather than by synchronization.
 //
-// Timing attribution: CPU seconds come from the recording thread's own
-// clock (the store clock when serial, the worker-private clock inside an
-// Exchange) and are always exact. I/O seconds, pages, and buffer hit/miss
-// deltas live on store-shared state that Exchange workers mutate
-// concurrently, so they are attributed per operator only on serial (dop=1)
-// plans — `io_timed()` is false otherwise and the renderer reports those
-// quantities at the query level only. All per-node counters are inclusive
-// of the operator's subtree.
+// Timing attribution: CPU seconds, I/O seconds, pages and buffer hits come
+// from the recording pipeline's own accounting stream (the store's serial
+// stream, or a worker-private one inside an Exchange), so they are exact
+// per operator at every dop. All per-node counters are inclusive of the
+// operator's subtree; an Exchange's row includes the worker streams it
+// merges at the join.
 #ifndef OODB_TRACE_EXEC_PROFILE_H_
 #define OODB_TRACE_EXEC_PROFILE_H_
 
@@ -41,11 +39,9 @@ struct OpProfile {
   int64_t phys_rows = 0;
   int64_t batches = 0;  ///< non-empty batches emitted
   double cpu_s = 0.0;   ///< simulated CPU charged while inside this subtree
-  // Valid only when the owning profile is io_timed() (serial plans):
-  double io_s = 0.0;         ///< simulated I/O seconds
-  int64_t pages_read = 0;    ///< physical page reads (buffer misses)
-  int64_t buffer_hits = 0;   ///< buffer-pool hits
-  int64_t buffer_misses = 0; ///< buffer-pool misses
+  double io_s = 0.0;    ///< simulated I/O seconds
+  int64_t pages_read = 0;   ///< physical page reads (buffer misses)
+  int64_t buffer_hits = 0;  ///< buffer-pool hits
 
   // Order-property operators (zero elsewhere):
   /// Peak bounded-heap occupancy of a TopK — min(k, input rows); merged
@@ -86,10 +82,6 @@ class ExecProfile {
   /// top node).
   const OpProfile* Find(const PlanNode* node) const;
 
-  /// Whether per-node io/pages/buffer deltas were recorded (serial runs).
-  bool io_timed() const { return io_timed_; }
-  void set_io_timed(bool timed) { io_timed_ = timed; }
-
   /// Adds `other`'s counters node-by-node (worker merge at Exchange join).
   void MergeFrom(const ExecProfile& other);
 
@@ -101,7 +93,6 @@ class ExecProfile {
  private:
   std::unordered_map<const PlanNode*, OpProfile> ops_;
   std::unordered_map<const PlanNode*, std::vector<WorkerUtilization>> workers_;
-  bool io_timed_ = true;
 };
 
 /// Symmetric estimate/actual drift as a >= 1 factor: max/min after clamping

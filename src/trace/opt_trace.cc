@@ -29,7 +29,7 @@ OptTrace::OptTrace(size_t capacity) : capacity_(capacity > 0 ? capacity : 1) {
   ring_.reserve(capacity_);
 }
 
-void OptTrace::Record(OptEvent event) {
+void OptTrace::Record(OptEvent&& event) {
   ++recorded_;
   ++counts_[static_cast<size_t>(event.kind)];
   if (size_ < capacity_) {

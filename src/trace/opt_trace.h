@@ -1,6 +1,6 @@
 // Optimizer search trace: a bounded ring buffer of structured events
 // recording what the Volcano search did — which rules fired, which groups
-// were costed under which properties, when a cheaper plan displaced the
+// were costed under which cost limits, when a cheaper plan displaced the
 // running winner, where branch-and-bound cut a branch, where an enforcer
 // was inserted, and what the static verifier concluded. Attach an OptTrace
 // via OptimizerOptions::trace_sink; the null default costs nothing (a
@@ -24,7 +24,7 @@ namespace oodb {
 
 enum class OptEventKind : uint8_t {
   kRuleFired,        ///< transformation produced a new memo expression
-  kGroupExplored,    ///< a (group, required-props) costing goal was entered
+  kGroupExplored,    ///< a costing goal was entered (its cost limit, if any)
   kWinnerReplaced,   ///< a cheaper plan displaced the group's running best
   kBranchPruned,     ///< branch-and-bound cut an alternative over the bound
   kEnforcerInserted, ///< an enforcer operator joined the costed candidates
@@ -54,7 +54,7 @@ class OptTrace {
   static constexpr size_t kDefaultCapacity = 4096;
   explicit OptTrace(size_t capacity = kDefaultCapacity);
 
-  void Record(OptEvent event);
+  void Record(OptEvent&& event);
 
   /// Total events recorded (including overwritten ones).
   int64_t recorded() const { return recorded_; }

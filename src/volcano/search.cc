@@ -5,7 +5,6 @@
 #include <limits>
 #include <utility>
 
-#include "src/common/strings.h"
 #include "src/trace/opt_trace.h"
 
 namespace oodb {
@@ -152,10 +151,12 @@ Result<PlanNodePtr> SearchEngine::OptimizeGroup(GroupId g, PhysProps required,
     grp.winners.emplace(required, Winner{nullptr, true, true, 0.0});
   }
   if (opts_->trace_sink != nullptr) {
+    // One per costing goal, so as frequent as rule firings: the group and
+    // its cost limit, without rendering the required properties.
     OptEvent ev;
     ev.kind = OptEventKind::kGroupExplored;
     ev.group = static_cast<int>(g);
-    ev.detail = required.ToString(*qctx_);
+    if (limit < kNoLimit) ev.cost = limit;
     opts_->trace_sink->Record(std::move(ev));
   }
 
@@ -168,25 +169,26 @@ Result<PlanNodePtr> SearchEngine::OptimizeGroup(GroupId g, PhysProps required,
   // every plan of the group.
   double floor = kNoLimit;
   auto cut = [&](double lower) { floor = std::min(floor, lower); };
-  // `what` renders the pruned operator; it runs only when a sink records
-  // the event, so untraced searches never pay for expression rendering.
-  auto trace_prune = [&](const char* rule_name, double cost, auto&& what) {
+  // Prunes are frequent under a tight bound: like winner replacements they
+  // record the operator kind, the cost and a short reason, never a rendered
+  // expression, so a traced search stays within its overhead gate.
+  auto trace_prune = [&](const char* rule_name, const PhysicalOp& op,
+                         double cost, const char* why) {
     if (opts_->trace_sink == nullptr) return;
     OptEvent ev;
     ev.kind = OptEventKind::kBranchPruned;
     if (rule_name != nullptr) ev.rule = rule_name;
     ev.group = static_cast<int>(g);
     ev.cost = cost;
-    ev.detail = what();
+    ev.op = PhysOpKindName(op.kind);
+    ev.detail = why;
     opts_->trace_sink->Record(std::move(ev));
   };
   auto consider = [&](PlanNodePtr node) {
     if (node->total_cost.total() > upper) {
       cut(node->total_cost.total());
-      trace_prune(nullptr, node->total_cost.total(), [&] {
-        return node->op.ToString(*qctx_) + " over bound " +
-               FormatDouble(upper, 6);
-      });
+      trace_prune(nullptr, node->op, node->total_cost.total(),
+                  "plan > bound");
       return;
     }
     upper = node->total_cost.total();
@@ -244,9 +246,7 @@ Result<PlanNodePtr> SearchEngine::OptimizeGroup(GroupId g, PhysProps required,
     double spent = alt.local_cost.total();
     if (spent > upper) {
       cut(spent);
-      trace_prune(cand.rule, spent, [&] {
-        return alt.op.ToString(*qctx_) + " local cost over bound";
-      });
+      trace_prune(cand.rule, alt.op, spent, "local > bound");
       continue;
     }
     std::vector<PlanNodePtr> children;
@@ -266,10 +266,7 @@ Result<PlanNodePtr> SearchEngine::OptimizeGroup(GroupId g, PhysProps required,
       spent += (*child)->total_cost.total();
       if (spent > upper) {
         cut(spent);
-        trace_prune(cand.rule, spent, [&] {
-          return alt.op.ToString(*qctx_) + " children exceed bound after " +
-                 std::to_string(children.size() + 1) + " inputs";
-        });
+        trace_prune(cand.rule, alt.op, spent, "inputs > bound");
         ok = false;
         break;
       }
@@ -295,9 +292,8 @@ Result<PlanNodePtr> SearchEngine::OptimizeGroup(GroupId g, PhysProps required,
       if (!alt.delivered.Satisfies(required)) continue;
       if (alt.local_cost.total() > upper) {
         cut(alt.local_cost.total());
-        trace_prune(enf->name(), alt.local_cost.total(), [&] {
-          return alt.op.ToString(*qctx_) + " local cost over bound";
-        });
+        trace_prune(enf->name(), alt.op, alt.local_cost.total(),
+                    "local > bound");
         continue;
       }
       double child_bound;

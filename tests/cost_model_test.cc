@@ -66,30 +66,6 @@ TEST(CostModelTest, AssemblyUnboundedForPlants) {
       c.io_s, 50000 * cm.opts().random_io_s * cm.AssemblyDiscount(32));
 }
 
-TEST(CostModelTest, YaoPageFaultEstimate) {
-  PaperDb db = MakePaperCatalog();
-  CostModelOptions opts;
-  opts.yao_page_faults = true;
-  CostModel yao(opts);
-  CostModel simple;
-  // 50000 refs into the 1000-object Department extent (98 pages): Yao
-  // expects essentially every page touched but far fewer faults than the
-  // 1000-object bound.
-  Cost y = yao.AssemblyIo(db.catalog, db.department, 50000, 32);
-  Cost s = simple.AssemblyIo(db.catalog, db.department, 50000, 32);
-  EXPECT_LT(y.io_s, s.io_s);
-  EXPECT_GT(y.io_s, 0.0);
-  // Few refs into a large extent: Yao ~= one fault per ref, like the
-  // simple model.
-  Cost y2 = yao.AssemblyIo(db.catalog, db.person, 10, 32);
-  Cost s2 = simple.AssemblyIo(db.catalog, db.person, 10, 32);
-  EXPECT_NEAR(y2.io_s, s2.io_s, s2.io_s * 0.01);
-  // Unknown populations (Plant) are unaffected by the formula.
-  Cost yp = yao.AssemblyIo(db.catalog, db.plant, 500, 32);
-  Cost sp = simple.AssemblyIo(db.catalog, db.plant, 500, 32);
-  EXPECT_DOUBLE_EQ(yp.io_s, sp.io_s);
-}
-
 TEST(CostModelTest, WindowOneCostsFullRandom) {
   PaperDb db = MakePaperCatalog();
   CostModel cm;

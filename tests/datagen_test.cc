@@ -23,7 +23,7 @@ class DatagenTest : public ::testing::Test {
 
   /// Uncharged read of a known-valid oid (fails the test on error).
   static const ObjectData& Obj(ObjectStore& store, Oid oid) {
-    Result<const ObjectData*> r = store.Read(oid, /*charge_io=*/false);
+    Result<const ObjectData*> r = store.Read(oid, /*stream=*/nullptr);
     if (!r.ok()) {
       ADD_FAILURE() << r.status();
       std::abort();

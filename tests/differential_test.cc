@@ -65,6 +65,15 @@ std::vector<std::string> Deck() {
       "c2.country == n1 && c2.country == n3 && c4.country == n3 && "
       "n3.name == \"Country2\" && c4.country.name == \"Country0\";");
   for (std::string& line : JoinOrderDeck()) deck.push_back(std::move(line));
+  // The Session retry ladder survives a transient worker kill, serially
+  // (the drain loop is worker 0) and under a dop-4 Exchange: the kill ends
+  // the first attempt, a later rung returns the reference rows.
+  for (const char* par : {"", "dop=4 "}) {
+    deck.push_back(std::string("db=oo7 ") + par +
+                   "session=3 xf=fail_worker=" + (*par != '\0' ? "1" : "0") +
+                   ",fail_after_batches=1,fail_attempts=1 | SELECT a.id FROM "
+                   "AtomicPart a IN AtomicParts WHERE a.x > a.y;");
+  }
   return deck;
 }
 

@@ -12,6 +12,7 @@
 #include <chrono>
 #include <thread>
 
+#include "src/common/metrics.h"
 #include "src/exec/worker_pool.h"
 #include "src/physical/parallel.h"
 #include "src/workloads/oo7.h"
@@ -277,32 +278,36 @@ TEST(WorkerPoolTest, EverySubmittedTaskGetsAThread) {
 
 TEST(BufferPoolParallelTest, TwoThreadAccessManyKeepsCounts) {
   // Two scan workers share one pool, as a dop-2 Exchange's leaves do, each
-  // over its own page range: every access is counted once as a hit or a
-  // miss, every miss is one disk read, and the LRU never outgrows its
-  // capacity.
+  // over its own page range and charging its own stream: every access is
+  // counted once as a hit or a miss, every miss is one disk read, and the
+  // LRU never outgrows its capacity.
   CostModelOptions timing;
-  SimClock clock;
-  DiskModel disk(&timing, &clock);
   constexpr int64_t kCapacity = 64;
-  BufferPool pool(&disk, kCapacity);
+  BufferPool pool(&timing, kCapacity);
+  Counter* misses = MetricsRegistry::Global().counter(
+      "oodb_buffer_pool_misses_total");
+  const int64_t misses_before = misses->value();
   constexpr int kCalls = 2000;
   constexpr int kRun = 16;
   std::atomic<bool> over_capacity{false};
-  auto scan = [&](PageId first) {
+  SimStream streams[2];
+  auto scan = [&](PageId first, SimStream* stream) {
     PageId pages[kRun];
     for (int call = 0; call < kCalls; ++call) {
       PageId start = first + (call * 7) % 480;
       for (int i = 0; i < kRun; ++i) pages[i] = start + i;
-      EXPECT_TRUE(pool.AccessMany(pages, kRun).ok());
+      EXPECT_TRUE(pool.AccessMany(pages, kRun, stream).ok());
       if (pool.resident() > kCapacity) over_capacity = true;
     }
   };
-  std::thread a(scan, 0), b(scan, 500);
+  std::thread a(scan, 0, &streams[0]), b(scan, 500, &streams[1]);
   a.join();
   b.join();
-  EXPECT_EQ(pool.hits() + pool.misses(), int64_t{2} * kCalls * kRun);
-  EXPECT_GT(pool.hits(), 0);
-  EXPECT_EQ(disk.reads(), pool.misses());
+  const int64_t hits = streams[0].buffer_hits + streams[1].buffer_hits;
+  const int64_t reads = streams[0].reads() + streams[1].reads();
+  EXPECT_EQ(hits + reads, int64_t{2} * kCalls * kRun);
+  EXPECT_GT(hits, 0);
+  EXPECT_EQ(reads, misses->value() - misses_before);
   EXPECT_FALSE(over_capacity.load());
   EXPECT_LE(pool.resident(), kCapacity);
 }
@@ -368,6 +373,29 @@ TEST_F(ExchangeTest, GovernorRowBudgetTripsUnderDop) {
   EXPECT_EQ(stats.status().code(), StatusCode::kBudgetExhausted)
       << stats.status();
   EXPECT_GE(governor.stats().budget_trips, 1);
+}
+
+TEST_F(ExchangeTest, GovernorPageBudgetTripsUnderDop) {
+  // Each worker charges the pages it reads to its own stream; its Ticks
+  // still charge them to the one query budget, so a budget one page short
+  // of the statement's reads trips although no single worker exceeds it.
+  Planned par = Plan(
+      "SELECT a.id, a.x FROM AtomicPart a IN AtomicParts WHERE a.x >= 0;",
+      /*max_dop=*/4);
+  ASSERT_EQ(MaxDopOf(*par.plan), 4);
+  auto unlimited = Exec(par, 8);
+  ASSERT_TRUE(unlimited.ok()) << unlimited.status();
+  ASSERT_GE(unlimited->pages_read, 2);
+
+  GovernorOptions gov;
+  gov.max_exec_pages = unlimited->pages_read - 1;
+  QueryGovernor governor(gov);
+  auto stats = Exec(par, 8, &governor);
+  ASSERT_FALSE(stats.ok());
+  EXPECT_EQ(stats.status().code(), StatusCode::kBudgetExhausted)
+      << stats.status();
+  EXPECT_GE(governor.stats().budget_trips, 1);
+  EXPECT_GT(governor.stats().pages_charged, gov.max_exec_pages);
 }
 
 TEST_F(ExchangeTest, CrossThreadCancellationDuringExchange) {
@@ -462,14 +490,14 @@ TEST_F(ExchangeTest, PartitionedIndexScanChargesLeavesOnce) {
   ASSERT_NE(driver, nullptr);
   ASSERT_EQ(driver->op.kind, PhysOpKind::kIndexScan);
 
-  // Drains the whole plan under `env`, charging CPU to a private clock.
+  // Drains the whole plan under `env`, charging a private stream.
   auto drain = [&](int w, int k) -> double {
-    SimClock clock;
+    SimStream stream;
     ExecEnv env;
     env.store = &store();
     env.ctx = &p.ctx;
     env.batch_size = 64;
-    env.cpu_clock = &clock;
+    env.stream = &stream;
     if (k > 1) {
       env.partition_node = driver;
       env.partition_index = w;
@@ -485,7 +513,7 @@ TEST_F(ExchangeTest, PartitionedIndexScanChargesLeavesOnce) {
       if (!n.ok() || *n == 0) break;
     }
     (*node)->Close();
-    return clock.cpu_s;
+    return stream.clock.cpu_s;
   };
 
   store().ResetSimulation();

@@ -50,7 +50,7 @@ class ExecTest : public ::testing::Test {
   }
 
   const ObjectData& Obj(Oid o) {
-    Result<const ObjectData*> r = store_.Read(o, /*charge_io=*/false);
+    Result<const ObjectData*> r = store_.Read(o, /*stream=*/nullptr);
     if (!r.ok()) {
       ADD_FAILURE() << r.status();
       std::abort();

@@ -20,7 +20,7 @@ class GovernorTest : public ::testing::Test {
   GovernorTest() : db_(MakePaperCatalog(0.02)) {}
 
   // Heap-allocated: ObjectStore wires internal pointers (buffer pool ->
-  // disk model) at construction and must never be moved.
+  // timing options) at construction and must never be moved.
   std::unique_ptr<Session> MakeSession(Session::Options opts = {}) {
     auto s = std::make_unique<Session>(&db_.catalog, std::move(opts));
     GenOptions gen;
@@ -288,7 +288,7 @@ TEST_F(GovernorTest, ReadOfDanglingOidIsErrorNotUndefinedBehavior) {
   Session& s = *sp;
   ObjectStore& store = s.store();
   Oid bogus = store.num_objects() + 1000;
-  auto read = store.Read(bogus);
+  auto read = store.Read(bogus, &store.stream());
   ASSERT_FALSE(read.ok());
   EXPECT_EQ(read.status().code(), StatusCode::kInvalidArgument);
   auto peek = store.Peek(bogus);

@@ -101,13 +101,13 @@ TEST_F(LockCheckTest, BatchPoolThenBatchQueueIsCaught) {
                   lock_rank::kBatchPool);
 }
 
-TEST_F(LockCheckTest, DiskModelThenBufferPoolIsCaught) {
-  // A buffer-pool miss reads the disk under the pool lock (buffer_pool ->
-  // disk_model); the reverse is the textbook two-lock deadlock.
-  Mutex disk(lock_rank::kDiskModel);
-  Mutex buffer(lock_rank::kBufferPool);
-  ExpectViolation(AcquirePair(disk, buffer), lock_rank::kBufferPool,
-                  lock_rank::kDiskModel);
+TEST_F(LockCheckTest, MetricsThenGovernorIsCaught) {
+  // A governor trip resolves its metrics counters under the governor lock
+  // (governor -> metrics); the reverse is the textbook two-lock deadlock.
+  Mutex metrics(lock_rank::kMetrics);
+  Mutex governor(lock_rank::kGovernor);
+  ExpectViolation(AcquirePair(metrics, governor), lock_rank::kGovernor,
+                  lock_rank::kMetrics);
 }
 
 TEST_F(LockCheckTest, GovernorThenPlanCacheIsCaught) {

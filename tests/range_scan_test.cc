@@ -97,7 +97,7 @@ TEST_F(RangeScanTest, ExecutionMatchesBruteForce) {
   auto members = store.CollectionMembers(CollectionId::Set("Tasks", db.task));
   ASSERT_TRUE(members.ok());
   for (Oid t : **members) {
-    Result<const ObjectData*> obj = store.Read(t, false);
+    Result<const ObjectData*> obj = store.Read(t, /*stream=*/nullptr);
     ASSERT_TRUE(obj.ok());
     if ((*obj)->value(db.task_time).i >= 119) ++expected;
   }

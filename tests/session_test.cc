@@ -29,12 +29,12 @@ TEST_F(SessionTest, QueryEndToEnd) {
 }
 
 TEST_F(SessionTest, ExplainDoesNotExecute) {
-  auto before = session_.store().disk().reads();
+  auto before = session_.store().stream().reads();
   auto plan = session_.Explain(
       "SELECT e.name FROM Employee e IN Employees WHERE e.age >= 40;");
   ASSERT_TRUE(plan.ok()) << plan.status();
   EXPECT_NE(plan->find("cost"), std::string::npos);
-  EXPECT_EQ(session_.store().disk().reads(), before);
+  EXPECT_EQ(session_.store().stream().reads(), before);
 }
 
 TEST_F(SessionTest, QueryErrorsSurface) {

@@ -50,7 +50,7 @@ TEST_F(StorageTest, FieldValuesRoundTrip) {
   Oid p = store_.Create(db_.person);
   store_.SetValue(p, db_.person_name, Value::Str("Ada"));
   store_.SetValue(p, db_.person_age, Value::Int(36));
-  Result<const ObjectData*> obj = store_.Read(p, /*charge_io=*/false);
+  Result<const ObjectData*> obj = store_.Read(p, /*stream=*/nullptr);
   ASSERT_TRUE(obj.ok());
   EXPECT_EQ((*obj)->value(db_.person_name).s, "Ada");
   EXPECT_EQ((*obj)->value(db_.person_age).i, 36);
@@ -60,7 +60,7 @@ TEST_F(StorageTest, RefsAndRefSets) {
   Oid p = store_.Create(db_.person);
   Oid c = store_.Create(db_.city);
   store_.SetRef(c, db_.city_mayor, p);
-  Result<const ObjectData*> city = store_.Read(c, false);
+  Result<const ObjectData*> city = store_.Read(c, /*stream=*/nullptr);
   ASSERT_TRUE(city.ok());
   EXPECT_EQ((*city)->ref(db_.city_mayor), p);
 
@@ -69,7 +69,7 @@ TEST_F(StorageTest, RefsAndRefSets) {
   Oid e2 = store_.Create(db_.employee);
   store_.AddToRefSet(t, db_.task_team_members, e1);
   store_.AddToRefSet(t, db_.task_team_members, e2);
-  Result<const ObjectData*> task = store_.Read(t, false);
+  Result<const ObjectData*> task = store_.Read(t, /*stream=*/nullptr);
   ASSERT_TRUE(task.ok());
   ASSERT_EQ((*task)->ref_sets.size(), 1u);
   EXPECT_EQ((*task)->ref_sets[0], (std::vector<Oid>{e1, e2}));
@@ -98,14 +98,14 @@ TEST_F(StorageTest, NamedSets) {
 TEST_F(StorageTest, ReadChargesBufferAndDisk) {
   Oid p = store_.Create(db_.person);
   store_.ResetSimulation();
-  ASSERT_TRUE(store_.Read(p).ok());
-  EXPECT_EQ(store_.buffer().misses(), 1);
-  EXPECT_EQ(store_.disk().reads(), 1);
-  EXPECT_GT(store_.clock().io_s, 0.0);
+  SimStream& stream = store_.stream();
+  ASSERT_TRUE(store_.Read(p, &stream).ok());
+  EXPECT_EQ(stream.reads(), 1);
+  EXPECT_GT(stream.clock.io_s, 0.0);
   // Second read of the same page: buffer hit, no disk I/O.
-  ASSERT_TRUE(store_.Read(p).ok());
-  EXPECT_EQ(store_.buffer().hits(), 1);
-  EXPECT_EQ(store_.disk().reads(), 1);
+  ASSERT_TRUE(store_.Read(p, &stream).ok());
+  EXPECT_EQ(stream.buffer_hits, 1);
+  EXPECT_EQ(stream.reads(), 1);
 }
 
 TEST_F(StorageTest, IndexBuildAndLookup) {
@@ -148,62 +148,60 @@ TEST_F(StorageTest, IndexRangeScan) {
 
 TEST(DiskModelTest, SequentialVsRandomClassification) {
   CostModelOptions timing;
-  SimClock clock;
-  DiskModel disk(&timing, &clock);
-  disk.Read(10);  // first read: random
-  disk.Read(11);  // sequential
-  disk.Read(11);  // re-read: sequential
-  disk.Read(50);  // forward seek: random (discounted)
-  disk.Read(5);   // backward: random (full)
-  EXPECT_EQ(disk.seq_reads(), 2);
-  EXPECT_EQ(disk.random_reads(), 3);
+  SimStream disk;
+  disk.Read(10, timing);  // first read: random
+  disk.Read(11, timing);  // sequential
+  disk.Read(11, timing);  // re-read: sequential
+  disk.Read(50, timing);  // forward seek: random (discounted)
+  disk.Read(5, timing);   // backward: random (full)
+  EXPECT_EQ(disk.seq_reads, 2);
+  EXPECT_EQ(disk.random_reads, 3);
   EXPECT_EQ(disk.reads(), 5);
 }
 
 TEST(DiskModelTest, ShortForwardSeeksCheaperThanFullRandom) {
   CostModelOptions timing;
-  SimClock near_clock, far_clock;
-  {
-    DiskModel disk(&timing, &near_clock);
-    disk.Read(100);
-    near_clock.Reset();
-    disk.Read(102);  // distance 2
-  }
-  {
-    DiskModel disk(&timing, &far_clock);
-    disk.Read(100);
-    far_clock.Reset();
-    disk.Read(100000000);  // huge seek
-  }
-  EXPECT_LT(near_clock.io_s, far_clock.io_s);
-  EXPECT_GT(near_clock.io_s, timing.seq_io_s - 1e-12);
+  SimStream near_disk, far_disk;
+  near_disk.Read(100, timing);
+  near_disk.clock.Reset();
+  near_disk.Read(102, timing);  // distance 2
+  far_disk.Read(100, timing);
+  far_disk.clock.Reset();
+  far_disk.Read(100000000, timing);  // huge seek
+  EXPECT_LT(near_disk.clock.io_s, far_disk.clock.io_s);
+  EXPECT_GT(near_disk.clock.io_s, timing.seq_io_s - 1e-12);
+}
+
+/// One page touch through the batched entry point.
+Status Access(BufferPool& pool, PageId page, SimStream* stream) {
+  return pool.AccessMany(&page, 1, stream);
 }
 
 TEST(BufferPoolTest, LruEviction) {
   CostModelOptions timing;
-  SimClock clock;
-  DiskModel disk(&timing, &clock);
-  BufferPool pool(&disk, 2);
-  ASSERT_TRUE(pool.Access(1).ok());
-  ASSERT_TRUE(pool.Access(2).ok());
-  ASSERT_TRUE(pool.Access(1).ok());  // 1 is now most recent
-  ASSERT_TRUE(pool.Access(3).ok());  // evicts 2
-  EXPECT_EQ(pool.misses(), 3);
-  EXPECT_EQ(pool.hits(), 1);
-  ASSERT_TRUE(pool.Access(2).ok());  // miss again
-  EXPECT_EQ(pool.misses(), 4);
-  ASSERT_TRUE(pool.Access(1).ok());  // capacity 2: after access(2)
-                                     // resident = {2, 3}; 1 misses.
-  EXPECT_EQ(pool.misses(), 5);
+  SimStream stream;
+  BufferPool pool(&timing, 2);
+  ASSERT_TRUE(Access(pool, 1, &stream).ok());
+  ASSERT_TRUE(Access(pool, 2, &stream).ok());
+  ASSERT_TRUE(Access(pool, 1, &stream).ok());  // 1 is now most recent
+  ASSERT_TRUE(Access(pool, 3, &stream).ok());  // evicts 2
+  EXPECT_EQ(stream.reads(), 3);
+  EXPECT_EQ(stream.buffer_hits, 1);
+  ASSERT_TRUE(Access(pool, 2, &stream).ok());  // miss again
+  EXPECT_EQ(stream.reads(), 4);
+  ASSERT_TRUE(Access(pool, 1, &stream).ok());  // capacity 2: after access(2)
+                                               // resident = {2, 3}; 1 misses.
+  EXPECT_EQ(stream.reads(), 5);
   EXPECT_EQ(pool.resident(), 2);
 }
 
 /// The std::list LRU the flat pool replaced, kept as its oracle: same
 /// eviction rule (a pool of capacity 0 still holds the page just read).
+/// Hits and misses count from construction; Reset() clears residency only.
 class ListLru {
  public:
-  ListLru(DiskModel* disk, int64_t capacity)
-      : disk_(disk), capacity_(capacity) {}
+  ListLru(const CostModelOptions* timing, SimStream* stream, int64_t capacity)
+      : timing_(timing), stream_(stream), capacity_(capacity) {}
   void Touch(PageId page) {
     auto it = std::find(lru_.begin(), lru_.end(), page);
     if (it != lru_.end()) {
@@ -211,22 +209,20 @@ class ListLru {
       ++hits;
       return;
     }
-    disk_->Read(page);
+    stream_->Read(page, *timing_);
     ++misses;
     if (static_cast<int64_t>(lru_.size()) >= capacity_ && !lru_.empty()) {
       lru_.pop_back();
     }
     lru_.push_front(page);
   }
-  void Reset() {
-    lru_.clear();
-    hits = misses = 0;
-  }
+  void Reset() { lru_.clear(); }
   int64_t resident() const { return static_cast<int64_t>(lru_.size()); }
   int64_t hits = 0, misses = 0;
 
  private:
-  DiskModel* disk_;
+  const CostModelOptions* timing_;
+  SimStream* stream_;
   int64_t capacity_;
   std::list<PageId> lru_;  // front = most recent
 };
@@ -235,10 +231,9 @@ TEST(BufferPoolTest, MatchesListLruReference) {
   CostModelOptions timing;
   for (int64_t capacity : {0, 1, 2, 64}) {
     SCOPED_TRACE("capacity " + std::to_string(capacity));
-    SimClock clock, ref_clock;
-    DiskModel disk(&timing, &clock), ref_disk(&timing, &ref_clock);
-    BufferPool pool(&disk, capacity);
-    ListLru ref(&ref_disk, capacity);
+    SimStream stream, ref_stream;
+    BufferPool pool(&timing, capacity);
+    ListLru ref(&timing, &ref_stream, capacity);
     Rng rng(static_cast<uint64_t>(capacity) + 11);
     std::vector<PageId> pages;
     for (int step = 0; step < 4000; ++step) {
@@ -248,7 +243,7 @@ TEST(BufferPoolTest, MatchesListLruReference) {
         ref.Reset();
       } else if (op < 50) {
         PageId page = static_cast<PageId>(rng.Uniform(150));
-        ASSERT_TRUE(pool.Access(page).ok());
+        ASSERT_TRUE(Access(pool, page, &stream).ok());
         ref.Touch(page);
       } else {
         // A scan-like run: consecutive pages from a random start, with an
@@ -262,31 +257,32 @@ TEST(BufferPoolTest, MatchesListLruReference) {
                            0, page - static_cast<PageId>(rng.Uniform(20)))
                      : page + 1;
         }
-        ASSERT_TRUE(pool.AccessMany(pages.data(), pages.size()).ok());
+        ASSERT_TRUE(pool.AccessMany(pages.data(), pages.size(), &stream).ok());
         for (PageId p : pages) ref.Touch(p);
       }
-      ASSERT_EQ(pool.hits(), ref.hits) << "step " << step;
-      ASSERT_EQ(pool.misses(), ref.misses) << "step " << step;
+      ASSERT_EQ(stream.buffer_hits, ref.hits) << "step " << step;
+      ASSERT_EQ(stream.reads(), ref.misses) << "step " << step;
       ASSERT_EQ(pool.resident(), ref.resident()) << "step " << step;
     }
-    EXPECT_GT(ref_disk.seq_reads(), 0);
-    EXPECT_GT(ref_disk.random_reads(), 0);
-    EXPECT_EQ(disk.seq_reads(), ref_disk.seq_reads());
-    EXPECT_EQ(disk.random_reads(), ref_disk.random_reads());
-    EXPECT_EQ(clock.io_s, ref_clock.io_s);  // bit-identical
+    EXPECT_GT(ref_stream.seq_reads, 0);
+    EXPECT_GT(ref_stream.random_reads, 0);
+    EXPECT_EQ(stream.seq_reads, ref_stream.seq_reads);
+    EXPECT_EQ(stream.random_reads, ref_stream.random_reads);
+    EXPECT_EQ(stream.clock.io_s, ref_stream.clock.io_s);  // bit-identical
   }
 }
 
 TEST(BufferPoolTest, ResetClears) {
   CostModelOptions timing;
-  SimClock clock;
-  DiskModel disk(&timing, &clock);
-  BufferPool pool(&disk, 4);
-  ASSERT_TRUE(pool.Access(1).ok());
+  SimStream stream;
+  BufferPool pool(&timing, 4);
+  ASSERT_TRUE(Access(pool, 1, &stream).ok());
   pool.Reset();
-  EXPECT_EQ(pool.hits(), 0);
-  EXPECT_EQ(pool.misses(), 0);
   EXPECT_EQ(pool.resident(), 0);
+  // The page is gone: touching it again is a second miss, not a hit.
+  ASSERT_TRUE(Access(pool, 1, &stream).ok());
+  EXPECT_EQ(stream.buffer_hits, 0);
+  EXPECT_EQ(stream.reads(), 2);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <regex>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -335,7 +336,6 @@ TEST_F(TraceTest, AnalyzeRendersPerOperatorCounters) {
   auto stats = Analyze(p);
   ASSERT_TRUE(stats.ok()) << stats.status();
   ASSERT_NE(stats->profile, nullptr);
-  EXPECT_TRUE(stats->profile->io_timed());
   const OpProfile* root = stats->profile->Find(p.plan.get());
   ASSERT_NE(root, nullptr);
   EXPECT_EQ(root->rows, stats->rows);
@@ -514,8 +514,6 @@ TEST_F(TraceTest, ExchangeAnalyzeMergesWorkerProfiles) {
   auto stats = Analyze(p, /*batch_size=*/64);
   ASSERT_TRUE(stats.ok()) << stats.status();
   ASSERT_NE(stats->profile, nullptr);
-  // Per-node io/pages/buffer attribution is serial-only.
-  EXPECT_FALSE(stats->profile->io_timed());
   const std::vector<WorkerUtilization>* workers =
       stats->profile->workers(exchange);
   ASSERT_NE(workers, nullptr);
@@ -528,7 +526,48 @@ TEST_F(TraceTest, ExchangeAnalyzeMergesWorkerProfiles) {
   EXPECT_EQ(worker_rows, below->rows);
   std::string render = RenderAnalyzedPlan(*p.plan, p.ctx, *stats->profile);
   EXPECT_NE(render.find("worker 0:"), std::string::npos) << render;
-  EXPECT_EQ(render.find(", io "), std::string::npos) << render;
+  // Workers record their operators' I/O on their own streams.
+  EXPECT_NE(render.find(", io "), std::string::npos) << render;
+}
+
+TEST_F(TraceTest, ExchangeAnalyzeAttributesWorkerIoPerOperator) {
+  OptimizerOptions opts;
+  opts.max_dop = 4;
+  Planned p = Plan(
+      "SELECT a.id FROM AtomicPart a IN AtomicParts WHERE a.x > a.y;", opts);
+  const PlanNode* exchange = FindExchange(*p.plan);
+  ASSERT_NE(exchange, nullptr) << PrintPlan(*p.plan, p.ctx);
+  ASSERT_EQ(exchange->op.dop, 4);
+  auto stats = Analyze(p, /*batch_size=*/64);
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  ASSERT_NE(stats->profile, nullptr);
+  ASSERT_GT(stats->pages_read, 0);
+  // Every read happens below the Exchange: its row, which spans the merge
+  // of the worker streams, carries the statement's whole I/O, and so does
+  // the worker plan's root, summed over the four workers.
+  const OpProfile* ex = stats->profile->Find(exchange);
+  ASSERT_NE(ex, nullptr);
+  EXPECT_EQ(ex->pages_read, stats->pages_read);
+  EXPECT_DOUBLE_EQ(ex->io_s, stats->sim_io_s);
+  const OpProfile* below = stats->profile->Find(exchange->children[0].get());
+  ASSERT_NE(below, nullptr);
+  EXPECT_EQ(below->pages_read, stats->pages_read);
+  EXPECT_EQ(below->buffer_hits, stats->buffer_hits);
+  // Every operator row renders io, pages and buf.
+  std::string render = RenderAnalyzedPlan(*p.plan, p.ctx, *stats->profile);
+  std::istringstream lines(render);
+  int rows = 0;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("-> act ") == std::string::npos) continue;
+    ++rows;
+    EXPECT_NE(line.find(", io "), std::string::npos) << line;
+    EXPECT_NE(line.find(", pages "), std::string::npos) << line;
+    EXPECT_NE(line.find(", buf "), std::string::npos) << line;
+  }
+  EXPECT_GE(rows, 2) << render;
+  const std::string pages =
+      std::string(", pages ") + std::to_string(stats->pages_read) + ",";
+  EXPECT_NE(render.find(pages), std::string::npos) << render;
 }
 
 // ---------------------------------------------------------------------------
